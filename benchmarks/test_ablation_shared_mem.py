@@ -65,12 +65,12 @@ def test_c_only_baseline_fastest(benchmark, bench_layers, bench_options):
 
 
 def test_ablation_fast_path_speedup(bench_layers, bench_options):
-    """All three variants replay vectorised: no fallbacks, identical
+    """All three variants replay vectorised: fast tier only, identical
     cycle counts, and the sweep beats the event path >= 2.5x (the
     baseline-mode replay carries no LHB, so the ratio is pure
     load/store + cache mask work — measured ~3.3x)."""
-    on = dataclasses.replace(bench_options, fast_path="on")
-    off = dataclasses.replace(bench_options, fast_path="off")
+    on = dataclasses.replace(bench_options, engine="fast")
+    off = dataclasses.replace(bench_options, engine="event")
 
     def sweep(options):
         return {
@@ -98,8 +98,8 @@ def test_ablation_fast_path_speedup(bench_layers, bench_options):
     finally:
         obs.reset()
         obs.disable()
-    fallbacks = {k: v for k, v in counters.items() if "fallback" in k}
-    assert not fallbacks, fallbacks
+    selected = {k for k in counters if k.startswith("engine.selected.")}
+    assert selected == {"engine.selected.fast"}, counters
 
     t0 = time.perf_counter()
     event = sweep(off)

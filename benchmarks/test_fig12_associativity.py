@@ -6,8 +6,8 @@ direct-mapped buffer suffices.
 
 The sweep runs entirely on the vectorised replay now that the offline
 per-set LRU resolution covers every associativity; the second test
-pins that claim by timing the whole sweep against the event-path
-fallback (identical rows required) and recording the ratio in
+pins that claim by timing the whole sweep against the event-level
+reference (identical rows required) and recording the ratio in
 ``results/runtime_scaling.json``.
 """
 
@@ -61,16 +61,16 @@ def test_figure12_fast_path_sweep_speedup(bench_options):
     fixture pins).  The first (untimed) run warms the in-process trace
     cache so both timed sweeps compare pure replay work, not trace
     generation.  The fast sweep must produce row-identical results,
-    and — since every assoc in the sweep is now natively covered —
-    must never take the ``fastpath.fallback`` exit.  Streams dominated
+    and every assoc in the sweep must be answered by the fast tier.
+    Streams dominated
     by same-address reuse (e.g. resnet C8) accelerate less — the
     stack-distance pruning has little to cut there — which is why the
     tripwire lives on the flagship subset; their correctness is pinned
     by the equivalence and fuzz suites.
     """
     layers = [get_layer(n, l) for n, l in GOLDEN_LAYERS]
-    on = dataclasses.replace(bench_options, fast_path="on")
-    off = dataclasses.replace(bench_options, fast_path="off")
+    on = dataclasses.replace(bench_options, engine="fast")
+    off = dataclasses.replace(bench_options, engine="event")
 
     figure12(layers, on)  # warm the trace cache
 
@@ -82,8 +82,8 @@ def test_figure12_fast_path_sweep_speedup(bench_options):
     finally:
         obs.reset()
         obs.disable()
-    fallbacks = {k: v for k, v in counters.items() if "fallback" in k}
-    assert not fallbacks, fallbacks
+    selected = {k for k in counters if k.startswith("engine.selected.")}
+    assert selected == {"engine.selected.fast"}, counters
     assert counters.get("fastpath.replays", 0) > 0, counters
 
     exp_event, t_event = _best_of(lambda: figure12(layers, off), 2)

@@ -1,8 +1,7 @@
 """CI perf-regression gate over the not-slow benchmark kernel set.
 
-Runs a fixed suite of micro-benchmarks (trace generation — the
-closed-form synthesizer and the retired per-turn loop generator it
-replaced — fast- and event-path replays — direct-mapped and 8-way
+Runs a fixed suite of micro-benchmarks (closed-form trace
+generation, fast- and event-path replays — direct-mapped and 8-way
 set-associative — a PID-tagged multi-kernel shared-LHB replay in both
 implementations, an end-to-end baseline/Duplo pair, a warm-cache sweep
 rerun, a cold fast-path query, an analytic-tier geometry sweep, a cold
@@ -34,9 +33,9 @@ The check applies three rules, strictest first:
    drift is a correctness regression, not noise;
 2. **derived ratios** (``fast_path_speedup`` /
    ``assoc_fast_path_speedup`` / ``multikernel_fast_path_speedup`` —
-   event replay over fast replay — ``trace_gen_speedup`` — the legacy
-   loop generator over the closed-form synthesizer on the same trace,
-   target >= 5x — and ``analytic_speedup`` — a cold
+   event replay over fast replay — ``trace_gen_events_per_s`` — the
+   closed-form synthesizer's absolute generation rate — and
+   ``analytic_speedup`` — a cold
    fast-path query over one warm-profile analytic query, target
    >= 100x — all measured in the same process on the same inputs —
    plus ``adaptive_cutover_ratio``, the serial sweep over the adaptive
@@ -44,8 +43,8 @@ The check applies three rules, strictest first:
    ``parallel_efficiency``, the best forced-pool speedup per usable
    worker) must stay within ``--tolerance`` (default 25%) of the
    baseline, because ratios cancel host speed and are comparable
-   across machines (``parallel_efficiency`` alone also depends on the
-   host's core count);
+   across machines (``parallel_efficiency``, ``serve_warm_qps`` and
+   ``trace_gen_events_per_s`` are host-shaped rates instead);
 3. **absolute medians** must stay under ``baseline * --time-tolerance``
    (default 3.0x) — a loose catastrophic-regression backstop, since CI
    runners and developer machines differ widely in absolute speed.
@@ -87,11 +86,10 @@ PARALLEL_SWEEP_JOBS = 4
 ANALYTIC_SWEEP_GEOMETRIES = 32
 ANALYTIC_SWEEP_PASSES = 10
 ANALYTIC_SWEEP_QUERIES = ANALYTIC_SWEEP_GEOMETRIES * ANALYTIC_SWEEP_PASSES
-#: Generations per timed run for the two generate-only benchmarks
-#: (closed-form and legacy-loop).  One synthesized trace is ~2 ms —
-#: far too short for a stable median on a busy runner — so both
-#: bodies repeat the identical generation; the derived
-#: ``trace_gen_speedup`` divides per-pass cost either way.
+#: Generations per timed ``trace_gen`` run.  One synthesized trace is
+#: ~2 ms — far too short for a stable median on a busy runner — so the
+#: body repeats the identical generation; the derived
+#: ``trace_gen_events_per_s`` counts every pass.
 TRACE_GEN_PASSES = 5
 #: Batch size for the streaming_sweep full-network run — large enough
 #: that the extrapolated grids dwarf the traced slice, exercising the
@@ -197,46 +195,13 @@ def _bench_suite() -> Dict[str, Callable[[], Tuple[Callable, Callable]]]:
     def trace_gen_setup():
         # max_ctas=8 keeps the timed body large enough that the
         # synthesizer's fixed per-plan overhead is amortised — the
-        # regime trace_gen_speedup is meant to price.
+        # regime trace_gen_events_per_s is meant to price.
         options = SimulationOptions(max_ctas=8)
 
         def run():
             for _ in range(TRACE_GEN_PASSES - 1):
                 generate_sm_trace(yolo_c2, TITAN_V, BASELINE_KERNEL, options)
             return generate_sm_trace(yolo_c2, TITAN_V, BASELINE_KERNEL, options)
-
-        def counters(trace):
-            return {
-                "events": int(trace.kind.size),
-                "traced_ctas": int(trace.traced_ctas),
-            }
-
-        return run, counters
-
-    def trace_generation_loop_setup():
-        """Generate-only, via the retired per-turn loop generator.
-
-        Same layer and options as ``trace_gen.yolo_c2`` (the
-        closed-form synthesizer), so the derived ``trace_gen_speedup``
-        divides like for like; identical counters double as a spot
-        check that the legacy path still produces the same trace.
-        """
-        from repro.gpu.kernel import TRACE_GEN_ENV
-
-        options = SimulationOptions(max_ctas=8)
-
-        def run():
-            os.environ[TRACE_GEN_ENV] = "loop"
-            try:
-                for _ in range(TRACE_GEN_PASSES - 1):
-                    generate_sm_trace(
-                        yolo_c2, TITAN_V, BASELINE_KERNEL, options
-                    )
-                return generate_sm_trace(
-                    yolo_c2, TITAN_V, BASELINE_KERNEL, options
-                )
-            finally:
-                del os.environ[TRACE_GEN_ENV]
 
         def counters(trace):
             return {
@@ -637,7 +602,6 @@ def _bench_suite() -> Dict[str, Callable[[], Tuple[Callable, Callable]]]:
 
     return {
         "trace_gen.yolo_c2": trace_gen_setup,
-        "trace_generation.yolo_c2": trace_generation_loop_setup,
         "streaming_sweep.yolo": streaming_sweep_setup,
         "replay_fast.yolo_c2": lambda: _replay_setup(replay_trace_fast),
         "replay_event.yolo_c2": lambda: _replay_setup(replay_trace),
@@ -710,12 +674,14 @@ def derived_ratios(benchmarks: Dict[str, dict]) -> Dict[str, float]:
         event = benchmarks.get(event_key, {}).get("median_s")
         if fast and event:
             ratios[name] = round(event / fast, 2)
-    # Legacy per-turn loop generator over the closed-form synthesizer
-    # on the identical trace; acceptance target >= 5x.
-    loop = benchmarks.get("trace_generation.yolo_c2", {}).get("median_s")
-    vectorized = benchmarks.get("trace_gen.yolo_c2", {}).get("median_s")
-    if loop and vectorized:
-        ratios["trace_gen_speedup"] = round(loop / vectorized, 2)
+    # Closed-form synthesis rate in events/second — host-shaped, like
+    # serve_warm_qps below.
+    gen = benchmarks.get("trace_gen.yolo_c2", {})
+    gen_events = gen.get("counters", {}).get("events")
+    if gen.get("median_s") and gen_events:
+        ratios["trace_gen_events_per_s"] = round(
+            gen_events * TRACE_GEN_PASSES / gen["median_s"]
+        )
     cold = benchmarks.get("cold_query.yolo_c2", {}).get("median_s")
     sweep = benchmarks.get("analytic_sweep.yolo_c2", {}).get("median_s")
     if cold and sweep:

@@ -14,15 +14,14 @@ event      O(trace),      exact reference (per-event state machines)
 :func:`resolve_engine` turns ``SimulationOptions.engine`` plus the
 ``$REPRO_ENGINE`` environment override into a requested tier;
 :func:`analytic_fallback_reason` reports why a configuration is
-outside analytic coverage (``None`` = covered), mirroring
-:func:`repro.gpu.fastpath.fast_path_fallback_reason` — every silent
+outside analytic coverage (``None`` = covered) — every silent
 downgrade is counted under ``analytic.fallback`` (plus an
 ``analytic.fallback.<reason>`` label) so a covered configuration
 regressing to a slower tier shows up in metrics.  The tier that
 actually answered is published as ``engine.selected.<tier>``.
 
-The env override only applies when the option is left at ``"auto"``,
-exactly like ``$REPRO_FAST_PATH`` — an explicit option always wins.
+The env override only applies when the option is left at ``"auto"``
+— an explicit option always wins.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from typing import Optional
 from repro import obs
 from repro.core.lhb import LoadHistoryBuffer
 from repro.gpu.config import KernelConfig, SimulationOptions
-from repro.gpu.fastpath import fast_path_fallback_reason
 from repro.gpu.ldst import EliminationMode
 
 #: Environment override consulted when ``options.engine == "auto"``:
@@ -49,10 +47,8 @@ ENGINE_TIERS = ("analytic", "fast", "event")
 def resolve_engine(options: SimulationOptions) -> str:
     """The requested tier: explicit option, else env, else ``"auto"``.
 
-    ``"auto"`` means "today's exact behaviour" — the caller then runs
-    the legacy fast/event tiering
-    (:func:`repro.gpu.fastpath.resolve_fast_path`), which has its own
-    ``$REPRO_FAST_PATH`` override.
+    ``"auto"`` means the default exact tier: the vectorised fast
+    replay.
     """
     if options.engine != "auto":
         return options.engine
@@ -70,18 +66,16 @@ def analytic_fallback_reason(
 ) -> Optional[str]:
     """Why this configuration needs an exact tier (``None`` = covered).
 
-    Coverage is the explicit-GEMM fragment-granularity stream with a
-    fresh LHB whose set count is a power of two (or the oracle) —
+    Coverage is the explicit-GEMM fragment-granularity stream with an
+    LHB whose set count is a power of two (or the oracle) —
     hashed and modular indexing both covered.  Everything else routes
-    to the exact tiering:
+    to the fast replay:
 
     * ``implicit-kernel`` — the implicit-GEMM stream stages through
       shared memory with cooperative input fetches the closed forms
       do not model;
     * ``instruction-granularity`` — the coarser LHB lookup ablation
       consults once per warp instruction, a different consult stream;
-    * ``warm-lhb`` — a caller-supplied buffer that already served
-      accesses (the same residual fallback as the fast path);
     * ``npo2-sets`` — the per-level reuse tables nest only along
       power-of-two set counts.
     """
@@ -90,12 +84,8 @@ def analytic_fallback_reason(
     if options.lhb_granularity != "fragment":
         return "instruction-granularity"
     if mode is not EliminationMode.BASELINE and lhb is not None:
-        if not lhb.is_fresh():
-            return "warm-lhb"
-        if not lhb.is_oracle:
-            num_sets = lhb.num_sets
-            if num_sets & (num_sets - 1):
-                return "npo2-sets"
+        if not lhb.is_oracle and lhb.num_sets & (lhb.num_sets - 1):
+            return "npo2-sets"
     return None
 
 

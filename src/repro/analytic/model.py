@@ -48,10 +48,11 @@ from repro.analytic.profile import LayerProfile
 class AnalyticUnsupported(ValueError):
     """Raised when a prediction is requested outside analytic coverage.
 
-    :func:`repro.analytic.engine.analytic_fallback_reason` exists to
-    route these configurations to the exact tiers *before* reaching
-    the model; hitting this exception means a caller skipped the
-    coverage check.
+    :func:`repro.analytic.engine.analytic_fallback_reason` routes
+    uncovered configurations to the exact tiers *before* reaching the
+    model.  A warm caller-supplied LHB is the one case it does not
+    screen (:func:`~repro.gpu.simulator.simulate_layer` always builds
+    a fresh buffer), so :func:`predict_stats` rejects it here.
     """
 
 
@@ -96,7 +97,7 @@ def predict_stats(
         if not lhb.is_fresh():
             raise AnalyticUnsupported(
                 "analytic predictions assume a fresh LHB; replay warm "
-                "buffers through the event path"
+                "buffers through an exact tier"
             )
         lookups = profile.lookups
         hits = _predicted_hits(profile, lhb)

@@ -364,7 +364,7 @@ def _cache_options(options: SimulationOptions) -> SimulationOptions:
     # profile.  Query-side knobs (lifetime, hashed_index) stay in the
     # key — they are cheap to vary and keeping them avoids aliasing
     # surprises if a future field interacts with the stream.
-    return replace(options, fast_path="auto", engine="auto")
+    return replace(options, engine="auto")
 
 
 def layer_profile(

@@ -101,21 +101,16 @@ def _add_arch_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_fast_path_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--fast-path", choices=["auto", "on", "off"], default="auto",
-        help="vectorised replay: auto falls back where unsupported, "
-        "on forces it (error if unsupported), off replays event by "
-        "event; results are bit-identical either way",
-    )
+def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine", choices=["auto", "analytic", "fast", "event"],
         default="auto",
-        help="simulation tier: auto keeps the exact replay tiering "
+        help="simulation tier: auto runs the vectorised fast replay "
         "(honouring $REPRO_ENGINE), analytic answers covered configs "
         "from the closed-form profile (exact LHB counters, "
-        "bounded-error traffic, ~100x faster), fast/event pin the "
-        "exact replay implementations",
+        "bounded-error traffic, ~100x faster), fast pins the "
+        "vectorised replay, event the event-by-event reference; "
+        "fast and event are bit-identical",
     )
 
 
@@ -123,7 +118,6 @@ def _options(args: argparse.Namespace, **overrides) -> SimulationOptions:
     """SimulationOptions from the common CLI knobs."""
     return SimulationOptions(
         max_ctas=args.max_ctas,
-        fast_path=getattr(args, "fast_path", "auto"),
         engine=getattr(args, "engine", "auto"),
         **overrides,
     )
@@ -391,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--assoc", type=int, default=1)
     sim.add_argument("--max-ctas", type=int, default=None)
     _add_arch_flag(sim)
-    _add_fast_path_flag(sim)
+    _add_engine_flag(sim)
 
     exp = sub.add_parser("experiment", help="regenerate a paper figure")
     exp.add_argument("name", help="figure2..figure14, table2, energy_area, "
@@ -400,12 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--max-rows", type=int, default=30)
     exp.add_argument("--chart", action="store_true",
                      help="render summary metrics as a bar chart")
-    _add_fast_path_flag(exp)
+    _add_engine_flag(exp)
     _add_runtime_flags(exp)
 
     cal = sub.add_parser("calibration", help="paper-vs-measured headlines")
     cal.add_argument("--max-ctas", type=int, default=4)
-    _add_fast_path_flag(cal)
+    _add_engine_flag(cal)
     _add_runtime_flags(cal)
 
     cache = sub.add_parser(
@@ -423,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     ins.add_argument("--lhb", type=int, default=1024)
     ins.add_argument("--max-ctas", type=int, default=3)
     _add_arch_flag(ins)
-    _add_fast_path_flag(ins)
+    _add_engine_flag(ins)
 
     net = sub.add_parser(
         "network", help="simulate a derived network (vgg16/discogan/fcn)"
@@ -434,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="LHB entries (0 = oracle)")
     net.add_argument("--max-ctas", type=int, default=2)
     _add_arch_flag(net)
-    _add_fast_path_flag(net)
+    _add_engine_flag(net)
 
     srv = sub.add_parser(
         "serve", help="long-running HTTP what-if query server"

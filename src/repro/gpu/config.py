@@ -457,29 +457,16 @@ class SimulationOptions:
     detection_latency: int = 2
     pid: int = 0
     representative_sm: int = 0
-    #: Vectorised replay selector.  "auto" uses the columnar fast path
-    #: wherever it is exactly representable — baseline, direct-mapped,
-    #: set-associative (any ways), oracle, and PID-tagged multi-kernel
-    #: interleavings — and falls back to the event path only for a
-    #: warm caller-supplied LHB (counted under ``fastpath.fallback``
-    #: in :mod:`repro.obs`); the ``REPRO_FAST_PATH`` environment
-    #: variable can force "on"/"off" when the option is left at
-    #: "auto".  "on" raises for unsupported configurations instead of
-    #: silently falling back; "off" always replays event by event.
-    #: Both paths are bit-identical, so this never changes results —
-    #: only wall-clock.
-    fast_path: str = "auto"
-    #: Simulation engine tier.  "auto" keeps today's exact behaviour
-    #: (fast replay where representable, else event replay) unless the
-    #: ``REPRO_ENGINE`` environment variable overrides it.  "analytic"
-    #: answers covered configurations from the closed-form profile of
+    #: Simulation engine tier — the one replay selector.  "auto" runs
+    #: the vectorised fast replay unless the ``REPRO_ENGINE``
+    #: environment variable overrides it.  "analytic" answers covered
+    #: configurations from the closed-form profile of
     #: :mod:`repro.analytic` — approximate traffic counters, exact LHB
-    #: counters, no trace — and falls back to the exact tiering where
+    #: counters, no trace — and falls back to the fast replay where
     #: uncovered (counted under ``analytic.fallback``).  "fast" pins
-    #: the vectorised replay (event path only for its residual
-    #: fallback); "event" pins the reference event replay.  The two
-    #: exact tiers are bit-identical, so like ``fast_path`` the field
-    #: is normalised out of cache keys; the analytic tier is
+    #: the vectorised replay; "event" pins the event-by-event
+    #: reference oracle.  The two exact tiers are bit-identical, so the
+    #: field is normalised out of cache keys; the analytic tier is
     #: approximate and therefore never touches the result cache.
     engine: str = "auto"
 
@@ -488,11 +475,6 @@ class SimulationOptions:
             raise ValueError(
                 f"lhb_granularity must be 'fragment' or 'instruction', "
                 f"got {self.lhb_granularity!r}"
-            )
-        if self.fast_path not in ("auto", "on", "off"):
-            raise ValueError(
-                f"fast_path must be 'auto', 'on' or 'off', "
-                f"got {self.fast_path!r}"
             )
         if self.engine not in ("auto", "analytic", "fast", "event"):
             raise ValueError(

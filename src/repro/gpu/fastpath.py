@@ -56,7 +56,6 @@ lazily on the next event-path touch.
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 import numpy as np
@@ -79,79 +78,6 @@ from repro.gpu.isa import (
 )
 from repro.gpu.ldst import EliminationMode, load_ids_for
 from repro.gpu.stats import LayerStats, MemoryBreakdown
-
-
-class FastPathUnsupported(ValueError):
-    """Raised when ``fast_path="on"`` forces an unsupported replay."""
-
-
-#: Environment override consulted when ``options.fast_path == "auto"``:
-#: set ``REPRO_FAST_PATH=on`` / ``off`` to force the replay
-#: implementation without rebuilding options objects (the CI
-#: equivalence lanes use exactly this).
-FAST_PATH_ENV = "REPRO_FAST_PATH"
-
-
-def fast_path_fallback_reason(
-    mode: EliminationMode, lhb: Optional[LoadHistoryBuffer]
-) -> Optional[str]:
-    """Why this configuration needs the event path (``None`` = covered).
-
-    Every configuration is exactly representable now: every LHB
-    organisation — direct-mapped, set-associative (any associativity),
-    oracle — plus PID-tagged multi-kernel streams, plus *warm* buffers
-    (the last holdout, closed by seeding the sorted-space recurrence
-    with the buffer's residency snapshot; the retired
-    ``fastpath.fallback.warm-lhb`` counter stays at zero).  The
-    function is kept — returning ``None`` unconditionally — so callers
-    and the ``fastpath.fallback.<reason>`` obs plumbing in
-    :func:`resolve_fast_path` survive any future coverage gap.
-    """
-    return None
-
-
-def supports_fast_path(
-    mode: EliminationMode, lhb: Optional[LoadHistoryBuffer]
-) -> bool:
-    """True when the vectorised recurrences cover this configuration."""
-    return fast_path_fallback_reason(mode, lhb) is None
-
-
-def resolve_fast_path(
-    options,
-    mode: EliminationMode,
-    lhb: Optional[LoadHistoryBuffer],
-) -> bool:
-    """Decide which replay implementation serves this simulation.
-
-    ``"auto"`` defers to ``$REPRO_FAST_PATH`` when set, otherwise uses
-    the fast path wherever it is exactly representable — any fallback
-    to the event path is *observable*, counted under
-    ``fastpath.fallback`` (plus a ``fastpath.fallback.<reason>``
-    label) so a covered configuration silently regressing to the slow
-    path fails the metrics assertions in the test suite.  ``"on"``
-    raises :class:`FastPathUnsupported` rather than silently degrade;
-    ``"off"`` always takes the event path (an explicit choice, not a
-    fallback — it is not counted).
-    """
-    choice = options.fast_path
-    if choice == "auto":
-        env = os.environ.get(FAST_PATH_ENV, "").strip().lower()
-        if env in ("on", "off"):
-            choice = env
-    if choice == "off":
-        return False
-    reason = fast_path_fallback_reason(mode, lhb)
-    if reason is None:
-        return True
-    if choice == "on":
-        raise FastPathUnsupported(
-            f"fast_path='on' but this configuration ({reason}) requires "
-            "the event-level replay; use fast_path='auto'"
-        )
-    obs.add("fastpath.fallback")
-    obs.add(f"fastpath.fallback.{reason}")
-    return False
 
 
 # ----------------------------------------------------------------------
@@ -997,9 +923,7 @@ def replay_trace_fast(
 
     Covers every configuration the event path does, warm caller-
     supplied buffers included (the residency snapshot seeds the LHB
-    recurrence).  :class:`FastPathUnsupported` is still raised by
-    :func:`resolve_fast_path` should a future configuration fall
-    outside :func:`fast_path_fallback_reason`'s coverage.
+    recurrence).
     """
     if mode is not EliminationMode.BASELINE and lhb is None:
         lhb = LoadHistoryBuffer(lifetime=options.lhb_lifetime)

@@ -68,7 +68,7 @@ INPUT_BASE = 0xE000_0000
 #: Columnar record layout of one trace event.  Narrow unsigned fields
 #: (kinds fit a byte, warp slots a halfword) shrink the on-disk and
 #: interchange footprint to 15 bytes/event versus the ~4x wider
-#: individual int64 arrays, before ``.npz`` deflate even runs.
+#: individual int64 arrays.
 EVENT_DTYPE = np.dtype(
     [
         ("kind", np.uint8),
@@ -78,8 +78,8 @@ EVENT_DTYPE = np.dtype(
     ]
 )
 
-#: Scalar trace fields serialized alongside the event records, in a
-#: fixed order so the ``.npz`` payload is a plain int64 vector.
+#: Scalar trace fields serialized alongside the event records (the
+#: store's ``.meta.json``), in a fixed order.
 _META_FIELDS = (
     "mma_ops",
     "traced_ctas",
@@ -263,36 +263,12 @@ class KernelTrace:
             return dataclasses.replace(self, address=np.ascontiguousarray(addr))
         return self
 
-    def save_npz(self, file: Union[str, BinaryIO]) -> None:
-        """Serialize columnar events + scalars as a compressed ``.npz``.
-
-        Pure numeric payload — no pickle — so traces load with
-        ``allow_pickle=False`` and the archive is ~10x smaller than the
-        pickled struct-of-int64-arrays form.
-        """
-        meta = self.meta()
-        np.savez_compressed(
-            file,
-            events=self.to_columnar(),
-            meta=np.array([meta[name] for name in _META_FIELDS], dtype=np.int64),
-        )
-
-    @classmethod
-    def load_npz(cls, file: Union[str, BinaryIO]) -> "KernelTrace":
-        """Inverse of :meth:`save_npz`."""
-        with np.load(file, allow_pickle=False) as payload:
-            events = payload["events"]
-            scalars = payload["meta"]
-        meta = {name: int(scalars[i]) for i, name in enumerate(_META_FIELDS)}
-        return cls.from_columnar(events, meta)
-
     def save_npy(self, file: Union[str, BinaryIO]) -> None:
         """Serialize the columnar events as one *uncompressed* ``.npy``.
 
-        The mmap-able sibling of :meth:`save_npz`: the plain array
-        format is what ``np.load(..., mmap_mode="r")`` can map, so the
-        sweep runtime persists this form next to the compressed
-        archive and hands worker processes the *file* (by
+        The plain array format is what ``np.load(..., mmap_mode="r")``
+        can map, so the store persists traces in this form and the
+        sweep runtime hands worker processes the *file* (by
         content-addressed key) instead of a pickled trace.  Scalars
         travel separately (:meth:`meta` → JSON in the store).
         """

@@ -31,10 +31,9 @@ from repro.gpu.config import (
     SimulationOptions,
     TITAN_V,
 )
-from repro.gpu.fastpath import resolve_fast_path, simulate_lhb_stream
+from repro.gpu.fastpath import simulate_lhb_stream
 from repro.gpu.isa import LOAD_A, LOAD_A_SHARED, WORKSPACE_BASE
 from repro.gpu.kernel import generate_sm_trace
-from repro.gpu.ldst import EliminationMode
 
 
 @dataclass(frozen=True)
@@ -121,12 +120,15 @@ def simulate_shared_lhb(
     interleaves co-resident kernels' warps); kernel ``i`` is tagged
     with PID ``i``.
 
-    ``options.fast_path`` selects the replay implementation exactly as
-    in the single-kernel simulator: the vectorised recurrence folds
-    the PID into the tag key and is bit-identical to the event loop on
-    every counter, including against a caller-supplied *warm* ``lhb``
-    (its residency snapshot seeds the recurrence).
+    ``options.engine`` selects the replay implementation as in the
+    single-kernel simulator: ``"event"`` pins the event loop, every
+    other tier takes the vectorised recurrence, which folds the PID
+    into the tag key and is bit-identical to the event loop on every
+    counter, including against a caller-supplied *warm* ``lhb`` (its
+    residency snapshot seeds the recurrence).
     """
+    from repro.analytic.engine import resolve_engine
+
     if not specs:
         raise ValueError("need at least one kernel")
     if chunk < 1:
@@ -144,7 +146,7 @@ def simulate_shared_lhb(
     ]
     lookups = [len(element) for _, element in streams]
 
-    if resolve_fast_path(options, EliminationMode.DUPLO, lhb):
+    if resolve_engine(options) != "event":
         batch_i, element_i, pid_i = _interleave(streams, chunk)
         obs.add("fastpath.shared_replays")
         obs.add("fastpath.shared_lookups", int(len(element_i)))

@@ -11,6 +11,7 @@ produced.
 Traces are cached per (layer, gpu, kernel, options) in an in-process
 LRU so parameter sweeps (Figures 9, 10, 12, 13) pay trace generation
 once.  The key covers the *full* frozen :class:`SimulationOptions`
+except ``engine``, which picks the replay and never changes the trace
 (an earlier revision keyed only on ``max_ctas`` / ``representative_sm``
 and aliased options objects differing elsewhere).  The LRU can be
 backed by a persistent :class:`repro.runtime.store.DiskCache` via
@@ -36,21 +37,12 @@ from repro.gpu.config import (
     SimulationOptions,
     TITAN_V,
 )
-from repro.gpu.fastpath import (
-    FAST_PATH_ENV,
-    FastPathUnsupported,
-    fast_path_fallback_reason,
-    replay_trace_fast,
-    resolve_fast_path as _resolve_fast_path,
-    supports_fast_path,
-)
+from repro.gpu.fastpath import replay_trace_fast
 from repro.gpu.isa import KernelTrace
 from repro.gpu.kernel import generate_sm_trace
 from repro.gpu.ldst import EliminationMode, replay_trace
 from repro.gpu.stats import LayerStats
 from repro.gpu.timing import TimingModel
-
-__all_reexports__ = (FAST_PATH_ENV, FastPathUnsupported, supports_fast_path)
 
 _log = logging.getLogger(__name__)
 
@@ -83,16 +75,19 @@ def get_trace_store():
     return _trace_store
 
 
+def _trace_cache_key(spec, gpu, kernel, options) -> Tuple:
+    # The engine selects the replay implementation, never the trace —
+    # normalise it out so fast/event runs share one cached trace.
+    return (spec, gpu, kernel, replace(options, engine="auto"))
+
+
 def _get_trace(
     spec: ConvLayerSpec,
     gpu: GPUConfig,
     kernel: KernelConfig,
     options: SimulationOptions,
 ) -> KernelTrace:
-    # fast_path selects the replay implementation, never the trace —
-    # normalise it out so on/off runs share one cached trace.
-    options = replace(options, fast_path="auto")
-    key = (spec, gpu, kernel, options)
+    key = _trace_cache_key(spec, gpu, kernel, options)
     with _trace_lock:
         trace = _trace_cache.get(key)
         if trace is not None:
@@ -137,9 +132,8 @@ def trace_is_cached(
     sweep executor's cost estimator uses it to price a chunk as
     replay-only versus generate-plus-replay.
     """
-    options = replace(options, fast_path="auto")
     with _trace_lock:
-        return (spec, gpu, kernel, options) in _trace_cache
+        return _trace_cache_key(spec, gpu, kernel, options) in _trace_cache
 
 
 def clear_trace_cache() -> None:
@@ -256,10 +250,11 @@ def simulate_layer(
 
     The ``options.engine`` tier (with its ``$REPRO_ENGINE`` override)
     picks how the request is answered: the trace-free analytic model
-    where covered, else the exact fast/event replay tiering.  The
-    tier that actually served is published as
-    ``engine.selected.<tier>``; analytic coverage misses are counted
-    under ``analytic.fallback`` — see :mod:`repro.analytic.engine`.
+    where covered, the event-level reference oracle when pinned, else
+    the vectorised fast replay.  The tier that actually served is
+    published as ``engine.selected.<tier>``; analytic coverage misses
+    are counted under ``analytic.fallback`` — see
+    :mod:`repro.analytic.engine`.
     """
     from repro.analytic.engine import (
         analytic_fallback_reason,
@@ -301,24 +296,15 @@ def simulate_layer(
             meta = trace
             events = int(trace.kind.size)
             if tier == "event":
-                use_fast = False
-            elif tier == "fast":
-                reason = fast_path_fallback_reason(mode, lhb)
-                use_fast = reason is None
-                if not use_fast:
-                    obs.add("fastpath.fallback")
-                    obs.add(f"fastpath.fallback.{reason}")
-            else:  # "auto", or analytic coverage fallback
-                use_fast = _resolve_fast_path(options, mode, lhb)
-            selected = "fast" if use_fast else "event"
-            if use_fast:
-                with obs.span("sim.replay.fast", layer=spec.qualified_name):
-                    sm_traced = replay_trace_fast(
-                        trace, spec, gpu, options, mode, lhb
-                    )
-            else:
+                selected = "event"
                 with obs.span("sim.replay.event", layer=spec.qualified_name):
                     sm_traced = replay_trace(
+                        trace, spec, gpu, options, mode, lhb
+                    )
+            else:  # "fast", "auto", or analytic coverage fallback
+                selected = "fast"
+                with obs.span("sim.replay.fast", layer=spec.qualified_name):
+                    sm_traced = replay_trace_fast(
                         trace, spec, gpu, options, mode, lhb
                     )
         count_selected(selected)
@@ -435,9 +421,7 @@ def simulate_layer_streaming(
         if store is not None:
             from repro.runtime.cachekey import trace_key
 
-            digest = trace_key(
-                spec, gpu, kernel, replace(options, fast_path="auto")
-            )
+            digest = trace_key(spec, gpu, kernel, options)
             writer = store.trace_stream_writer(digest, plan.meta(), events)
             blocks = _tee_blocks(blocks, writer)
         try:

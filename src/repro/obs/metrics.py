@@ -74,10 +74,10 @@ class MetricsRegistry:
         """All counters whose dotted name starts with ``prefix``.
 
         The engine/fallback assertions in the test suite compare whole
-        counter families (``engine.selected.*``, ``analytic.*``,
-        ``fastpath.fallback.*``) at once — filtering here keeps those
-        assertions exact: an *unexpected* counter appearing under the
-        prefix fails the comparison instead of going unnoticed.
+        counter families (``engine.selected.*``, ``analytic.*``) at
+        once — filtering here keeps those assertions exact: an
+        *unexpected* counter appearing under the prefix fails the
+        comparison instead of going unnoticed.
         """
         with self._lock:
             return {

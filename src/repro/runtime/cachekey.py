@@ -38,23 +38,23 @@ from repro.gpu.config import GPUConfig, KernelConfig, SimulationOptions
 #: ``repro.gpu.kernel``, ``repro.gpu.ldst``, ``repro.gpu.timing``, or
 #: anything else that shapes traces/results changes semantics, so
 #: previously persisted artifacts are invalidated wholesale.
-CACHE_SALT = "duplo-runtime-v2"
+CACHE_SALT = "duplo-runtime-v3"
 
 
 def _replay_invariant(options: SimulationOptions) -> SimulationOptions:
     """Normalise options fields that cannot change cached artifacts.
 
-    ``fast_path`` picks the replay *implementation*; both are
-    bit-identical (enforced by the equivalence suite), so keying on it
-    would only split the cache and make forced-on/forced-off runs
-    regenerate artifacts they already have.  ``engine`` is normalised
-    for the same reason — but note the stored artifacts are always
-    *exact*: analytic-tier results are approximate and therefore never
-    enter the result cache at all (the executor bypasses get/put for
-    analytically resolved points), so normalising the field can never
-    alias an approximate result into an exact key.
+    ``engine`` picks the replay *implementation*; the fast and event
+    tiers are bit-identical (enforced by the equivalence suite), so
+    keying on it would only split the cache and make fast/event runs
+    regenerate artifacts they already have.  The stored artifacts are
+    always *exact*: analytic-tier results are approximate and
+    therefore never enter the result cache at all (the executor
+    bypasses get/put for analytically resolved points), so
+    normalising the field can never alias an approximate result into
+    an exact key.
     """
-    return dataclasses.replace(options, fast_path="auto", engine="auto")
+    return dataclasses.replace(options, engine="auto")
 
 
 def canonical(obj) -> object:

@@ -171,15 +171,11 @@ def _stream_cold(point: SimPoint, cache: Optional[DiskCache]) -> bool:
     store is cheaper to replay from (mmap zero-copy where enabled) —
     and keeps RSS flat anyway, since it is materialised at most once.
     Only the fast tier can stream (the accumulator is the vectorised
-    replay's), and the retired loop generator
-    (``$REPRO_TRACE_GEN=loop``) cannot synthesize blocks at all.
+    replay's).
     """
     from repro.gpu import simulator
-    from repro.gpu.kernel import TRACE_GEN_ENV
 
     if _point_tier(point) != "fast":
-        return False
-    if os.environ.get(TRACE_GEN_ENV, "").strip().lower() == "loop":
         return False
     if simulator.trace_is_cached(
         point.spec, point.gpu, point.kernel, point.options
@@ -338,28 +334,16 @@ def _point_tier(point: SimPoint) -> str:
     """Which engine tier will answer ``point``: analytic/fast/event.
 
     A *pure* mirror of the simulator's tier selection — it must not
-    touch ``repro.obs`` (``resolve_fast_path`` counts fallbacks, and a
-    cost estimate is not a fallback).  Points always reach
-    ``simulate_layer`` with a fresh LHB, so the only routes to the
-    event tier are explicit pins: ``fast_path="off"`` (or the env
-    override) and ``engine="event"``.
+    touch ``repro.obs`` (a cost estimate is not a simulation).  Points
+    always reach ``simulate_layer`` with a fresh LHB, so the only
+    route to the event tier is the explicit ``engine="event"`` pin
+    (or its env override).
     """
     from repro.analytic.engine import resolve_engine
-    from repro.gpu.fastpath import FAST_PATH_ENV
 
     if _resolves_analytic(point):
         return "analytic"
-    engine = resolve_engine(point.options)
-    if engine in ("event", "fast"):
-        return engine
-    # "auto" (and the analytic coverage fallback) run the legacy
-    # fast/event tiering, where $REPRO_FAST_PATH can pin the path.
-    choice = point.options.fast_path
-    if choice == "auto":
-        env = os.environ.get(FAST_PATH_ENV, "").strip().lower()
-        if env in ("on", "off"):
-            choice = env
-    if choice == "off":
+    if resolve_engine(point.options) == "event":
         return "event"
     return "fast"
 

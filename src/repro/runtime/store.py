@@ -4,51 +4,46 @@ Layout (content-addressed, two-level fan-out to keep directories
 small)::
 
     results/cache/
-      traces/ab/abcdef....npz         columnar KernelTrace (compressed)
-      traces/ab/abcdef....events.npy  uncompressed events (mmap hand-off)
+      traces/ab/abcdef....events.npy  columnar KernelTrace events
       traces/ab/abcdef....meta.json   the trace's scalar fields
       results/9f/9fe312....pkl        pickled LayerResult
       claims/3c/3c90....claim         shared-store chunk ownership marks
 
-Traces persist in the columnar ``.npz`` form
-(:meth:`repro.gpu.isa.KernelTrace.save_npz`): narrow per-field dtypes
-plus deflate shrink the archive roughly an order of magnitude versus
-the pickled int64 struct-of-arrays, and loading needs no pickle at
-all.  Stores written by earlier versions (``traces/**.pkl``) are still
-read as a fallback.
+A trace has exactly one on-disk form: the **sidecar pair**.  The
+``.events.npy`` file is the uncompressed 15-byte/event record array
+(:meth:`repro.gpu.isa.KernelTrace.save_npy`) and ``.meta.json`` holds
+the scalar fields.  Loading needs no pickle.  A store opened with
+``mmap_traces=True`` (worker processes do this) memory-maps the record
+array, so every worker on the host shares one copy of the pages
+through the OS page cache; other stores read it densely.
+:meth:`DiskCache.trace_stream_writer` produces the same pair
+*incrementally* — trace blocks are appended behind a closed-form-sized
+``.npy`` header as they are generated, so persisting a trace never
+requires materialising it.
 
-Alongside the compressed archive, :meth:`DiskCache.put_trace` writes
-an *uncompressed* ``.events.npy`` / ``.meta.json`` pair — the
-**zero-copy hand-off form**.  A store opened with ``mmap_traces=True``
-(worker processes do this) serves ``get_trace`` by memory-mapping the
-``.npy`` record array instead of inflating the archive: no pickle, no
-decompress, and every worker on the host shares one copy of the pages
-through the OS page cache.  The ``.meta.json`` file is written *after*
-the events file, so its presence implies a complete pair; a missing or
-torn pair degrades to the ``.npz`` read.
-:meth:`DiskCache.trace_stream_writer` produces the
-same pair *incrementally* — trace blocks are appended behind a
-closed-form-sized ``.npy`` header as they are generated, so persisting
-a trace never requires materialising it (``get_trace`` serves the
-sidecar pair even on stores opened without ``mmap_traces``).
-
-Writes are atomic (temp file + ``os.replace``) so concurrent worker
-processes can populate the same store without torn reads; a reader
-either sees a complete artifact or a miss.  Unpickling failures
-(truncated file, version skew) degrade to a miss and the offending
-file is dropped.
+``.meta.json`` is the **commit marker**.  Writes are atomic (temp file
++ ``os.replace``) and the events file always lands first, so a reader
+that finds the marker can rely on the events being complete.
+Eviction unlinks the marker first for the same reason.  A pair that
+still fails to load — a truncated events file, a garbage marker, an
+events file evicted under a concurrent put — is dropped and reported
+as a miss: ``get_trace`` returns the exact trace written or ``None``,
+never a partial one.  A writer killed mid-write leaves only its
+``*.tmp`` file, which :meth:`DiskCache.clear` removes.  Unpickling
+failures of results (truncated file, version skew) likewise degrade
+to a miss and the offending file is dropped.
 
 A store opened with ``max_bytes=N`` enforces a **size-capped
 admission/eviction policy**: after every write the on-disk total is
 brought back under the cap by deleting whole artifact *groups* (all
-suffixes sharing one content key — an ``.npz`` never outlives its
-sidecar pair) in least-recently-used order.  Recency is the artifact's
-mtime: reads touch the files they serve, so a hot working set survives
-while stale sweep residue is reclaimed.  Evicted groups count into
-``store.evictions`` (and ``CacheStats.evictions``); the artifact just
-written is never a candidate.  The long-running query server
-(:mod:`repro.serve`) runs its shared store capped so unbounded
-design-space exploration cannot fill the disk.
+suffixes sharing one content key) in least-recently-used order.
+Recency is the artifact's mtime: reads touch the files they serve, so
+a hot working set survives while stale sweep residue is reclaimed.
+Evicted groups count into ``store.evictions`` (and
+``CacheStats.evictions``); the artifact just written is never a
+candidate.  The long-running query server (:mod:`repro.serve`) runs
+its shared store capped so unbounded design-space exploration cannot
+fill the disk.
 
 ``try_claim`` implements the shared-store coordination primitive: an
 ``O_CREAT | O_EXCL`` create of a claim file, atomic on POSIX
@@ -85,6 +80,29 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Pickle protocol pinned for cross-run stability.
 _PICKLE_PROTOCOL = 4
 
+#: Suffix of a trace's commit marker: its presence promises a complete
+#: ``.events.npy`` next to it.
+_COMMIT_SUFFIX = ".meta.json"
+
+
+def _atomic_write(path: Path, mode: str, write) -> None:
+    """Write ``path`` through a temp file and ``os.replace``.
+
+    Readers see the old file, the new one, or no file — never a torn
+    one.  ``write(fh)`` fills the temp file.
+    """
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, mode) as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
 
 def default_cache_dir() -> Path:
     """``$REPRO_CACHE_DIR`` or ``results/cache`` under the CWD."""
@@ -111,12 +129,11 @@ class CacheStats:
 
 @dataclass
 class DiskCache:
-    """Content-addressed pickle store for traces and layer results.
+    """Content-addressed store for traces and layer results.
 
-    ``mmap_traces`` flips ``get_trace`` to prefer the uncompressed
-    ``.events.npy`` sidecar via ``np.load(..., mmap_mode="r")`` — the
-    zero-copy hand-off worker processes use (falls back to the
-    compressed archive when no sidecar exists).
+    ``mmap_traces`` makes ``get_trace`` memory-map the ``.events.npy``
+    sidecar via ``np.load(..., mmap_mode="r")`` — the zero-copy
+    hand-off worker processes use — instead of reading it densely.
 
     ``max_bytes`` (``None`` = unbounded, the default) caps the on-disk
     total: every write is followed by an LRU-by-mtime eviction pass
@@ -146,11 +163,11 @@ class DiskCache:
 
     # -- size-capped admission/eviction ---------------------------------
 
-    #: Per-family suffixes forming one artifact *group* — eviction and
-    #: the LRU touch always treat a key's files as a unit, so a trace
-    #: archive never outlives its mmap sidecar pair (or vice versa).
+    #: Per-family suffixes forming one artifact *group* — eviction,
+    #: byte accounting and the LRU touch always treat a key's files as
+    #: a unit.
     _GROUP_SUFFIXES = {
-        "traces": (".npz", ".events.npy", ".meta.json", ".pkl"),
+        "traces": (".meta.json", ".events.npy"),
         "results": (".pkl",),
     }
 
@@ -214,7 +231,14 @@ class DiskCache:
         for group in victims:
             if total <= self.max_bytes:
                 break
-            for path, size in groups[group]:
+            # Commit marker first: a crash part-way through a group
+            # leaves an orphaned events file (a miss), never a marker
+            # that promises events which are gone.
+            files = sorted(
+                groups[group],
+                key=lambda f: not f[0].name.endswith(_COMMIT_SUFFIX),
+            )
+            for path, size in files:
                 try:
                     path.unlink()
                     total -= size
@@ -249,81 +273,10 @@ class DiskCache:
     def _put(self, family: str, key: str, obj) -> None:
         path = self._path(family, key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(obj, fh, protocol=_PICKLE_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def _get_trace_npz(self, key: str):
-        from repro.gpu.isa import KernelTrace
-
-        path = self._path("traces", key, suffix=".npz")
-        try:
-            return KernelTrace.load_npz(str(path))
-        except FileNotFoundError:
-            return None
-        except Exception:
-            # Torn/stale archive: drop it and report a miss.
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-
-    def _put_trace_npz(self, key: str, trace) -> None:
-        path = self._path("traces", key, suffix=".npz")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                trace.save_npz(fh)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def _put_trace_npy(self, key: str, trace) -> None:
-        """Persist the mmap-able sidecar pair (events first, meta last).
-
-        The meta file is the commit marker: a reader that finds it can
-        rely on the events file being complete, because both writes
-        are atomic replaces and meta lands second.
-        """
-        events = self._path("traces", key, suffix=".events.npy")
-        events.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=events.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                trace.save_npy(fh)
-            os.replace(tmp, events)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        meta = self._path("traces", key, suffix=".meta.json")
-        fd, tmp = tempfile.mkstemp(dir=meta.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(trace.meta(), fh)
-            os.replace(tmp, meta)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        _atomic_write(
+            path, "wb",
+            lambda fh: pickle.dump(obj, fh, protocol=_PICKLE_PROTOCOL),
+        )
 
     def trace_stream_writer(self, key: str, meta: dict, total_events: int):
         """Open a :class:`TraceStreamWriter` for ``key``.
@@ -337,30 +290,32 @@ class DiskCache:
         (``TracePlan.meta()`` / ``KernelTrace.meta()``) persisted as
         the committing ``.meta.json``.
 
-        No compressed ``.npz`` twin is written — :meth:`get_trace`
-        serves the sidecar pair directly (any reader, not just
-        ``mmap_traces`` stores).
+        The pair is byte-identical to the one :meth:`put_trace`
+        writes for the materialised trace.
         """
         events = self._path("traces", key, suffix=".events.npy")
-        meta_path = self._path("traces", key, suffix=".meta.json")
+        meta_path = self._path("traces", key, suffix=_COMMIT_SUFFIX)
         events.parent.mkdir(parents=True, exist_ok=True)
         return TraceStreamWriter(
             events, meta_path, meta, total_events,
-            on_commit=lambda: self._admit("traces", key),
+            on_commit=lambda: self._trace_written(key),
         )
 
-    def _get_trace_sidecar(self, key: str, mmap: bool = True):
+    def _get_trace_sidecar(self, key: str):
         from repro.gpu.isa import KernelTrace
 
-        meta_path = self._path("traces", key, suffix=".meta.json")
+        meta_path = self._path("traces", key, suffix=_COMMIT_SUFFIX)
         events_path = self._path("traces", key, suffix=".events.npy")
+        if not meta_path.exists():
+            return None
         try:
             meta = json.loads(meta_path.read_text())
-            return KernelTrace.load_npy(str(events_path), meta, mmap=mmap)
-        except FileNotFoundError:
-            return None
+            return KernelTrace.load_npy(
+                str(events_path), meta, mmap=self.mmap_traces
+            )
         except Exception:
-            # Torn/stale sidecar pair: drop both, let .npz serve.
+            # Torn, truncated or half-evicted pair: drop both files
+            # and report a miss.
             for p in (meta_path, events_path):
                 try:
                     p.unlink()
@@ -371,20 +326,7 @@ class DiskCache:
     # -- typed API ------------------------------------------------------
 
     def get_trace(self, key: str):
-        trace = None
-        if self.mmap_traces:
-            trace = self._get_trace_sidecar(key, mmap=True)
-            if trace is not None:
-                obs.add("store.trace_mmap_hits")
-        if trace is None:
-            trace = self._get_trace_npz(key)
-        if trace is None:
-            # Stream-written traces persist only the sidecar pair —
-            # serve it (densely) even when this store doesn't mmap.
-            trace = self._get_trace_sidecar(key, mmap=False)
-        if trace is None:
-            # Legacy stores persisted pickled traces.
-            trace = self._get("traces", key)
+        trace = self._get_trace_sidecar(key)
         if trace is None:
             self._stats.trace_misses += 1
             obs.add("store.trace_misses")
@@ -392,27 +334,37 @@ class DiskCache:
             self._stats.trace_hits += 1
             self._touch("traces", key)
             obs.add("store.trace_hits")
+            if self.mmap_traces:
+                obs.add("store.trace_mmap_hits")
             if obs.enabled():
-                obs.add("store.npz_bytes_read", self._artifact_bytes(
+                obs.add("store.trace_bytes_read", self._artifact_bytes(
                     "traces", key))
         return trace
 
     def put_trace(self, key: str, trace) -> None:
-        self._put_trace_npz(key, trace)
-        self._put_trace_npy(key, trace)
-        self._admit("traces", key)
+        events = self._path("traces", key, suffix=".events.npy")
+        events.parent.mkdir(parents=True, exist_ok=True)
+        # Events first, then the commit marker.
+        _atomic_write(events, "wb", trace.save_npy)
+        _atomic_write(
+            self._path("traces", key, suffix=_COMMIT_SUFFIX), "w",
+            lambda fh: json.dump(trace.meta(), fh),
+        )
+        self._trace_written(key)
         obs.add("store.trace_puts")
+        _log.debug("stored trace %s", key[:12])
+
+    def _trace_written(self, key: str) -> None:
+        """Post-commit hook shared by :meth:`put_trace` and the stream
+        writer: count the pair's bytes, then enforce the cap."""
         if obs.enabled():
-            obs.add("store.npz_bytes_written", self._artifact_bytes(
+            obs.add("store.trace_bytes_written", self._artifact_bytes(
                 "traces", key))
-            _log.debug("stored trace %s", key[:12])
+        self._admit("traces", key)
 
     def has_trace(self, key: str) -> bool:
         """Cheap existence probe (no read) — the cost estimator's view."""
-        for suffix in (".npz", ".meta.json", ".pkl"):
-            if self._path("traces", key, suffix).exists():
-                return True
-        return False
+        return self._path("traces", key, suffix=_COMMIT_SUFFIX).exists()
 
     def has_result(self, key: str) -> bool:
         """Cheap existence probe — shared-store polling uses this."""
@@ -441,13 +393,14 @@ class DiskCache:
                 "results", key))
 
     def _artifact_bytes(self, family: str, key: str) -> int:
-        """On-disk size of one artifact (0 if missing — metrics only)."""
-        for suffix in (".npz", ".pkl"):
+        """On-disk size of one artifact group (metrics only)."""
+        total = 0
+        for suffix in self._GROUP_SUFFIXES[family]:
             try:
-                return self._path(family, key, suffix).stat().st_size
+                total += self._path(family, key, suffix).stat().st_size
             except OSError:
-                continue
-        return 0
+                pass
+        return total
 
     # -- shared-store coordination --------------------------------------
 
@@ -483,8 +436,8 @@ class DiskCache:
 
     #: rglob patterns per family for inventory/clear.
     _FAMILY_PATTERNS = {
-        "traces": ("*.pkl", "*.npz", "*.events.npy", "*.meta.json"),
-        "results": ("*.pkl", "*.npz"),
+        "traces": ("*.events.npy", "*.meta.json"),
+        "results": ("*.pkl",),
         "claims": ("*.claim",),
     }
 
@@ -506,13 +459,14 @@ class DiskCache:
         return s
 
     def clear(self) -> int:
-        """Delete every cached artifact and claim; returns files removed."""
+        """Delete every cached artifact and claim, plus the ``*.tmp``
+        files killed writers left behind; returns files removed."""
         removed = 0
         for family, patterns in self._FAMILY_PATTERNS.items():
             base = self.root / family
             if not base.is_dir():
                 continue
-            for pattern in patterns:
+            for pattern in patterns + ("*.tmp",):
                 for p in base.rglob(pattern):
                     try:
                         p.unlink()
@@ -598,19 +552,9 @@ class TraceStreamWriter:
             )
         self._fh.close()
         os.replace(self._tmp, self._events_path)
-        fd, tmp = tempfile.mkstemp(
-            dir=self._meta_path.parent, suffix=".tmp"
+        _atomic_write(
+            self._meta_path, "w", lambda fh: json.dump(self._meta, fh)
         )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(self._meta, fh)
-            os.replace(tmp, self._meta_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
         if self._on_commit is not None:
             self._on_commit()
         obs.add("store.trace_stream_puts")

@@ -32,13 +32,12 @@ from repro.gpu.config import (
 from repro.gpu.ldst import EliminationMode
 from repro.runtime.executor import SimPoint
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 NETWORKS = tuple(sorted(WORKLOADS))
 ARCH_NAMES = tuple(sorted(ARCHS))
 MODES = tuple(m.value for m in EliminationMode)
 ENGINES = ("auto", "analytic", "fast", "event")
-FAST_PATHS = ("auto", "on", "off")
 
 #: Every field a query may carry (anything else is rejected).
 _FIELDS = (
@@ -50,7 +49,6 @@ _FIELDS = (
     "lhb_assoc",
     "max_ctas",
     "engine",
-    "fast_path",
 )
 
 
@@ -70,7 +68,6 @@ class Query:
     lhb_assoc: int = 1
     max_ctas: Optional[int] = None
     engine: str = "auto"
-    fast_path: str = "auto"
 
     def as_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
@@ -117,7 +114,9 @@ def parse_query(payload: Any) -> Query:
         )
     unknown = sorted(set(payload) - set(_FIELDS))
     if unknown:
-        raise SchemaError(f"unknown field(s): {', '.join(unknown)}")
+        raise SchemaError(
+            f"unknown field(s): {', '.join(repr(u) for u in unknown)}"
+        )
     network = _require_choice(payload, "network", "", NETWORKS)
     layer = payload.get("layer")
     if not isinstance(layer, str) or not layer:
@@ -140,7 +139,6 @@ def parse_query(payload: Any) -> Query:
         lhb_assoc=_require_int(payload, "lhb_assoc", 1, 1, none_ok=False),
         max_ctas=_require_int(payload, "max_ctas", None, 1, none_ok=True),
         engine=_require_choice(payload, "engine", "auto", ENGINES),
-        fast_path=_require_choice(payload, "fast_path", "auto", FAST_PATHS),
     )
 
 
@@ -161,9 +159,7 @@ def query_point(query: Query) -> SimPoint:
         gpu=preset.gpu,
         kernel=preset.kernel,
         options=SimulationOptions(
-            max_ctas=query.max_ctas,
-            fast_path=query.fast_path,
-            engine=query.engine,
+            max_ctas=query.max_ctas, engine=query.engine
         ),
     )
 

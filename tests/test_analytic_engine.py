@@ -4,16 +4,16 @@ Pins the selection matrix of :mod:`repro.analytic.engine` as wired
 into :func:`repro.gpu.simulator.simulate_layer`:
 
 * which tier answers for every (``options.engine``, ``$REPRO_ENGINE``)
-  combination — explicit option beats environment beats legacy auto;
-* ``engine.selected.*`` / ``analytic.fallback.*`` /
-  ``fastpath.fallback.*`` counters asserted *exactly* (whole counter
-  families compared at once, so an unexpected fallback fails);
+  combination — explicit option beats environment beats auto;
+* ``engine.selected.*`` / ``analytic.fallback.*`` counters asserted
+  *exactly* (whole counter families compared at once, so an
+  unexpected fallback fails);
 * the analytic tier answers covered queries with **no trace
   generation** — the acceptance property that makes it O(1);
 * analytic answers bypass the persistent result cache in both
   directions (never served from exact results, never persisted where
   an exact tier would read them);
-* warm caller-supplied LHBs stay on the event path everywhere.
+* a warm caller-supplied LHB never reaches the analytic predictor.
 """
 
 import pytest
@@ -36,8 +36,8 @@ from repro.gpu.config import (
     SimulationOptions,
     TITAN_V,
 )
-from repro.gpu.fastpath import resolve_fast_path
 from repro.gpu.ldst import EliminationMode
+from repro.gpu.multikernel import simulate_shared_lhb
 from repro.gpu.simulator import simulate_layer
 from repro.runtime.executor import SimPoint, simulate_point
 from repro.runtime.store import DiskCache
@@ -47,11 +47,10 @@ from tests.conftest import make_spec
 
 @pytest.fixture(autouse=True)
 def _clean_env_and_obs(monkeypatch):
-    """This module asserts tier routing itself: neither engine nor
-    fast-path environment overrides may leak in, and every test starts
-    with a clean metrics registry."""
+    """This module asserts tier routing itself: the engine
+    environment override may not leak in, and every test starts with a
+    clean metrics registry."""
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    monkeypatch.delenv("REPRO_FAST_PATH", raising=False)
     obs.disable()
     obs.reset()
     yield
@@ -105,7 +104,7 @@ class TestSelectionMatrix:
             SimulationOptions(engine="bogus")
 
     def test_auto_never_selects_analytic(self):
-        """Legacy default stays exact: auto only tiers fast/event."""
+        """The default stays exact: auto runs the fast replay."""
         assert _selected(options=OPTS) == "fast"
         assert obs.counters_with_prefix("analytic.fallback") == {}
 
@@ -173,29 +172,28 @@ class TestAnalyticCoverage:
         ) == "analytic"
         assert obs.counters_with_prefix("analytic.fallback") == {}
 
-    def test_warm_lhb_routes_to_fast_tier(self, monkeypatch):
-        """The analytic closed forms still assume a fresh buffer, but
-        the fallback now lands on the *fast* tier (which seeds its
-        recurrence from the residency snapshot) — never the event
-        path, so ``fastpath.fallback.warm-lhb`` stays retired."""
-        monkeypatch.delenv("REPRO_FAST_PATH", raising=False)
+    def test_warm_lhb_routes_to_fast_tier(self):
+        """The closed forms assume a fresh buffer, so the predictor
+        refuses a warm one; a warm buffer under ``engine="analytic"``
+        is replayed by the fast tier instead, which seeds its
+        recurrence from the residency snapshot."""
         warm = LoadHistoryBuffer(num_entries=16)
         warm.access(1, 0, dest_reg=0)
-        assert (
-            analytic_fallback_reason(
-                BASELINE_KERNEL, OPTS, EliminationMode.DUPLO, warm
-            )
-            == "warm-lhb"
-        )
-        obs.enable()
-        obs.reset()
-        assert resolve_fast_path(OPTS, EliminationMode.DUPLO, warm)
-        assert obs.counters_with_prefix("fastpath.fallback") == {}
         profile = layer_profile(
             SPEC, EliminationMode.DUPLO, options=OPTS
         )
         with pytest.raises(AnalyticUnsupported, match="warm"):
             predict_stats(profile, warm)
+        obs.enable()
+        obs.reset()
+        simulate_shared_lhb(
+            [SPEC], 16, lhb=warm,
+            options=SimulationOptions(max_ctas=1, engine="analytic"),
+        )
+        assert obs.counters_with_prefix("fastpath.shared_") == {
+            "fastpath.shared_replays": 1,
+            "fastpath.shared_lookups": warm.stats.lookups - 1,
+        }
 
 
 class TestNoTraceGeneration:

@@ -2,8 +2,8 @@
 
 The matrix is the PR's acceptance property: every preset in
 ``repro.gpu.config.ARCHS`` crossed with {DUPLO, WIR} must replay
-*natively* on the vectorised fast path — zero ``fastpath.fallback``
-counters — and stay bit-identical to the event-driven reference, on
+*natively* on the vectorised fast path — the ``fast`` engine tier
+answers — and stay bit-identical to the event-driven reference, on
 both a conv layer and an attention GEMM.
 """
 
@@ -154,15 +154,17 @@ class TestArchDifferentialMatrix:
             mode,
             gpu=preset.gpu,
             kernel=preset.kernel,
-            options=dataclasses.replace(OPTIONS, fast_path="on"),
+            options=dataclasses.replace(OPTIONS, engine="fast"),
         )
-        assert obs.counters_with_prefix("fastpath.fallback") == {}
+        assert obs.counters_with_prefix("engine.selected.") == {
+            "engine.selected.fast": 1
+        }
         event = simulate_layer(
             spec,
             mode,
             gpu=preset.gpu,
             kernel=preset.kernel,
-            options=dataclasses.replace(OPTIONS, fast_path="off"),
+            options=dataclasses.replace(OPTIONS, engine="event"),
         )
         assert dataclasses.asdict(fast.stats) == dataclasses.asdict(
             event.stats
@@ -182,7 +184,9 @@ def test_env_selected_preset_replays_natively(arch_preset, mode):
         mode,
         gpu=arch_preset.gpu,
         kernel=arch_preset.kernel,
-        options=dataclasses.replace(OPTIONS, fast_path="on"),
+        options=dataclasses.replace(OPTIONS, engine="fast"),
     )
-    assert obs.counters_with_prefix("fastpath.fallback") == {}
+    assert obs.counters_with_prefix("engine.selected.") == {
+        "engine.selected.fast": 1
+    }
     assert result.stats.loads_total > 0

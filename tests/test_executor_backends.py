@@ -60,7 +60,6 @@ BACKEND_MATRIX = [
 @pytest.fixture(autouse=True)
 def _fresh(monkeypatch):
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    monkeypatch.delenv("REPRO_FAST_PATH", raising=False)
     obs.disable()
     obs.reset()
     clear_trace_cache()
@@ -353,7 +352,7 @@ def test_mmap_trace_handoff_is_bit_identical(tmp_path):
 
 def test_mmap_trace_handoff_event_path(tmp_path):
     """The event-level replay consumes mmap-loaded traces too."""
-    options = dataclasses.replace(OPTIONS, fast_path="off")
+    options = dataclasses.replace(OPTIONS, engine="event")
     point = SimPoint(LAYERS[0], options=options, lhb_entries=64)
     clear_trace_cache()
     reference = _stat_rows(

@@ -4,10 +4,9 @@
 points through the bounded-RSS
 :func:`~repro.gpu.simulator.simulate_layer_streaming` entry — and
 ONLY those: warm traces (in-process LRU or disk store) keep the
-cheaper replay-from-store path, the analytic/event tiers cannot
-stream, and the retired loop generator cannot synthesize blocks.
-Results are bit-identical either way; the routing itself is pinned by
-the ``executor.streamed_points`` counter.
+cheaper replay-from-store path, and the analytic/event tiers cannot
+stream.  Results are bit-identical either way; the routing itself is
+pinned by the ``executor.streamed_points`` counter.
 """
 
 import dataclasses
@@ -22,7 +21,6 @@ from tests.conftest import make_spec
 from repro import obs
 from repro.gpu import simulator
 from repro.gpu.config import SimulationOptions
-from repro.gpu.kernel import TRACE_GEN_ENV
 from repro.gpu.ldst import EliminationMode
 from repro.gpu.simulator import clear_trace_cache
 from repro.runtime import DiskCache, SimPoint, SweepExecutor
@@ -38,9 +36,7 @@ OPTIONS = SimulationOptions(max_ctas=2, engine="fast")
 @pytest.fixture(autouse=True)
 def _fresh(monkeypatch):
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    monkeypatch.delenv("REPRO_FAST_PATH", raising=False)
     monkeypatch.delenv(STREAM_ENV, raising=False)
-    monkeypatch.delenv(TRACE_GEN_ENV, raising=False)
     obs.enable()
     obs.reset()
     clear_trace_cache()
@@ -135,13 +131,6 @@ def test_warm_store_suppresses_streaming(tmp_path):
 def test_non_fast_tiers_never_stream(tmp_path):
     cache = DiskCache(tmp_path / "cache")
     for p in _points(engine="analytic") + _points(engine="event"):
-        assert not _stream_cold(p, cache)
-
-
-def test_loop_generator_disables_streaming(tmp_path, monkeypatch):
-    monkeypatch.setenv(TRACE_GEN_ENV, "loop")
-    cache = DiskCache(tmp_path / "cache")
-    for p in _points():
         assert not _stream_cold(p, cache)
 
 

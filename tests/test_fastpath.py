@@ -19,13 +19,11 @@ from repro.gpu.config import BASELINE_KERNEL, SimulationOptions, TITAN_V
 from repro.gpu.fastpath import (
     distinct_count,
     dominance_counts,
-    fast_path_fallback_reason,
     lru_hit_mask,
     prev_in_group,
     replay_trace_fast,
     simulate_lhb_stream,
     stable_order,
-    supports_fast_path,
 )
 from repro.gpu.kernel import generate_sm_trace
 from repro.gpu.ldst import EliminationMode, replay_trace
@@ -264,27 +262,30 @@ class TestSimulateLhbStream:
 
 class TestSupport:
     def test_supported_configurations(self):
-        """Every fresh LHB organisation is covered — including the
-        set-associative ones that used to fall back."""
-        direct = LoadHistoryBuffer(num_entries=16, assoc=1)
-        oracle = LoadHistoryBuffer(num_entries=None)
-        wide = LoadHistoryBuffer(num_entries=16, assoc=4)
-        assert supports_fast_path(EliminationMode.BASELINE, None)
-        assert supports_fast_path(EliminationMode.BASELINE, wide)
-        assert supports_fast_path(EliminationMode.DUPLO, direct)
-        assert supports_fast_path(EliminationMode.DUPLO, oracle)
-        assert supports_fast_path(EliminationMode.WIR, direct)
-        assert supports_fast_path(EliminationMode.DUPLO, wide)
-
-    def test_fallback_reason_covers_warm_lhb(self):
-        """The last fallback is closed: a warm buffer's residency
-        snapshot seeds the recurrence, so every configuration — warm
-        caller-supplied buffers included — runs the fast path."""
-        warm = LoadHistoryBuffer(num_entries=16, assoc=1)
-        warm.access(1, 0, dest_reg=0)
-        assert supports_fast_path(EliminationMode.DUPLO, warm)
-        assert fast_path_fallback_reason(EliminationMode.DUPLO, warm) is None
-        assert supports_fast_path(EliminationMode.BASELINE, warm)
+        """Every LHB organisation replays on the fast path and agrees
+        with the event path."""
+        spec = make_spec()
+        options = SimulationOptions(max_ctas=1)
+        trace = generate_sm_trace(spec, TITAN_V, BASELINE_KERNEL, options)
+        for mode, lhb_kwargs in [
+            (EliminationMode.BASELINE, None),
+            (EliminationMode.BASELINE, dict(num_entries=16, assoc=4)),
+            (EliminationMode.DUPLO, dict(num_entries=16, assoc=1)),
+            (EliminationMode.DUPLO, dict(num_entries=None)),
+            (EliminationMode.WIR, dict(num_entries=16, assoc=1)),
+            (EliminationMode.DUPLO, dict(num_entries=16, assoc=4)),
+        ]:
+            stats = [
+                replay(
+                    trace, spec, TITAN_V, options, mode,
+                    None if lhb_kwargs is None
+                    else LoadHistoryBuffer(**lhb_kwargs),
+                )
+                for replay in (replay_trace_fast, replay_trace)
+            ]
+            assert dataclasses.asdict(stats[0]) == dataclasses.asdict(
+                stats[1]
+            ), (mode, lhb_kwargs)
 
     def test_replay_matches_event_path_for_warm_lhb(self):
         """A warm caller-supplied buffer replays bit-identically on

@@ -2,18 +2,14 @@
 
 The acceptance bar for the vectorised replay: `dataclasses.asdict`
 equality on every counter, for every elimination mode, on real Table I
-layer traces — plus the plumbing around it (the `fast_path` switch on
-:func:`simulate_layer`, the `$REPRO_FAST_PATH` override, cache-key
-normalisation, and the `.npz` trace round-trip the disk store uses).
-
-The CI equivalence lanes run exactly this module twice, once with
-``REPRO_FAST_PATH=on`` and once with ``off``; the direct
-replay-vs-replay comparisons here are env-independent (both paths are
-called explicitly), so the lanes additionally pin the dispatch logic.
+layer traces — plus the plumbing around it (the `engine` switch on
+:func:`simulate_layer` and its `$REPRO_ENGINE` override, cache-key
+normalisation, and the sidecar-pair trace round-trip the disk store
+uses).  Both replays are called explicitly, so the module needs no
+environment forcing.
 """
 
 import dataclasses
-import io
 
 import numpy as np
 import pytest
@@ -30,12 +26,9 @@ from repro.gpu.fastpath import replay_trace_fast
 from repro.gpu.kernel import generate_sm_trace
 from repro.gpu.ldst import EliminationMode, replay_trace
 from repro.gpu.multikernel import simulate_shared_lhb
-from repro.gpu.simulator import (
-    _resolve_fast_path,
-    make_lhb,
-    simulate_layer,
-)
+from repro.gpu.simulator import make_lhb, simulate_layer
 from repro.runtime.cachekey import result_key, trace_key
+from repro.runtime.executor import SimPoint, _point_tier
 from repro.runtime.store import DiskCache
 
 
@@ -167,109 +160,117 @@ def test_small_lhb_bit_identical():
     assert event.lhb_hits < event.lhb_lookups  # conflicts actually bit
 
 
+FAST = dataclasses.replace(OPTIONS, engine="fast")
+EVENT = dataclasses.replace(OPTIONS, engine="event")
+
+
 class TestSimulateLayerSwitch:
     def test_on_off_identical_results(self):
         spec = get_layer("gan", "TC3")
-        results = {}
-        for choice in ("on", "off"):
-            options = dataclasses.replace(OPTIONS, fast_path=choice)
-            r = simulate_layer(spec, EliminationMode.DUPLO, options=options)
-            results[choice] = r
-        on, off = results["on"], results["off"]
-        assert dataclasses.asdict(on.stats) == dataclasses.asdict(off.stats)
-        assert dataclasses.asdict(on.sm_stats) == dataclasses.asdict(off.sm_stats)
-        assert on.cycles == off.cycles
-        assert on.time_ms == off.time_ms
+        fast = simulate_layer(spec, EliminationMode.DUPLO, options=FAST)
+        event = simulate_layer(spec, EliminationMode.DUPLO, options=EVENT)
+        assert dataclasses.asdict(fast.stats) == dataclasses.asdict(
+            event.stats
+        )
+        assert dataclasses.asdict(fast.sm_stats) == dataclasses.asdict(
+            event.sm_stats
+        )
+        assert fast.cycles == event.cycles
+        assert fast.time_ms == event.time_ms
 
-    def test_set_associative_on_off_identical(self, monkeypatch):
-        """assoc > 1 now runs the vectorised replay under auto — and
-        both implementations agree end to end through simulate_layer.
-        """
-        monkeypatch.delenv("REPRO_FAST_PATH", raising=False)
+    def test_set_associative_on_off_identical(self):
+        """assoc > 1 runs the vectorised replay — and both
+        implementations agree end to end through simulate_layer."""
         spec = get_layer("gan", "TC3")
-        on = simulate_layer(
-            spec, EliminationMode.DUPLO, lhb_assoc=4,
-            options=dataclasses.replace(OPTIONS, fast_path="on"),
+        fast = simulate_layer(
+            spec, EliminationMode.DUPLO, lhb_assoc=4, options=FAST
         )
-        off = simulate_layer(
-            spec, EliminationMode.DUPLO, lhb_assoc=4,
-            options=dataclasses.replace(OPTIONS, fast_path="off"),
+        event = simulate_layer(
+            spec, EliminationMode.DUPLO, lhb_assoc=4, options=EVENT
         )
-        assert dataclasses.asdict(on.stats) == dataclasses.asdict(off.stats)
-        assert on.cycles == off.cycles
+        assert dataclasses.asdict(fast.stats) == dataclasses.asdict(
+            event.stats
+        )
+        assert fast.cycles == event.cycles
 
-    def test_no_covered_config_falls_back(self, monkeypatch):
+    def test_no_covered_config_falls_back(self):
         """Every simulate_layer configuration in the matrix takes the
         fast path under auto: a silent regression to the event replay
-        shows up as a non-zero ``fastpath.fallback`` counter."""
-        monkeypatch.delenv("REPRO_FAST_PATH", raising=False)
+        shows up in ``engine.selected.event``."""
         obs.enable()
         obs.reset()
         try:
             spec = get_layer("gan", "TC3")
-            for mode, entries, assoc in [
+            matrix = [
                 (EliminationMode.BASELINE, 1024, 1),
                 (EliminationMode.DUPLO, 1024, 1),
                 (EliminationMode.DUPLO, 1024, 4),
                 (EliminationMode.DUPLO, 1024, 8),
                 (EliminationMode.DUPLO, None, 1),
                 (EliminationMode.WIR, 64, 2),
-            ]:
+            ]
+            for mode, entries, assoc in matrix:
                 simulate_layer(
                     spec, mode, lhb_entries=entries, lhb_assoc=assoc,
                     options=OPTIONS,
                 )
-            counters = obs.snapshot()["counters"]
-            assert "fastpath.fallback" not in counters, counters
-            assert counters.get("fastpath.replays", 0) > 0
+            assert obs.counters_with_prefix("engine.selected.") == {
+                "engine.selected.fast": len(matrix)
+            }
+            assert obs.snapshot()["counters"]["fastpath.replays"] == len(
+                matrix
+            )
         finally:
             obs.reset()
             obs.disable()
 
-    def test_warm_lhb_stays_on_fast_path(self, monkeypatch):
-        """The retired fallback: a warm caller-supplied buffer now
-        seeds the recurrence, so auto keeps the fast path and the
-        ``fastpath.fallback.warm-lhb`` counter stays at zero."""
-        monkeypatch.delenv("REPRO_FAST_PATH", raising=False)
+    def test_env_override_steers_auto(self, monkeypatch):
+        """``$REPRO_ENGINE`` steers ``engine="auto"`` — in the simulator
+        and in the executor's pure tier mirror alike — while an
+        explicit option beats the environment."""
+        spec = get_layer("gan", "TC3")
+
+        def tiers(options):
+            obs.enable()
+            obs.reset()
+            try:
+                simulate_layer(spec, EliminationMode.DUPLO, options=options)
+                selected = obs.counters_with_prefix("engine.selected.")
+            finally:
+                obs.reset()
+                obs.disable()
+            return list(selected), _point_tier(SimPoint(spec, options=options))
+
+        monkeypatch.setenv("REPRO_ENGINE", "event")
+        assert tiers(OPTIONS) == (["engine.selected.event"], "event")
+        assert tiers(FAST) == (["engine.selected.fast"], "fast")
+        monkeypatch.setenv("REPRO_ENGINE", "fast")
+        assert tiers(OPTIONS) == (["engine.selected.fast"], "fast")
+        assert tiers(EVENT) == (["engine.selected.event"], "event")
+
+    def test_forced_on_accepts_warm_lhb(self):
+        """``engine="fast"`` replays a warm caller-supplied buffer
+        natively (multi-kernel runs are the entry point taking one)."""
         warm = make_lhb(1024, 1, 4096, True)
         warm.access(1, 0, dest_reg=0)
         obs.enable()
         obs.reset()
         try:
-            assert _resolve_fast_path(
-                SimulationOptions(fast_path="auto"), EliminationMode.DUPLO,
-                warm,
+            simulate_shared_lhb(
+                [get_layer("gan", "TC3")], 1024, options=FAST, lhb=warm
             )
             counters = obs.snapshot()["counters"]
-            assert "fastpath.fallback" not in counters, counters
-            assert "fastpath.fallback.warm-lhb" not in counters, counters
+            assert counters.get("fastpath.shared_replays") == 1, counters
         finally:
             obs.reset()
             obs.disable()
 
-    def test_forced_on_accepts_warm_lhb(self):
-        warm = make_lhb(1024, 1, 4096, True)
-        warm.access(1, 0, dest_reg=0)
-        assert _resolve_fast_path(
-            SimulationOptions(fast_path="on"), EliminationMode.DUPLO, warm
-        )
-
-    def test_env_override_steers_auto(self, monkeypatch):
-        lhb = make_lhb(1024, 1, 4096, True)
-        auto = SimulationOptions(fast_path="auto")
-        monkeypatch.setenv("REPRO_FAST_PATH", "off")
-        assert not _resolve_fast_path(auto, EliminationMode.DUPLO, lhb)
-        monkeypatch.setenv("REPRO_FAST_PATH", "on")
-        assert _resolve_fast_path(auto, EliminationMode.DUPLO, lhb)
-        # Explicit options beat the environment.
-        assert not _resolve_fast_path(
-            dataclasses.replace(auto, fast_path="off"),
-            EliminationMode.DUPLO, lhb,
-        )
-
     def test_invalid_choice_rejected(self):
-        with pytest.raises(ValueError, match="fast_path"):
-            SimulationOptions(fast_path="sometimes")
+        with pytest.raises(ValueError, match="engine"):
+            SimulationOptions(engine="sometimes")
+        # engine is the only replay selector.
+        with pytest.raises(TypeError, match="fast_path"):
+            SimulationOptions(fast_path="on")
 
 
 class TestMultiKernelEquivalence:
@@ -290,10 +291,8 @@ class TestMultiKernelEquivalence:
     def test_bit_identical_shared_replay(self, network, layer):
         """Each Table I layer co-scheduled with a second kernel."""
         specs = [get_layer(network, layer), get_layer("gan", "TC3")]
-        on = dataclasses.replace(OPTIONS, fast_path="on")
-        off = dataclasses.replace(OPTIONS, fast_path="off")
-        s_on, l_on = self._run(specs, on, 256, 1, 128)
-        s_off, l_off = self._run(specs, off, 256, 1, 128)
+        s_on, l_on = self._run(specs, FAST, 256, 1, 128)
+        s_off, l_off = self._run(specs, EVENT, 256, 1, 128)
         assert dataclasses.asdict(l_on.stats) == dataclasses.asdict(
             l_off.stats
         ), (network, layer)
@@ -307,10 +306,8 @@ class TestMultiKernelEquivalence:
         """Associativity x interleave-granularity sweep, incl. oracle
         and a chunk size coprime to the stream lengths."""
         specs = [get_layer("gan", "TC3"), get_layer("resnet", "C2")]
-        on = dataclasses.replace(OPTIONS, fast_path="on")
-        off = dataclasses.replace(OPTIONS, fast_path="off")
-        s_on, l_on = self._run(specs, on, entries, assoc, chunk)
-        s_off, l_off = self._run(specs, off, entries, assoc, chunk)
+        s_on, l_on = self._run(specs, FAST, entries, assoc, chunk)
+        s_off, l_off = self._run(specs, EVENT, entries, assoc, chunk)
         assert dataclasses.asdict(l_on.stats) == dataclasses.asdict(
             l_off.stats
         ), (entries, assoc, chunk)
@@ -322,39 +319,35 @@ class TestMultiKernelEquivalence:
         one spec share no tags, so hits match the solo run only when
         capacity permits — here we just require fast == event."""
         spec = get_layer("gan", "TC3")
-        on = dataclasses.replace(OPTIONS, fast_path="on")
-        off = dataclasses.replace(OPTIONS, fast_path="off")
-        s_on, l_on = self._run([spec] * 3, on, 128, 2, 32)
-        s_off, l_off = self._run([spec] * 3, off, 128, 2, 32)
+        s_on, l_on = self._run([spec] * 3, FAST, 128, 2, 32)
+        s_off, l_off = self._run([spec] * 3, EVENT, 128, 2, 32)
         assert dataclasses.asdict(l_on.stats) == dataclasses.asdict(
             l_off.stats
         )
         for a, b in zip(s_on, s_off):
             assert (a.lookups, a.hits) == (b.lookups, b.hits)
 
-    def test_warm_lhb_stays_fast_and_matches_event(self, monkeypatch):
+    def test_warm_lhb_stays_fast_and_matches_event(self):
         """A warm shared buffer seeds the closed forms: auto keeps the
-        fast path (no fallback counted) and the result matches a pure
-        event run continued from the same state."""
-        monkeypatch.delenv("REPRO_FAST_PATH", raising=False)
+        fast path and the result matches a pure event run continued
+        from the same state."""
         specs = [get_layer("gan", "TC3")]
         warm_a = make_lhb(128, 1, 4096, True)
         warm_a.access(7, 0, dest_reg=0)
         warm_b = make_lhb(128, 1, 4096, True)
         warm_b.access(7, 0, dest_reg=0)
-        auto = dataclasses.replace(OPTIONS, fast_path="auto")
-        off = dataclasses.replace(OPTIONS, fast_path="off")
         obs.enable()
         obs.reset()
         try:
-            s_auto = simulate_shared_lhb(specs, 128, options=auto, lhb=warm_a)
+            s_auto = simulate_shared_lhb(
+                specs, 128, options=OPTIONS, lhb=warm_a
+            )
             counters = obs.snapshot()["counters"]
-            assert "fastpath.fallback" not in counters, counters
             assert counters.get("fastpath.shared_replays") == 1
         finally:
             obs.reset()
             obs.disable()
-        s_off = simulate_shared_lhb(specs, 128, options=off, lhb=warm_b)
+        s_off = simulate_shared_lhb(specs, 128, options=EVENT, lhb=warm_b)
         assert dataclasses.asdict(warm_a.stats) == dataclasses.asdict(
             warm_b.stats
         )
@@ -363,12 +356,11 @@ class TestMultiKernelEquivalence:
 
 
 class TestTraceSerialization:
-    def test_npz_round_trip(self, tmp_path):
+    def test_sidecar_round_trip(self, tmp_path):
         spec, trace = layer_trace("gan", "TC1")
-        buf = io.BytesIO()
-        trace.save_npz(buf)
-        buf.seek(0)
-        loaded = type(trace).load_npz(buf)
+        cache = DiskCache(tmp_path)
+        cache.put_trace("a" * 64, trace)
+        loaded = cache.get_trace("a" * 64)
         for field in ("kind", "address", "warp", "instr"):
             np.testing.assert_array_equal(
                 getattr(trace, field), getattr(loaded, field), err_msg=field
@@ -378,31 +370,30 @@ class TestTraceSerialization:
         event, fast = both_replays(
             loaded, spec, OPTIONS, EliminationMode.DUPLO
         )
-        assert_identical(event, fast, "npz round trip")
+        assert_identical(event, fast, "sidecar round trip")
 
-    def test_disk_store_uses_npz(self, tmp_path):
+    def test_disk_store_uses_sidecar_pair(self, tmp_path):
+        """One trace format: the ``.events.npy`` record array (15 bytes
+        per event) plus its ``.meta.json`` commit marker — no pickle,
+        no archive."""
         _, trace = layer_trace("gan", "TC1")
         cache = DiskCache(tmp_path)
         cache.put_trace("a" * 64, trace)
-        files = list(tmp_path.rglob("*.npz"))
-        assert len(files) == 1
-        assert not list(tmp_path.rglob("*.pkl"))
-        loaded = cache.get_trace("a" * 64)
-        np.testing.assert_array_equal(trace.address, loaded.address)
-        # Compression pays: well under the pickled int64 form.
-        import pickle
-
-        assert files[0].stat().st_size < len(pickle.dumps(trace)) / 4
+        names = sorted(p.name for p in tmp_path.rglob("*") if p.is_file())
+        assert names == ["a" * 64 + ".events.npy", "a" * 64 + ".meta.json"]
+        events = next(tmp_path.rglob("*.events.npy"))
+        assert events.stat().st_size < 15 * len(trace) + 256
 
 
 class TestCacheKeyNormalisation:
     def test_fast_path_choice_shares_artifacts(self):
-        """on/off/auto runs must hit the same cached trace and result."""
+        """auto/fast/event runs must hit the same cached trace and
+        result."""
         spec = get_layer("yolo", "C2")
         keys = set()
         rkeys = set()
-        for choice in ("auto", "on", "off"):
-            options = dataclasses.replace(OPTIONS, fast_path=choice)
+        for choice in ("auto", "fast", "event"):
+            options = dataclasses.replace(OPTIONS, engine=choice)
             keys.add(trace_key(spec, TITAN_V, BASELINE_KERNEL, options))
             rkeys.add(
                 result_key(

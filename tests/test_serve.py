@@ -87,7 +87,7 @@ def _reference(body):
     (dict(BODY, lhb_assoc=0), "'lhb_assoc'"),
     (dict(BODY, max_ctas=0), "'max_ctas'"),
     (dict(BODY, engine="warp"), "'engine'"),
-    (dict(BODY, fast_path="maybe"), "'fast_path'"),
+    (dict(BODY, fast_path="auto"), "'fast_path'"),  # not a field
     (dict(BODY, arch="kepler"), "'arch'"),
     (dict(BODY, arch=1), "'arch'"),
     (dict(BODY, frobnicate=1), "unknown field"),

@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 
 from tests.conftest import make_spec
+from repro import obs
 from repro.core.idgen import IDMode
 from repro.gpu import simulator
 from repro.gpu.config import SimulationOptions
+from repro.gpu.kernel import generate_sm_trace, plan_sm_trace
 from repro.gpu.simulator import clear_trace_cache, simulate_layer, trace_cache_info
 from repro.runtime import DiskCache
 from repro.runtime.cachekey import trace_key
@@ -148,14 +150,62 @@ class TestDiskBackedTraces:
         spec = make_spec()
         opts = SimulationOptions(max_ctas=1)
         simulate_layer(spec, options=opts)
-        # Truncate every persisted trace form (npz, the sidecar pair,
-        # any legacy pickle), drop memory, re-simulate.
+        # Corrupt every persisted events file, drop memory, re-simulate.
         corrupted = 0
-        for pattern in ("*.npz", "*.events.npy", "*.pkl"):
-            for p in (tmp_path / "cache" / "traces").rglob(pattern):
-                p.write_bytes(b"\x80corrupt")
-                corrupted += 1
+        for p in (tmp_path / "cache" / "traces").rglob("*.events.npy"):
+            p.write_bytes(b"\x80corrupt")
+            corrupted += 1
         assert corrupted, "no persisted trace artifacts found"
         clear_trace_cache()
         simulate_layer(spec, options=opts)
         assert len(count_generation) == 2
+
+
+class TestTraceByteAccounting:
+    """``store.trace_bytes_read/_written`` count the sidecar pair — for
+    materialised puts and stream-written traces alike."""
+
+    @pytest.fixture(autouse=True)
+    def _metrics(self):
+        obs.enable()
+        obs.reset()
+        yield
+        obs.disable()
+        obs.reset()
+
+    @staticmethod
+    def _pair_bytes(root):
+        files = list(root.rglob("*.events.npy")) + list(
+            root.rglob("*.meta.json")
+        )
+        assert len(files) == 2
+        return sum(p.stat().st_size for p in files)
+
+    def test_put_and_get_count_the_sidecar_pair(self, tmp_path):
+        trace = generate_sm_trace(make_spec(), options=SimulationOptions(
+            max_ctas=1))
+        store = DiskCache(tmp_path)
+        store.put_trace("ab" * 32, trace)
+        size = self._pair_bytes(tmp_path)
+        store.get_trace("ab" * 32)
+        assert obs.counters_with_prefix("store.trace_bytes_") == {
+            "store.trace_bytes_written": size,
+            "store.trace_bytes_read": size,
+        }
+
+    def test_stream_written_trace_is_counted(self, tmp_path):
+        plan = plan_sm_trace(make_spec(), options=SimulationOptions(
+            max_ctas=1))
+        store = DiskCache(tmp_path)
+        writer = store.trace_stream_writer(
+            "cd" * 32, plan.meta(), plan.event_count()
+        )
+        for block in plan.iter_blocks(100):
+            writer.append(block)
+        writer.commit()
+        size = self._pair_bytes(tmp_path)
+        store.get_trace("cd" * 32)
+        assert obs.counters_with_prefix("store.trace_bytes_") == {
+            "store.trace_bytes_written": size,
+            "store.trace_bytes_read": size,
+        }

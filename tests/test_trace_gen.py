@@ -1,8 +1,8 @@
 """Differential fuzzing and streaming invariants of trace synthesis.
 
 The closed-form columnar synthesizer (:mod:`repro.gpu.kernel`'s
-``TracePlan``) claims *bit-identical* traces to the legacy per-turn
-event loop (``REPRO_TRACE_GEN=loop``) for every configuration — and
+``TracePlan``) claims *bit-identical* traces to the per-turn event
+loop of :mod:`tests.trace_loop_oracle` for every configuration — and
 its streaming form (:func:`~repro.gpu.kernel.iter_trace_blocks`)
 claims block boundaries are invisible: any block size concatenates to
 the same columns, replays to the same LayerStats, and persists to a
@@ -37,7 +37,6 @@ from repro.gpu.config import (
 from repro.gpu.fastpath import replay_blocks_fast, replay_trace_fast
 from repro.gpu.kernel import (
     TRACE_BLOCK_ENV,
-    TRACE_GEN_ENV,
     generate_sm_trace,
     iter_trace_blocks,
     plan_sm_trace,
@@ -47,6 +46,7 @@ from repro.gpu.simulator import simulate_layer, simulate_layer_streaming
 from repro.runtime.store import DiskCache
 
 from tests.conftest import make_spec
+from tests.trace_loop_oracle import generate_sm_trace_loop
 
 MAX_EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "25"))
 SLOW_EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES_SLOW", "300"))
@@ -54,9 +54,8 @@ SLOW_EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES_SLOW", "300"))
 
 @pytest.fixture(autouse=True)
 def _no_generator_env(monkeypatch):
-    """These tests drive both generators explicitly — the environment
-    selectors must not leak in from the CI lane under test."""
-    monkeypatch.delenv(TRACE_GEN_ENV, raising=False)
+    """These tests pick block sizes explicitly — the environment
+    selector must not leak in from the CI lane under test."""
     monkeypatch.delenv(TRACE_BLOCK_ENV, raising=False)
 
 
@@ -132,18 +131,8 @@ def _columns_equal(a, b, context):
 
 
 # ----------------------------------------------------------------------
-# Vectorised synthesizer vs legacy event loop
+# Vectorised synthesizer vs the per-turn loop oracle
 # ----------------------------------------------------------------------
-
-def _legacy_loop_trace(spec, gpu, kernel, options):
-    """Generate via the legacy event loop (hypothesis forbids the
-    function-scoped monkeypatch fixture, so the env flip is inline)."""
-    os.environ[TRACE_GEN_ENV] = "loop"
-    try:
-        return generate_sm_trace(spec, gpu, kernel, options)
-    finally:
-        del os.environ[TRACE_GEN_ENV]
-
 
 @settings(max_examples=MAX_EXAMPLES, deadline=None)
 @given(case=gen_cases())
@@ -153,7 +142,7 @@ def test_vectorized_matches_legacy_loop(case):
     geometry, any run-ahead, any ``max_ctas`` truncation."""
     spec, gpu, kernel, options = case
     vec = generate_sm_trace(spec, gpu, kernel, options)
-    loop = _legacy_loop_trace(spec, gpu, kernel, options)
+    loop = generate_sm_trace_loop(spec, gpu, kernel, options)
     _columns_equal(vec, loop, (spec.name, gpu, kernel, options))
 
 
@@ -227,7 +216,7 @@ def test_forced_block_env_reproduces_single_shot(monkeypatch):
     _columns_equal(blocked, full, "REPRO_TRACE_BLOCK=100")
 
 
-def test_gen_counters_published(monkeypatch):
+def test_gen_counters_published():
     obs.enable()
     obs.reset()
     try:
@@ -237,11 +226,6 @@ def test_gen_counters_published(monkeypatch):
         assert counters["gen.traces"] == 1
         assert counters["gen.events"] == len(trace)
         assert counters["gen.blocks"] == 1
-        assert "gen.loop_traces" not in counters
-        monkeypatch.setenv(TRACE_GEN_ENV, "loop")
-        generate_sm_trace(SPEC, TITAN_V, BASELINE_KERNEL,
-                          SimulationOptions(max_ctas=1))
-        assert obs.counters_with_prefix("gen.")["gen.loop_traces"] == 1
     finally:
         obs.disable()
         obs.reset()
@@ -326,10 +310,7 @@ def test_simulate_layer_streaming_tees_into_store(tmp_path):
         SPEC, EliminationMode.DUPLO, lhb_entries=64, options=options,
         block_events=256, store=cache,
     )
-    digest = trace_key(
-        SPEC, TITAN_V, BASELINE_KERNEL,
-        dataclasses.replace(options, fast_path="auto"),
-    )
+    digest = trace_key(SPEC, TITAN_V, BASELINE_KERNEL, options)
     stored = cache.get_trace(digest)
     assert stored is not None
     full = generate_sm_trace(SPEC, TITAN_V, BASELINE_KERNEL, options)
