@@ -5,8 +5,7 @@ generation, fast- and event-path replays — direct-mapped and 8-way
 set-associative — a PID-tagged multi-kernel shared-LHB replay in both
 implementations, an end-to-end baseline/Duplo pair, a warm-cache sweep
 rerun, a cold fast-path query, an analytic-tier geometry sweep, a cold
-parallel sweep under four executor configurations: serial, adaptive
-cutover, forced thread pool, forced process pool, a subprocess
+sweep run serially and with ``jobs=4`` worker threads, a subprocess
 streaming sweep — driven through the SweepExecutor — whose manifest
 peak RSS must stay under a committed cap, and a warm-service QPS run
 through the full ``repro.serve`` HTTP stack with every response
@@ -38,10 +37,8 @@ The check applies three rules, strictest first:
    ``analytic_speedup`` — a cold
    fast-path query over one warm-profile analytic query, target
    >= 100x — all measured in the same process on the same inputs —
-   plus ``adaptive_cutover_ratio``, the serial sweep over the adaptive
-   one, which the cutover must keep >= ~1.0 on any host, and
-   ``parallel_efficiency``, the best forced-pool speedup per usable
-   worker) must stay within ``--tolerance`` (default 25%) of the
+   and ``parallel_efficiency``, the ``jobs=4`` thread sweep's speedup
+   over the serial one per usable worker) must stay within ``--tolerance`` (default 25%) of the
    baseline, because ratios cancel host speed and are comparable
    across machines (``parallel_efficiency``, ``serve_warm_qps`` and
    ``trace_gen_events_per_s`` are host-shaped rates instead);
@@ -74,8 +71,8 @@ SCHEMA_VERSION = 1
 DEFAULT_REPEATS = 5
 DEFAULT_TOLERANCE = 0.25
 DEFAULT_TIME_TOLERANCE = 3.0
-#: Worker count for the parallel_sweep.* benchmarks; the derived
-#: ``parallel_efficiency`` divides the forced-pool speedup by
+#: Worker count for the parallel_sweep.threads benchmark; the derived
+#: ``parallel_efficiency`` divides the thread sweep's speedup by
 #: ``min(PARALLEL_SWEEP_JOBS, cpu_count)`` so the ratio is an
 #: efficiency per *usable* worker, not per requested one.
 PARALLEL_SWEEP_JOBS = 4
@@ -461,13 +458,13 @@ def _bench_suite() -> Dict[str, Callable[[], Tuple[Callable, Callable]]]:
 
         return run, counters
 
-    def _parallel_sweep_setup(backend, jobs, cutover=None):
-        """Cold Figure 9 sweep under one executor configuration.
+    def _parallel_sweep_setup(jobs):
+        """Cold Figure 9 sweep with ``jobs`` worker threads.
 
         Every timed run gets a fresh cache directory and a cleared
-        in-process trace LRU, so all four variants (serial, adaptive,
-        forced threads, forced processes) price the identical cold
-        workload and their min_s values divide into honest speedups.
+        in-process trace LRU, so both variants (serial and threads)
+        price the identical cold workload and their min_s values
+        divide into an honest speedup.
         """
         import atexit
         import itertools
@@ -479,16 +476,13 @@ def _bench_suite() -> Dict[str, Callable[[], Tuple[Callable, Callable]]]:
         tmp = tempfile.mkdtemp(prefix="perf_gate_psweep_")
         atexit.register(shutil.rmtree, tmp, True)
         fresh_dir = itertools.count()
-        kwargs = {} if cutover is None else {"cutover": cutover}
 
         def run():
             clear_trace_cache()
             cache = DiskCache(os.path.join(tmp, str(next(fresh_dir))))
             return lhb_size_sweep(
                 layers, options=options,
-                executor=SweepExecutor(
-                    jobs=jobs, cache=cache, backend=backend, **kwargs
-                ),
+                executor=SweepExecutor(jobs=jobs, cache=cache),
             )
 
         def counters(exp):
@@ -614,18 +608,9 @@ def _bench_suite() -> Dict[str, Callable[[], Tuple[Callable, Callable]]]:
         "simulate_pair.gan_tc3": simulate_pair_setup,
         "sweep.warm_cache": warm_sweep_setup,
         "serve_warm_qps.default_set": serve_warm_setup,
-        "parallel_sweep.serial":
-            lambda: _parallel_sweep_setup("serial", jobs=1),
-        "parallel_sweep.adaptive":
-            lambda: _parallel_sweep_setup("auto", jobs=PARALLEL_SWEEP_JOBS),
+        "parallel_sweep.serial": lambda: _parallel_sweep_setup(1),
         "parallel_sweep.threads":
-            lambda: _parallel_sweep_setup(
-                "threads", jobs=PARALLEL_SWEEP_JOBS, cutover=0
-            ),
-        "parallel_sweep.procs":
-            lambda: _parallel_sweep_setup(
-                "processes", jobs=PARALLEL_SWEEP_JOBS, cutover=0
-            ),
+            lambda: _parallel_sweep_setup(PARALLEL_SWEEP_JOBS),
         "cold_query.yolo_c2": cold_query_setup,
         "analytic_sweep.yolo_c2": analytic_sweep_setup,
     }
@@ -689,15 +674,6 @@ def derived_ratios(benchmarks: Dict[str, dict]) -> Dict[str, float]:
         ratios["analytic_speedup"] = round(
             cold / (sweep / ANALYTIC_SWEEP_QUERIES), 2
         )
-    # Parallel-sweep ratios use min_s, not median_s: pool start-up and
-    # scheduler jitter skew single-run wall clocks upward, and the
-    # best-of-N run is the closest observable to the true cost of each
-    # dispatch strategy.  adaptive_cutover_ratio must stay >= ~1.0 on
-    # ANY host — the cutover falls back to inline execution whenever
-    # pooling cannot pay for itself — while parallel_efficiency is
-    # per-usable-worker and therefore host-shaped (a 1-core baseline
-    # checked on a 16-core runner compares forced-pool scaling, which
-    # the 25% ratio tolerance is expected to absorb).
     # Warm service throughput in queries/second.  Like
     # parallel_efficiency this is host-shaped (localhost socket stack
     # plus interpreter speed); the 25% floor catches a serving-path
@@ -706,19 +682,17 @@ def derived_ratios(benchmarks: Dict[str, dict]) -> Dict[str, float]:
     serve_queries = serve.get("counters", {}).get("queries")
     if serve.get("median_s") and serve_queries:
         ratios["serve_warm_qps"] = round(serve_queries / serve["median_s"], 1)
+    # The parallel-sweep ratio uses min_s, not median_s: pool start-up
+    # and scheduler jitter skew single-run wall clocks upward, and the
+    # best-of-N run is the closest observable to each venue's true
+    # cost.  It is per usable worker and therefore host-shaped: on one
+    # core the thread sweep runs inline, so the ratio sits near 1.0.
     serial_min = benchmarks.get("parallel_sweep.serial", {}).get("min_s")
-    adaptive_min = benchmarks.get("parallel_sweep.adaptive", {}).get("min_s")
-    if serial_min and adaptive_min:
-        ratios["adaptive_cutover_ratio"] = round(serial_min / adaptive_min, 2)
-    pool_mins = [
-        benchmarks.get(name, {}).get("min_s")
-        for name in ("parallel_sweep.threads", "parallel_sweep.procs")
-    ]
-    pool_mins = [m for m in pool_mins if m]
-    if serial_min and pool_mins:
+    threads_min = benchmarks.get("parallel_sweep.threads", {}).get("min_s")
+    if serial_min and threads_min:
         workers = min(PARALLEL_SWEEP_JOBS, os.cpu_count() or 1)
         ratios["parallel_efficiency"] = round(
-            (serial_min / min(pool_mins)) / workers, 2
+            (serial_min / threads_min) / workers, 2
         )
     return ratios
 

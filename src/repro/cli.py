@@ -9,11 +9,9 @@ Commands
 ``experiment NAME``
     Regenerate one paper figure/table (``figure2`` .. ``figure14``,
     ``table2``, ``multikernel``, ``energy_area``, ``arch_zoo``).
-    ``--jobs N`` fans
-    the sweep across N workers (``--backend`` picks threads,
-    processes, or multi-host shared-store coordination; ``--cutover``
-    tunes the adaptive inline/pool decision); artifacts persist under
-    ``results/cache/`` unless ``--no-cache`` is given.
+    ``--jobs N`` fans the sweep's layers across up to N worker
+    threads; artifacts persist under ``results/cache/`` unless
+    ``--no-cache`` is given.
 ``calibration``
     Print the model's headline numbers against the paper's.
 ``cache stats`` / ``cache clear``
@@ -65,24 +63,7 @@ def _make_executor(args: argparse.Namespace):
     return SweepExecutor(
         jobs=getattr(args, "jobs", 1),
         cache=cache,
-        backend=getattr(args, "backend", "auto"),
-        cutover=getattr(args, "cutover", "auto"),
     )
-
-
-def _cutover(text: str):
-    """``--cutover`` parser: the literal ``auto`` or a seconds float."""
-    if text.strip().lower() == "auto":
-        return "auto"
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be 'auto' or a number of seconds, got {text!r}"
-        )
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
 
 
 def _positive_int(text: str) -> int:
@@ -150,7 +131,7 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
 def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs", type=_positive_int, default=1,
-        help="worker processes for the sweep (default 1 = serial)",
+        help="worker threads for the sweep (default 1 = serial)",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -159,22 +140,6 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-dir", default=None,
         help="cache location (default $REPRO_CACHE_DIR or results/cache)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=["auto", "serial", "threads", "processes", "shared-store"],
-        default="auto",
-        help="worker venue: auto prices each chunk (threads for the "
-        "vectorised tiers, processes for the event tier, inline when "
-        "a pool would not pay off), serial forces inline, "
-        "shared-store coordinates hosts through the cache directory; "
-        "results are bit-identical across backends",
-    )
-    parser.add_argument(
-        "--cutover", type=_cutover, default="auto",
-        help="estimated-seconds threshold below which the sweep runs "
-        "inline (default auto: pool only when the estimated saving "
-        "beats pool startup; 0 forces pooling, inf forces inline)",
     )
 
 
@@ -338,7 +303,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             no_cache=args.no_cache,
             store_max_bytes=args.store_max_bytes,
             sweep_jobs=args.jobs,
-            sweep_backend=args.backend,
             job_workers=args.job_workers,
         )
     )

@@ -888,7 +888,7 @@ def replay_blocks_fast(
     ``blocks`` is any iterable of :class:`~repro.gpu.isa.TraceBlock`
     (``repro.gpu.kernel.iter_trace_blocks`` generates them without
     ever materialising the whole trace; ``KernelTrace.iter_blocks``
-    slices an existing or memory-mapped trace).  ``meta`` carries the
+    slices an existing trace).  ``meta`` carries the
     scalar trace fields (a dict from ``TracePlan.meta()`` /
     ``KernelTrace.meta()``).  Results are bit-identical to the
     in-memory replay whatever the block size.
@@ -929,9 +929,6 @@ def replay_trace_fast(
         lhb = LoadHistoryBuffer(lifetime=options.lhb_lifetime)
     obs.add("fastpath.replays")
     obs.add("fastpath.events", int(trace.kind.size))
-    # Zero-copy traces keep ``address`` as a strided memmap view; the
-    # passes below each walk the full column, so materialise it once.
-    trace = trace.densify()
     acc = _StreamAccumulator(
         spec, trace.lda, gpu, options, mode, lhb, l2_share_sms
     )

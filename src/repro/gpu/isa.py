@@ -21,7 +21,6 @@ Two granularities coexist, matching the paper's microarchitecture:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import BinaryIO, Dict, Iterator, Union
 
@@ -186,9 +185,7 @@ class KernelTrace:
     def iter_blocks(self, block_events: int) -> Iterator[TraceBlock]:
         """Yield the trace as bounded :class:`TraceBlock` column slices.
 
-        Slices are zero-copy views, so replaying a memory-mapped trace
-        block by block touches one window of the record file at a time
-        instead of faulting the whole column in.
+        Slices are views into the trace's columns; nothing is copied.
         """
         if block_events < 1:
             raise ValueError(f"block_events must be >= 1, got {block_events}")
@@ -219,58 +216,30 @@ class KernelTrace:
 
     @classmethod
     def from_columnar(
-        cls, events: np.ndarray, meta: Dict[str, int], zero_copy: bool = False
+        cls, events: np.ndarray, meta: Dict[str, int]
     ) -> "KernelTrace":
         """Rebuild a trace from :meth:`to_columnar` + :meth:`meta` output.
 
-        The narrow columns are widened back to the int64 arrays the
-        replay paths index, so round-tripping is lossless.  With
-        ``zero_copy`` the ``address`` column — already int64 and 8 of
-        the 15 bytes per event — stays a *view* into ``events``; when
-        ``events`` is a memory-mapped record array (see
-        :meth:`load_npy`) that column is then served straight from the
-        OS page cache with no copy, which is what lets many worker
-        processes replay one persisted trace without each
-        materialising the archive.  The narrow columns (kind / warp /
-        instr) always widen: mixed-width arithmetic would silently
-        wrap under NumPy's value-preserving promotion rules.
+        Every column is widened back to the dense int64 arrays the
+        replay paths index, so round-tripping is lossless (mixed-width
+        arithmetic on the narrow columns would silently wrap under
+        NumPy's value-preserving promotion rules).
         """
-        address = events["address"]
-        if not zero_copy:
-            address = address.astype(np.int64)
         return cls(
             kind=events["kind"].astype(np.int64),
-            address=address,
+            address=events["address"].astype(np.int64),
             warp=events["warp"].astype(np.int64),
             instr=events["instr"].astype(np.int64),
             **{name: int(meta[name]) for name in _META_FIELDS},
         )
 
-    def densify(self) -> "KernelTrace":
-        """Return a trace whose columns are dense in-RAM arrays.
-
-        Zero-copy traces (:meth:`load_npy` with ``mmap=True``) keep the
-        ``address`` column as a strided view into the memory-mapped
-        record file.  One boolean-mask pass over such a view is exactly
-        as cheap as over a dense array, but the replay paths make
-        *several* full passes (load split, workspace ID translation),
-        so they call this once up front: a single sequential read
-        through the page cache, after which every pass runs on dense
-        memory.  Dense traces are returned unchanged.
-        """
-        addr = self.address
-        if isinstance(addr, np.memmap) or not addr.flags.c_contiguous:
-            return dataclasses.replace(self, address=np.ascontiguousarray(addr))
-        return self
-
     def save_npy(self, file: Union[str, BinaryIO]) -> None:
         """Serialize the columnar events as one *uncompressed* ``.npy``.
 
-        The plain array format is what ``np.load(..., mmap_mode="r")``
-        can map, so the store persists traces in this form and the
-        sweep runtime hands worker processes the *file* (by
-        content-addressed key) instead of a pickled trace.  Scalars
-        travel separately (:meth:`meta` → JSON in the store).
+        The store persists traces in this form, and
+        :class:`~repro.runtime.store.TraceStreamWriter` writes the same
+        bytes incrementally.  Scalars travel separately (:meth:`meta` →
+        JSON in the store).
         """
         np.save(file, self.to_columnar(), allow_pickle=False)
 
@@ -279,15 +248,6 @@ class KernelTrace:
         cls,
         file: Union[str, BinaryIO],
         meta: Dict[str, int],
-        mmap: bool = True,
     ) -> "KernelTrace":
-        """Load a :meth:`save_npy` events file plus its scalar fields.
-
-        With ``mmap`` (the default) the record array is memory-mapped
-        read-only and the int64 ``address`` column is used zero-copy —
-        pages are faulted in on demand and shared between every
-        process mapping the same file.
-        """
-        events = np.load(file, mmap_mode="r" if mmap else None,
-                         allow_pickle=False)
-        return cls.from_columnar(events, meta, zero_copy=mmap)
+        """Load a :meth:`save_npy` events file plus its scalar fields."""
+        return cls.from_columnar(np.load(file, allow_pickle=False), meta)

@@ -213,10 +213,6 @@ def replay_trace(
     """
     if mode is not EliminationMode.BASELINE and lhb is None:
         lhb = LoadHistoryBuffer(lifetime=options.lhb_lifetime)
-    # Zero-copy traces keep ``address`` as a strided memmap view; this
-    # replay and ``workspace_unique_ids`` each walk the full column, so
-    # materialise it once.
-    trace = trace.densify()
     l2_capacity = gpu.l2_bytes
     if l2_share_sms is not None:
         l2_capacity = max(

@@ -15,8 +15,8 @@ except ``engine``, which picks the replay and never changes the trace
 (an earlier revision keyed only on ``max_ctas`` / ``representative_sm``
 and aliased options objects differing elsewhere).  The LRU can be
 backed by a persistent :class:`repro.runtime.store.DiskCache` via
-:func:`set_trace_store`, which the parallel runtime and the CLI hook
-up so traces survive across runs.
+:func:`set_trace_store`, which the sweep executor hooks up for its
+cache so traces survive across runs.
 """
 
 from __future__ import annotations
@@ -129,8 +129,8 @@ def trace_is_cached(
     """True iff the in-process LRU already holds this trace.
 
     A read-only probe (no LRU reordering, no store consult) — the
-    sweep executor's cost estimator uses it to price a chunk as
-    replay-only versus generate-plus-replay.
+    sweep executor uses it to decide whether a point's trace is cold
+    enough to stream.
     """
     with _trace_lock:
         return _trace_cache_key(spec, gpu, kernel, options) in _trace_cache

@@ -14,15 +14,12 @@ runtime, and disk store report into.  Three pieces:
 Everything is a no-op until :func:`enable` is called (or
 ``REPRO_OBS=1`` is exported): the disabled fast path is a module-level
 flag test, which keeps the simulator's measured overhead below the 2%
-budget.  ``repro.runtime.executor`` ships worker-process state back to
-the parent via :func:`export_state` / :func:`merge_state`.
+budget.  Sweep worker threads record straight onto the same registry.
 
 See ``docs/OBSERVABILITY.md`` for naming conventions and schemas.
 """
 
 from __future__ import annotations
-
-from typing import Any, Dict
 
 from repro.obs.logcfg import configure_logging
 from repro.obs.manifest import RunManifest, collect_manifest, peak_rss_bytes
@@ -30,9 +27,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     add,
     counters_with_prefix,
-    export_metrics,
     gauge,
-    merge_metrics,
     registry,
     snapshot,
 )
@@ -40,8 +35,6 @@ from repro.obs.state import OBS_ENV, disable, enable, enabled
 from repro.obs.trace import (
     NULL_SPAN,
     Span,
-    export_spans,
-    merge_spans,
     phase_timings,
     span,
     tree,
@@ -60,13 +53,7 @@ __all__ = [
     "disable",
     "enable",
     "enabled",
-    "export_metrics",
-    "export_spans",
-    "export_state",
     "gauge",
-    "merge_metrics",
-    "merge_spans",
-    "merge_state",
     "peak_rss_bytes",
     "phase_timings",
     "registry",
@@ -85,21 +72,3 @@ def reset() -> None:
     _metrics.reset()
     _trace.reset()
 
-
-def export_state() -> Dict[str, Any]:
-    """Snapshot this process's spans + metrics for transport."""
-    return {"spans": export_spans(), "metrics": export_metrics()}
-
-
-def merge_state(payload: Dict[str, Any], **span_attrs: Any) -> None:
-    """Fold a worker's :func:`export_state` payload into this process.
-
-    Metrics counters add; the worker's span forest is grouped under
-    one ``executor.worker`` span tagged with ``span_attrs``.
-    """
-    if not payload:
-        return
-    merge_metrics(payload.get("metrics", {}))
-    merge_spans(
-        payload.get("spans", []), under="executor.worker", **span_attrs
-    )

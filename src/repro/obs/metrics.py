@@ -9,11 +9,7 @@ Two metric kinds, both named with dotted lower-case paths (see
   speedups).  :func:`gauge` sets the value.
 
 The module-level registry is process-global and lock-protected, so
-concurrent threads can report safely.  Worker processes snapshot
-theirs with :func:`export_metrics` and the parent folds the payload in
-with :func:`merge_metrics` — counters add, gauges are imported under
-the worker's namespace only if names collide (last write wins
-otherwise), which keeps e.g. per-worker busy-time gauges intact.
+concurrent threads can report safely.
 
 Every entry point early-outs on the :mod:`repro.obs.state` flag, so
 with instrumentation disabled a call costs one boolean test.
@@ -30,7 +26,7 @@ Number = Union[int, float]
 
 
 class MetricsRegistry:
-    """Thread-safe counters + gauges with snapshot/merge support."""
+    """Thread-safe counters + gauges with snapshot support."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -59,16 +55,6 @@ class MetricsRegistry:
                 "counters": dict(self._counters),
                 "gauges": dict(self._gauges),
             }
-
-    def merge(self, payload: Dict[str, Dict[str, Number]]) -> None:
-        """Fold an exported snapshot in: counters add, gauges overwrite."""
-        counters = payload.get("counters", {})
-        gauges = payload.get("gauges", {})
-        with self._lock:
-            for name, value in counters.items():
-                self._counters[name] = self._counters.get(name, 0) + int(value)
-            for name, value in gauges.items():
-                self._gauges[name] = float(value)
 
     def counters_with_prefix(self, prefix: str) -> Dict[str, int]:
         """All counters whose dotted name starts with ``prefix``.
@@ -120,16 +106,6 @@ def snapshot() -> Dict[str, Dict[str, Number]]:
 def counters_with_prefix(prefix: str) -> Dict[str, int]:
     """Prefix-filtered counters of the global registry."""
     return _REGISTRY.counters_with_prefix(prefix)
-
-
-def export_metrics() -> Dict[str, Dict[str, Number]]:
-    """Alias of :func:`snapshot` (worker → parent transport)."""
-    return _REGISTRY.snapshot()
-
-
-def merge_metrics(payload: Dict[str, Dict[str, Number]]) -> None:
-    """Fold a worker's exported snapshot into the global registry."""
-    _REGISTRY.merge(payload)
 
 
 def reset() -> None:

@@ -8,10 +8,8 @@ without import cycles.
 
 Enable programmatically via :func:`enable` (the CLI does this when any
 of ``--trace-out`` / ``--metrics-out`` / ``--manifest-out`` is given)
-or by exporting ``REPRO_OBS=1`` before the process starts — worker
-processes spawned by :class:`repro.runtime.executor.SweepExecutor`
-are enabled explicitly through the pool initializer instead, so the
-environment knob is only needed for ad-hoc scripts.
+or by exporting ``REPRO_OBS=1`` before the process starts (handy for
+ad-hoc scripts).
 """
 
 from __future__ import annotations

@@ -9,10 +9,8 @@ Spans nest: a span opened while another is active becomes its child,
 so a run produces a forest of phase trees (one root per top-level
 phase).  Each thread keeps its own open-span stack (``threading.local``)
 and finished roots are appended to a process-global list under a lock,
-which makes recording safe from concurrent threads; worker *processes*
-serialize their forest with :func:`export_spans` and the parent folds
-it back in with :func:`merge_spans` (see
-:mod:`repro.runtime.executor`).
+which makes recording safe from concurrent threads (the sweep
+executor's worker threads record straight into it).
 
 When instrumentation is disabled (:mod:`repro.obs.state`) ``span``
 returns a shared singleton whose ``__enter__``/``__exit__`` do
@@ -84,17 +82,6 @@ class Span:
             "children": [c.as_dict() for c in self.children],
         }
 
-    @staticmethod
-    def from_dict(payload: JsonDict) -> "Span":
-        span = Span(str(payload["name"]), dict(payload.get("attrs", {})))
-        span.start = float(payload.get("start", 0.0))
-        span.duration_s = float(payload.get("duration_s", 0.0))
-        span.children = [
-            Span.from_dict(c) for c in payload.get("children", [])
-        ]
-        return span
-
-
 class _NullSpan:
     """Shared do-nothing span returned while instrumentation is off."""
 
@@ -142,41 +129,12 @@ def tree() -> JsonDict:
 def reset() -> None:
     """Drop all finished spans and this thread's open-span stack.
 
-    Clearing the stack matters under ``fork``: a worker process
-    inherits the parent's open spans (e.g. ``executor.run_chunks``),
-    and without the reset every span the worker records would attach
-    to that phantom parent instead of becoming an exportable root.
+    Clearing the stack too means a span left open across the reset can
+    never adopt later spans as its children.
     """
     with _LOCK:
         _ROOTS.clear()
     _LOCAL.stack = []
-
-
-def export_spans() -> List[JsonDict]:
-    """Finished roots in serialized form (worker → parent transport)."""
-    return tree()["spans"]
-
-
-def merge_spans(
-    spans: List[JsonDict], under: Optional[str] = None, **attrs: Any
-) -> None:
-    """Fold a worker's exported forest into this process's trace.
-
-    With ``under`` set, the imported roots are grouped beneath one
-    synthetic span of that name (attributes identify the worker), so
-    per-chunk spans from N processes stay distinguishable.
-    """
-    imported = [Span.from_dict(p) for p in spans]
-    if not imported:
-        return
-    if under is not None:
-        group = Span(under, attrs or None)
-        group.start = min(s.start for s in imported)
-        group.duration_s = sum(s.duration_s for s in imported)
-        group.children = imported
-        imported = [group]
-    with _LOCK:
-        _ROOTS.extend(imported)
 
 
 def phase_timings() -> Dict[str, Dict[str, float]]:

@@ -29,7 +29,7 @@ import dataclasses
 import enum
 import hashlib
 import json
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.conv.layer import ConvLayerSpec
 from repro.gpu.config import GPUConfig, KernelConfig, SimulationOptions
@@ -102,25 +102,6 @@ def trace_key(
             "gpu": canonical(gpu),
             "kernel": canonical(kernel),
             "options": canonical(_replay_invariant(options)),
-        }
-    )
-
-
-def chunk_claim_key(point_keys: Sequence[str]) -> str:
-    """Content hash identifying one sweep chunk for shared-store claims.
-
-    Derived from the (sorted) result keys of the chunk's uncached
-    points, so two hosts running the same sweep against one shared
-    cache directory contend for identical claim keys regardless of
-    chunk submission order — and a chunk whose warm subset differs
-    (because another host already persisted part of it) claims only
-    the remaining work.
-    """
-    return _digest(
-        {
-            "salt": CACHE_SALT,
-            "kind": "claim",
-            "points": sorted(point_keys),
         }
     )
 

@@ -7,16 +7,12 @@ small)::
       traces/ab/abcdef....events.npy  columnar KernelTrace events
       traces/ab/abcdef....meta.json   the trace's scalar fields
       results/9f/9fe312....pkl        pickled LayerResult
-      claims/3c/3c90....claim         shared-store chunk ownership marks
 
 A trace has exactly one on-disk form: the **sidecar pair**.  The
 ``.events.npy`` file is the uncompressed 15-byte/event record array
 (:meth:`repro.gpu.isa.KernelTrace.save_npy`) and ``.meta.json`` holds
-the scalar fields.  Loading needs no pickle.  A store opened with
-``mmap_traces=True`` (worker processes do this) memory-maps the record
-array, so every worker on the host shares one copy of the pages
-through the OS page cache; other stores read it densely.
-:meth:`DiskCache.trace_stream_writer` produces the same pair
+the scalar fields.  Loading needs no pickle and reads the record array
+densely.  :meth:`DiskCache.trace_stream_writer` produces the same pair
 *incrementally* — trace blocks are appended behind a closed-form-sized
 ``.npy`` header as they are generated, so persisting a trace never
 requires materialising it.
@@ -45,12 +41,6 @@ candidate.  The long-running query server (:mod:`repro.serve`) runs
 its shared store capped so unbounded design-space exploration cannot
 fill the disk.
 
-``try_claim`` implements the shared-store coordination primitive: an
-``O_CREAT | O_EXCL`` create of a claim file, atomic on POSIX
-filesystems (including the NFS-style shares a multi-host sweep would
-mount), so exactly one participant wins each chunk.  See
-``repro.runtime.executor`` (``backend="shared-store"``).
-
 The default location is ``$REPRO_CACHE_DIR`` or ``results/cache``
 relative to the working directory; the CLI and
 :class:`repro.runtime.executor.SweepExecutor` both construct stores
@@ -63,7 +53,6 @@ import json
 import logging
 import os
 import pickle
-import socket
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -131,10 +120,6 @@ class CacheStats:
 class DiskCache:
     """Content-addressed store for traces and layer results.
 
-    ``mmap_traces`` makes ``get_trace`` memory-map the ``.events.npy``
-    sidecar via ``np.load(..., mmap_mode="r")`` — the zero-copy
-    hand-off worker processes use — instead of reading it densely.
-
     ``max_bytes`` (``None`` = unbounded, the default) caps the on-disk
     total: every write is followed by an LRU-by-mtime eviction pass
     that deletes whole artifact groups until the store fits the cap
@@ -145,7 +130,6 @@ class DiskCache:
     """
 
     root: Path = field(default_factory=default_cache_dir)
-    mmap_traces: bool = False
     max_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -282,7 +266,7 @@ class DiskCache:
         """Open a :class:`TraceStreamWriter` for ``key``.
 
         The streaming twin of :meth:`put_trace`: trace blocks are
-        appended straight into the mmap-able ``.events.npy`` sidecar
+        appended straight into the ``.events.npy`` sidecar
         as they are generated — the full trace is never materialised
         in memory.  ``total_events`` sizes the ``.npy`` header up
         front (``TracePlan.event_count()`` provides it in closed
@@ -310,9 +294,7 @@ class DiskCache:
             return None
         try:
             meta = json.loads(meta_path.read_text())
-            return KernelTrace.load_npy(
-                str(events_path), meta, mmap=self.mmap_traces
-            )
+            return KernelTrace.load_npy(str(events_path), meta)
         except Exception:
             # Torn, truncated or half-evicted pair: drop both files
             # and report a miss.
@@ -334,8 +316,6 @@ class DiskCache:
             self._stats.trace_hits += 1
             self._touch("traces", key)
             obs.add("store.trace_hits")
-            if self.mmap_traces:
-                obs.add("store.trace_mmap_hits")
             if obs.enabled():
                 obs.add("store.trace_bytes_read", self._artifact_bytes(
                     "traces", key))
@@ -363,11 +343,11 @@ class DiskCache:
         self._admit("traces", key)
 
     def has_trace(self, key: str) -> bool:
-        """Cheap existence probe (no read) — the cost estimator's view."""
+        """Cheap existence probe (no read) — the streaming decision's view."""
         return self._path("traces", key, suffix=_COMMIT_SUFFIX).exists()
 
     def has_result(self, key: str) -> bool:
-        """Cheap existence probe — shared-store polling uses this."""
+        """Cheap existence probe (no read)."""
         return self._path("results", key).exists()
 
     def get_result(self, key: str):
@@ -402,43 +382,12 @@ class DiskCache:
                 pass
         return total
 
-    # -- shared-store coordination --------------------------------------
-
-    def try_claim(self, key: str) -> bool:
-        """Atomically claim ``key``; True iff this caller won it.
-
-        One ``O_CREAT | O_EXCL`` create — the portable
-        compare-and-swap of shared POSIX filesystems.  The claim file
-        records who won (host, pid, wall time) for post-mortems; the
-        artifact itself still arrives through the normal result-cache
-        writes, so a claim is ownership metadata, never data.
-        """
-        path = self._path("claims", key, suffix=".claim")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            fd = os.open(str(path), os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            obs.add("store.claims_lost")
-            return False
-        with os.fdopen(fd, "w") as fh:
-            json.dump(
-                {
-                    "host": socket.gethostname(),
-                    "pid": os.getpid(),
-                    "time_unix": time.time(),
-                },
-                fh,
-            )
-        obs.add("store.claims_won")
-        return True
-
     # -- maintenance ----------------------------------------------------
 
     #: rglob patterns per family for inventory/clear.
     _FAMILY_PATTERNS = {
         "traces": ("*.events.npy", "*.meta.json"),
         "results": ("*.pkl",),
-        "claims": ("*.claim",),
     }
 
     def stats(self) -> CacheStats:
@@ -459,8 +408,8 @@ class DiskCache:
         return s
 
     def clear(self) -> int:
-        """Delete every cached artifact and claim, plus the ``*.tmp``
-        files killed writers left behind; returns files removed."""
+        """Delete every cached artifact plus the ``*.tmp`` files killed
+        writers left behind; returns files removed."""
         removed = 0
         for family, patterns in self._FAMILY_PATTERNS.items():
             base = self.root / family

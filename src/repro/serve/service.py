@@ -126,7 +126,6 @@ class ServiceConfig:
     no_cache: bool = False
     store_max_bytes: Optional[int] = None
     sweep_jobs: int = 1
-    sweep_backend: str = "auto"
     job_workers: int = 1
 
 
@@ -144,7 +143,6 @@ class QueryService:
         self._executor = SweepExecutor(
             jobs=self.config.sweep_jobs,
             cache=self.cache,
-            backend=self.config.sweep_backend,
         )
         self._inflight: Dict[str, _InFlight] = {}
         self._lock = threading.Lock()

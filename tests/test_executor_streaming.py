@@ -1,12 +1,14 @@
-"""Sweep-path streaming dispatch (the PR 8 follow-up).
+"""Sweep-path streaming dispatch.
 
 ``simulate_point(..., streaming=True)`` must route *cold fast-tier*
 points through the bounded-RSS
 :func:`~repro.gpu.simulator.simulate_layer_streaming` entry — and
 ONLY those: warm traces (in-process LRU or disk store) keep the
 cheaper replay-from-store path, and the analytic/event tiers cannot
-stream.  Results are bit-identical either way; the routing itself is
-pinned by the ``executor.streamed_points`` counter.
+stream.  The executor streams only where it cannot cost a second
+synthesis: a store catches the tee, or the point is its chunk's only
+pending one.  Results are bit-identical either way; the routing
+itself is pinned by the ``executor.streamed_points`` counter.
 """
 
 import dataclasses
@@ -22,9 +24,9 @@ from repro import obs
 from repro.gpu import simulator
 from repro.gpu.config import SimulationOptions
 from repro.gpu.ldst import EliminationMode
-from repro.gpu.simulator import clear_trace_cache
+from repro.gpu.simulator import clear_trace_cache, simulate_layer
 from repro.runtime import DiskCache, SimPoint, SweepExecutor
-from repro.runtime.executor import STREAM_ENV, _stream_cold
+from repro.runtime.executor import _stream_cold
 
 LAYERS = [
     make_spec(name="st-plain"),
@@ -36,7 +38,6 @@ OPTIONS = SimulationOptions(max_ctas=2, engine="fast")
 @pytest.fixture(autouse=True)
 def _fresh(monkeypatch):
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    monkeypatch.delenv(STREAM_ENV, raising=False)
     obs.enable()
     obs.reset()
     clear_trace_cache()
@@ -78,41 +79,54 @@ def test_cold_fast_points_stream_once_per_layer(tmp_path):
         )
 
 
-def test_streaming_off_never_streams(tmp_path):
-    cache = DiskCache(tmp_path / "cache")
-    executor = SweepExecutor(
-        jobs=1, cache=cache, backend="serial", streaming="off"
-    )
-    executor.run(_points())
-    assert _streamed() == 0
+def _direct(points):
+    """The materialising reference: ``simulate_layer`` per point."""
+    return [
+        simulate_layer(
+            p.spec, p.mode, lhb_entries=p.lhb_entries,
+            lhb_assoc=p.lhb_assoc, gpu=p.gpu, kernel=p.kernel,
+            options=p.options,
+        )
+        for p in points
+    ]
 
 
-def test_env_override_disables_streaming(tmp_path, monkeypatch):
-    monkeypatch.setenv(STREAM_ENV, "off")
-    cache = DiskCache(tmp_path / "cache")
-    SweepExecutor(jobs=1, cache=cache, backend="serial").run(_points())
-    assert _streamed() == 0
-
-
-def test_streaming_results_bit_identical(tmp_path):
-    off = SweepExecutor(
-        jobs=1, cache=DiskCache(tmp_path / "off"), backend="serial",
-        streaming="off",
-    ).run(_points())
-    clear_trace_cache()
-    obs.reset()
-    on = SweepExecutor(
-        jobs=1, cache=DiskCache(tmp_path / "on"), backend="serial"
-    ).run(_points())
-    assert _streamed() == len(LAYERS)
-    for a, b in zip(off, on):
+def _assert_same(expected, got):
+    assert len(expected) == len(got)
+    for a, b in zip(expected, got):
         assert dataclasses.asdict(a.stats) == dataclasses.asdict(b.stats)
         assert (a.cycles, a.time_ms) == (b.cycles, b.time_ms)
 
 
+def test_streaming_results_bit_identical(tmp_path):
+    on = SweepExecutor(
+        jobs=1, cache=DiskCache(tmp_path / "on"), backend="serial"
+    ).run(_points())
+    assert _streamed() == len(LAYERS)
+    clear_trace_cache()
+    _assert_same(_direct(_points()), on)
+
+
+def test_cacheless_chunk_synthesizes_its_trace_once():
+    """Regression: with no store to catch a streamed trace, a
+    multi-point chunk must materialise its trace once and replay it
+    for every point — streaming each point would synthesize it anew
+    every time."""
+    chunk = [
+        SimPoint(LAYERS[0], options=OPTIONS, lhb_entries=entries)
+        for entries in (64, 256, 1024, None)
+    ] + [SimPoint(LAYERS[0], mode=EliminationMode.BASELINE, options=OPTIONS)]
+    (rows,) = SweepExecutor(jobs=1).run_chunks([chunk])
+    counters = obs.snapshot()["counters"]
+    assert counters["gen.traces"] == 1
+    assert _streamed() == 0
+    clear_trace_cache()
+    _assert_same(_direct(chunk), rows)
+
+
 def test_warm_store_suppresses_streaming(tmp_path):
-    """Traces already persisted are replayed from the store (the mmap
-    hand-off), never regenerated through the streaming entry."""
+    """Traces already persisted are replayed from the store, never
+    regenerated through the streaming entry."""
     cache = DiskCache(tmp_path / "cache")
     points = _points()
     SweepExecutor(jobs=1, cache=cache, backend="serial").run(points)
@@ -132,33 +146,6 @@ def test_non_fast_tiers_never_stream(tmp_path):
     cache = DiskCache(tmp_path / "cache")
     for p in _points(engine="analytic") + _points(engine="event"):
         assert not _stream_cold(p, cache)
-
-
-def test_streaming_validation():
-    with pytest.raises(ValueError, match="streaming"):
-        SweepExecutor(streaming="sometimes")
-
-
-def test_process_workers_stream(tmp_path):
-    """The streaming flag crosses the process-pool job tuple."""
-    cache = DiskCache(tmp_path / "cache")
-    executor = SweepExecutor(
-        jobs=2, cache=cache, backend="processes", cutover=0
-    )
-    # One chunk per layer (the executor's natural chunking): the
-    # chunk's first point streams, later points of the same layer find
-    # the teed trace warm in the store.
-    options = dataclasses.replace(OPTIONS)
-    chunks = [
-        [
-            SimPoint(spec, options=options, lhb_entries=entries)
-            for entries in (64, None)
-        ]
-        for spec in LAYERS
-    ]
-    executor.run_chunks(chunks)
-    # Worker metrics merge back into this process's registry.
-    assert _streamed() == len(LAYERS)
 
 
 _RSS_CHILD = """\

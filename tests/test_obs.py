@@ -1,8 +1,6 @@
 """The observability layer: spans, metrics, manifests, CLI wiring."""
 
-import concurrent.futures
 import json
-import multiprocessing
 import threading
 
 import pytest
@@ -68,19 +66,6 @@ class TestSpans:
         timings = obs.phase_timings()
         assert timings["repeated"]["count"] == 3
         assert timings["repeated"]["total_s"] >= 0.0
-
-    def test_serialization_round_trip(self):
-        obs.enable()
-        with obs.span("root", layer="yolo/C2"):
-            with obs.span("child"):
-                pass
-        exported = obs.export_spans()
-        obs.reset()
-        obs.merge_spans(exported, under="executor.worker", pid=123)
-        spans = obs.tree()["spans"]
-        assert spans[0]["name"] == "executor.worker"
-        assert spans[0]["attrs"] == {"pid": 123}
-        assert spans[0]["children"][0]["attrs"] == {"layer": "yolo/C2"}
 
     def test_threads_record_independently(self):
         obs.enable()
@@ -155,94 +140,8 @@ class TestMetrics:
             == per_thread * threads_n
         )
 
-    def test_merge_adds_counters_overwrites_gauges(self):
-        obs.enable()
-        obs.add("c", 1)
-        obs.gauge("g", 0.1)
-        obs.merge_metrics(
-            {"counters": {"c": 2, "new": 7}, "gauges": {"g": 0.9}}
-        )
-        snap = obs.snapshot()
-        assert snap["counters"] == {"c": 3, "new": 7}
-        assert snap["gauges"] == {"g": 0.9}
 
-
-def _pool_worker(n: int):
-    """ProcessPool body: record n increments, ship the state back."""
-    obs.enable()
-    obs.reset()
-    with obs.span("worker.batch", n=n):
-        for _ in range(n):
-            obs.add("pool.hits")
-    obs.add("pool.batches")
-    return obs.export_state()
-
-
-class TestProcessMerge:
-    def test_process_pool_counters_merge(self):
-        """Increments from ProcessPoolExecutor workers sum exactly."""
-        obs.enable()
-        batches = [100, 250, 33, 17]
-        ctx = multiprocessing.get_context(
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=2, mp_context=ctx
-        ) as pool:
-            for payload in pool.map(_pool_worker, batches):
-                obs.merge_state(payload)
-        snap = obs.snapshot()
-        assert snap["counters"]["pool.hits"] == sum(batches)
-        assert snap["counters"]["pool.batches"] == len(batches)
-        workers = [
-            s for s in obs.tree()["spans"] if s["name"] == "executor.worker"
-        ]
-        assert len(workers) == len(batches)
-        assert {
-            w["children"][0]["attrs"]["n"] for w in workers
-        } == set(batches)
-
-    def test_sweep_executor_merges_worker_chunks(self, tmp_path):
-        """SweepExecutor ships per-chunk spans + metrics across forks."""
-        from repro.gpu.ldst import EliminationMode
-        from repro.runtime import DiskCache, SimPoint, SweepExecutor
-
-        obs.enable()
-        options = SimulationOptions(max_ctas=1)
-        chunks = [
-            [SimPoint(get_layer("resnet", "C8"), options=options)],
-            [SimPoint(get_layer("gan", "C4"), options=options)],
-            [
-                SimPoint(
-                    get_layer("resnet", "C8"),
-                    mode=EliminationMode.BASELINE,
-                    options=options,
-                )
-            ],
-        ]
-        # Force the process pool: the adaptive cutover would price
-        # this tiny sweep as inline (the merge path is the subject).
-        executor = SweepExecutor(
-            jobs=2, cache=DiskCache(tmp_path / "c"),
-            backend="processes", cutover=0,
-        )
-        executor.run_chunks(chunks)
-        snap = obs.snapshot()
-        assert snap["counters"]["executor.chunks"] == 3
-        assert snap["counters"]["executor.points"] == 3
-        assert snap["counters"]["sim.layers_simulated"] == 3
-        assert 0.0 < snap["gauges"]["executor.worker_utilization"] <= 1.0
-        chunk_spans = [
-            c
-            for s in obs.tree()["spans"]
-            if s["name"] == "executor.worker"
-            for c in s["children"]
-            if c["name"] == "executor.chunk"
-        ]
-        assert len(chunk_spans) == 3
-
+class TestSweepExecutor:
     def test_warm_rerun_skips_workers_entirely(self, tmp_path):
         from repro.runtime import DiskCache, SimPoint, SweepExecutor
 

@@ -20,7 +20,6 @@ import subprocess
 import sys
 
 import numpy as np
-import pytest
 
 from repro.gpu.isa import KernelTrace
 from repro.runtime.store import DiskCache
@@ -163,10 +162,9 @@ def test_kill_mid_put_leaves_a_miss_and_clear_reclaims_tmp(tmp_path):
     assert_same(cache.get_trace(key_of(4)), newcomer)
 
 
-@pytest.mark.parametrize("mmap", [False, True], ids=["dense", "mmap"])
-def test_truncated_events_is_a_miss(tmp_path, mmap):
+def test_truncated_events_is_a_miss(tmp_path):
     trace = synthetic_trace(5)
-    cache = DiskCache(tmp_path, mmap_traces=mmap)
+    cache = DiskCache(tmp_path)
     cache.put_trace(key_of(5), trace)
     events, _ = pair_paths(cache, key_of(5))
     blob = events.read_bytes()
@@ -182,10 +180,9 @@ def test_truncated_events_is_a_miss(tmp_path, mmap):
     assert_same(cache.get_trace(key_of(5)), trace)
 
 
-@pytest.mark.parametrize("mmap", [False, True], ids=["dense", "mmap"])
-def test_truncated_or_garbage_meta_is_a_miss(tmp_path, mmap):
+def test_truncated_or_garbage_meta_is_a_miss(tmp_path):
     trace = synthetic_trace(6)
-    cache = DiskCache(tmp_path, mmap_traces=mmap)
+    cache = DiskCache(tmp_path)
     cache.put_trace(key_of(6), trace)
     _, marker = pair_paths(cache, key_of(6))
     text = marker.read_bytes()
@@ -213,10 +210,9 @@ import json, random, sys
 from repro.runtime.store import DiskCache
 from tests.test_store_crash import assert_same, key_of, synthetic_trace
 
-root, cap, seed, mmap = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), \\
-    sys.argv[4] == "1"
+root, cap, seed = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 rng = random.Random(seed)
-cache = DiskCache(root, mmap_traces=mmap, max_bytes=cap)
+cache = DiskCache(root, max_bytes=cap)
 traces = {s: synthetic_trace(s) for s in range(10, 16)}
 hits = misses = 0
 for _ in range(150):
@@ -242,7 +238,7 @@ def test_racing_puts_and_evictions_never_serve_a_wrong_trace(tmp_path):
     probe.put_trace(key_of(10), synthetic_trace(10))
     cap = pair_bytes(probe, key_of(10)) * 5 // 2
     store = tmp_path / "store"
-    racers = [spawn(_RACER, store, cap, seed, seed % 2) for seed in (1, 2)]
+    racers = [spawn(_RACER, store, cap, seed) for seed in (1, 2)]
     reports = []
     for racer in racers:
         out, err = racer.communicate(timeout=300)
