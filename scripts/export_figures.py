@@ -10,6 +10,7 @@ Run:  python scripts/export_figures.py [--quick]
 import csv
 import os
 import sys
+import tempfile
 
 from repro.analysis.experiments import (
     energy_area,
@@ -25,6 +26,7 @@ from repro.analysis.experiments import (
 )
 from repro.conv.workloads import ALL_LAYERS, get_layer
 from repro.gpu.config import SimulationOptions
+from repro.runtime import DiskCache, SweepExecutor
 
 
 def flatten(row: dict) -> dict:
@@ -49,18 +51,22 @@ def main() -> None:
         layers = list(ALL_LAYERS)
         options = SimulationOptions()
 
-    experiments = [
-        figure2(layers),
-        figure3(layers),
-        table2(),
-        figure9(layers, options),
-        figure10(layers, options),
-        figure11(layers, options=options),
-        figure12(layers, options),
-        figure13(layers, options),
-        figure14(options=options),
-        energy_area(layers, options=options),
-    ]
+    # One executor on a throwaway store: the run stays cold, and
+    # figures that share sweep points simulate them once.
+    with tempfile.TemporaryDirectory() as store:
+        ex = SweepExecutor(cache=DiskCache(store))
+        experiments = [
+            figure2(layers),
+            figure3(layers),
+            table2(),
+            figure9(layers, options, executor=ex),
+            figure10(layers, options, executor=ex),
+            figure11(layers, options=options, executor=ex),
+            figure12(layers, options, executor=ex),
+            figure13(layers, options, executor=ex),
+            figure14(options=options, executor=ex),
+            energy_area(layers, options=options, executor=ex),
+        ]
     os.makedirs("results", exist_ok=True)
     for exp in experiments:
         rows = [flatten(r) for r in exp.rows]

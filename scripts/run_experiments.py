@@ -9,6 +9,7 @@ Run:  python scripts/run_experiments.py [--quick]
 
 import os
 import sys
+import tempfile
 import time
 
 from repro.analysis.experiments import (
@@ -26,6 +27,7 @@ from repro.analysis.experiments import (
 from repro.analysis.report import comparison_lines, format_experiment
 from repro.conv.workloads import ALL_LAYERS, get_layer
 from repro.gpu.config import SimulationOptions
+from repro.runtime import DiskCache, SweepExecutor
 
 
 def main() -> None:
@@ -40,19 +42,24 @@ def main() -> None:
 
     os.makedirs("results", exist_ok=True)
     out_path = os.path.join("results", "experiments.txt")
-    experiments = [
-        ("figure2", lambda: figure2(layers)),
-        ("figure3", lambda: figure3(layers)),
-        ("table2", table2),
-        ("figure9", lambda: figure9(layers, options)),
-        ("figure10", lambda: figure10(layers, options)),
-        ("figure11", lambda: figure11(layers, options=options)),
-        ("figure12", lambda: figure12(layers, options)),
-        ("figure13", lambda: figure13(layers, options)),
-        ("figure14", lambda: figure14(options=options)),
-        ("energy_area", lambda: energy_area(layers, options=options)),
-    ]
-    with open(out_path, "w") as fh:
+    # One executor on a throwaway store: the run stays cold, and
+    # figures that share sweep points simulate them once.
+    with tempfile.TemporaryDirectory() as store, open(out_path, "w") as fh:
+        ex = SweepExecutor(cache=DiskCache(store))
+        experiments = [
+            ("figure2", lambda: figure2(layers)),
+            ("figure3", lambda: figure3(layers)),
+            ("table2", table2),
+            ("figure9", lambda: figure9(layers, options, executor=ex)),
+            ("figure10", lambda: figure10(layers, options, executor=ex)),
+            ("figure11",
+             lambda: figure11(layers, options=options, executor=ex)),
+            ("figure12", lambda: figure12(layers, options, executor=ex)),
+            ("figure13", lambda: figure13(layers, options, executor=ex)),
+            ("figure14", lambda: figure14(options=options, executor=ex)),
+            ("energy_area",
+             lambda: energy_area(layers, options=options, executor=ex)),
+        ]
         for name, fn in experiments:
             t0 = time.time()
             exp = fn()

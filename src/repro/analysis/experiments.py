@@ -19,7 +19,7 @@ from repro.analysis.methodcost import (
     method_memory_ratio,
     method_speedup,
 )
-from repro.analysis.network import all_network_times
+from repro.analysis.network import network_times
 from repro.analysis.sweeps import (
     BATCH_SIZES,
     LHB_ASSOCS,
@@ -370,13 +370,23 @@ def figure14(
     lhb_entries: int = 1024,
     options: SimulationOptions = SimulationOptions(),
     kernel: KernelConfig = BASELINE_KERNEL,
+    jobs: int = 1,
+    executor: Optional[SweepExecutor] = None,
 ) -> Experiment:
-    """Inference/training execution time, baseline vs. Duplo."""
-    base = all_network_times(
-        EliminationMode.BASELINE, options=options, kernel=kernel
-    )
-    duplo = all_network_times(
-        EliminationMode.DUPLO, lhb_entries, options=options, kernel=kernel
+    """Inference/training execution time, baseline vs. Duplo.
+
+    Baseline and Duplo run as one sweep, so each distinct layer
+    simulation — three per layer — runs once.
+    """
+    base, duplo = network_times(
+        [
+            (EliminationMode.BASELINE, lhb_entries),
+            (EliminationMode.DUPLO, lhb_entries),
+        ],
+        options=options,
+        kernel=kernel,
+        jobs=jobs,
+        executor=executor,
     )
     rows = []
     infer = []

@@ -45,7 +45,7 @@ EXPERIMENTS = {
     "figure11": lambda a, ex: exp_mod.figure11(options=a, executor=ex),
     "figure12": lambda a, ex: exp_mod.figure12(options=a, executor=ex),
     "figure13": lambda a, ex: exp_mod.figure13(options=a, executor=ex),
-    "figure14": lambda a, ex: exp_mod.figure14(options=a),
+    "figure14": lambda a, ex: exp_mod.figure14(options=a, executor=ex),
     "table2": lambda a, ex: exp_mod.table2(),
     "multikernel": lambda a, ex: exp_mod.multikernel_sharing(options=a),
     "energy_area": lambda a, ex: exp_mod.energy_area(options=a, executor=ex),

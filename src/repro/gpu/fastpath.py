@@ -56,6 +56,9 @@ lazily on the next event-path touch.
 
 from __future__ import annotations
 
+import itertools
+import threading
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -619,12 +622,126 @@ def _set_associative_lhb_stream(
 # ----------------------------------------------------------------------
 
 def _cat(parts, dtype):
-    """Concatenate accumulated block slices without a needless copy."""
+    """Concatenate accumulated block slices into one read-only array."""
     if not parts:
-        return np.zeros(0, dtype=dtype)
-    if len(parts) == 1:
-        return parts[0]
-    return np.concatenate(parts)
+        out = np.zeros(0, dtype=dtype)
+    elif len(parts) == 1:
+        out = parts[0]
+    else:
+        out = np.concatenate(parts)
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True)
+class _FedStreams:
+    """The folded per-load streams of one trace under one mode.
+
+    Everything the global recurrences read, as read-only arrays and
+    scalars.  Nothing here depends on the LHB's geometry or state, so
+    one instance serves every LHB configuration replayed on the same
+    trace and mode — :meth:`finish` takes the buffer as an argument and
+    never writes to the streams, which makes an instance safe to share
+    between concurrent replays.
+    """
+
+    gpu: GPUConfig
+    l1_set_mask: int
+    l1_assoc: int
+    l2_set_mask: int
+    l2_assoc: int
+    stores: int
+    loads: int
+    loads_a: int
+    loads_input: int
+    consult: np.ndarray  # bool, per load (empty without lookups)
+    shared: np.ndarray  # bool, per load
+    lines: np.ndarray  # int64 L1 line IDs, per non-shared load
+    element: np.ndarray  # int64, per lookup-candidate position
+    batch: np.ndarray
+    first: Optional[np.ndarray]  # bool, per load (instruction granularity)
+    ws_shortcut: bool
+    ws_keys: np.ndarray  # int64 translated workspace keys
+    ws_not_ok: int
+    ws_instrs: int
+
+    def finish(
+        self, lhb: Optional[LoadHistoryBuffer], mma_ops: int
+    ) -> LayerStats:
+        """Run the global recurrences (LHB, LRU stack distances)."""
+        n = self.loads
+        eliminated = np.zeros(n, dtype=bool)
+        if lhb is not None:
+            consults = self.consult
+            if self.first is not None:
+                group = np.cumsum(self.first) - 1
+                looked_up = consults[self.first]
+                hit = simulate_lhb_stream(
+                    self.element[looked_up], self.batch[looked_up], lhb
+                )
+                group_hit = np.zeros(len(self.element), dtype=bool)
+                group_hit[looked_up] = hit
+                eliminated = group_hit[group]
+            else:
+                idx = np.nonzero(consults)[0]
+                eliminated[idx] = simulate_lhb_stream(
+                    self.element, self.batch, lhb
+                )
+
+        is_shared = self.shared
+        served_shared = int((is_shared & ~eliminated).sum())
+        lines = self.lines[~eliminated[~is_shared]]
+
+        l1_hit_mask = lru_hit_mask(lines, self.l1_set_mask, self.l1_assoc)
+        l2_lines = lines[~l1_hit_mask]
+        l2_hit_mask = lru_hit_mask(l2_lines, self.l2_set_mask, self.l2_assoc)
+
+        served_lhb = int(eliminated.sum())
+        l1_accesses = int(lines.size)
+        l1_hits = int(l1_hit_mask.sum())
+        l2_accesses = int(l2_lines.size)
+        l2_hits = int(l2_hit_mask.sum())
+        served_dram = l2_accesses - l2_hits
+        dram_read_bytes = served_dram * self.gpu.l1_line_bytes
+
+        loads_a = self.loads_a
+        loads_input = self.loads_input
+        loads_b = n - loads_a - loads_input
+        if self.ws_shortcut:
+            keys = self.ws_keys
+            ws_instrs = loads_a
+            unique_ids = distinct_count(keys) + loads_a - len(keys)
+        elif self.ws_instrs == 0:
+            ws_instrs, unique_ids = 0, 0
+        else:
+            ws_instrs = self.ws_instrs
+            unique_ids = int(np.unique(self.ws_keys).size) + self.ws_not_ok
+        return LayerStats(
+            loads_total=n,
+            loads_workspace=loads_a,
+            loads_filter=loads_b,
+            loads_input=loads_input,
+            stores=self.stores,
+            workspace_instructions=ws_instrs,
+            lhb_lookups=lhb.stats.lookups if lhb is not None else 0,
+            lhb_hits=lhb.stats.hits if lhb is not None else 0,
+            eliminated_fragments=served_lhb,
+            unique_workspace_ids=unique_ids,
+            l1_accesses=l1_accesses,
+            l1_hits=l1_hits,
+            l2_accesses=l2_accesses,
+            l2_hits=l2_hits,
+            dram_read_bytes=dram_read_bytes,
+            dram_write_bytes=self.stores * self.gpu.store_frag_bytes,
+            mma_ops=mma_ops,
+            breakdown=MemoryBreakdown(
+                lhb=served_lhb,
+                l1=l1_hits,
+                l2=l2_hits,
+                dram=served_dram,
+                shared=served_shared,
+            ),
+        )
 
 
 class _StreamAccumulator:
@@ -641,10 +758,13 @@ class _StreamAccumulator:
     trace is by construction: every per-block pass is elementwise (or
     carries its one-value boundary state — the previous instruction ID
     — across blocks), so concatenating per-block outputs equals the
-    whole-column computation, and :meth:`finish` then runs the very
-    same global recurrences (LHB, LRU stack distances) on the
+    whole-column computation, and :meth:`_FedStreams.finish` then runs
+    the very same global recurrences (LHB, LRU stack distances) on the
     assembled streams.  ``replay_trace_fast`` itself feeds the full
     trace as a single block through this class.
+
+    ``lookups`` says whether an LHB will consult the streams; without
+    one, no lookup IDs are kept.
     """
 
     def __init__(
@@ -654,14 +774,14 @@ class _StreamAccumulator:
         gpu: GPUConfig,
         options: SimulationOptions,
         mode: EliminationMode,
-        lhb: Optional[LoadHistoryBuffer],
+        lookups: bool,
         l2_share_sms: Optional[int] = None,
     ):
         self.spec = spec
         self.lda = lda
         self.options = options
         self.mode = mode
-        self.lhb = lhb
+        self.lookups = lookups
 
         l2_capacity = gpu.l2_bytes
         if l2_share_sms is not None:
@@ -678,7 +798,7 @@ class _StreamAccumulator:
         self._gpu = gpu
 
         self._instruction = (
-            lhb is not None and options.lhb_granularity != "fragment"
+            lookups and options.lhb_granularity != "fragment"
         )
         # The DUPLO+fragment replay reuses its own translated IDs for
         # the workspace-unique accounting; every other configuration
@@ -744,7 +864,7 @@ class _StreamAccumulator:
         self._shared.append(is_shared)
         self._lines.append(load_addr[~is_shared] >> self.l1.line_shift)
 
-        if self.lhb is not None:
+        if self.lookups:
             self._consult.append(consults)
             if self._instruction:
                 load_instr = instr[is_load]
@@ -786,91 +906,79 @@ class _StreamAccumulator:
                 self._ws_not_ok += int((~ok).sum())
                 self._ws_instrs += len(bases_addr)
 
-    def finish(self, mma_ops: int) -> LayerStats:
-        """Run the global recurrences on the assembled streams."""
-        lhb = self.lhb
-        n = self._loads
-        eliminated = np.zeros(n, dtype=bool)
-        if lhb is not None:
-            consults = _cat(self._consult, bool)
-            if self._instruction:
-                first = _cat(self._first, bool)
-                group = np.cumsum(first) - 1
-                looked_up = consults[first]
-                element = _cat(self._element, np.int64)
-                batch = _cat(self._batch, np.int64)
-                hit = simulate_lhb_stream(
-                    element[looked_up], batch[looked_up], lhb
-                )
-                group_hit = np.zeros(len(element), dtype=bool)
-                group_hit[looked_up] = hit
-                eliminated = group_hit[group]
-            else:
-                idx = np.nonzero(consults)[0]
-                eliminated[idx] = simulate_lhb_stream(
-                    _cat(self._element, np.int64),
-                    _cat(self._batch, np.int64),
-                    lhb,
-                )
-
-        is_shared = _cat(self._shared, bool)
-        served_shared = int((is_shared & ~eliminated).sum())
-        lines = _cat(self._lines, np.int64)[~eliminated[~is_shared]]
-
-        l1, l2 = self.l1, self.l2
-        l1_hit_mask = lru_hit_mask(lines, l1.set_mask, l1.assoc)
-        l2_lines = lines[~l1_hit_mask]
-        l2_hit_mask = lru_hit_mask(l2_lines, l2.set_mask, l2.assoc)
-
-        served_lhb = int(eliminated.sum())
-        l1_accesses = int(lines.size)
-        l1_hits = int(l1_hit_mask.sum())
-        l2_accesses = int(l2_lines.size)
-        l2_hits = int(l2_hit_mask.sum())
-        served_dram = l2_accesses - l2_hits
-        dram_read_bytes = served_dram * self._gpu.l1_line_bytes
-        l1.stats.accesses, l1.stats.hits = l1_accesses, l1_hits
-        l2.stats.accesses, l2.stats.hits = l2_accesses, l2_hits
-
-        loads_a = self._loads_a
-        loads_input = self._loads_input
-        loads_b = n - loads_a - loads_input
-        if self._ws_shortcut:
-            keys = _cat(self._ws_keys, np.int64)
-            ws_instrs = loads_a
-            unique_ids = distinct_count(keys) + loads_a - len(keys)
-        elif self._ws_instrs == 0:
-            ws_instrs, unique_ids = 0, 0
-        else:
-            keys = _cat(self._ws_keys, np.int64)
-            ws_instrs = self._ws_instrs
-            unique_ids = int(np.unique(keys).size) + self._ws_not_ok
-        return LayerStats(
-            loads_total=n,
-            loads_workspace=loads_a,
-            loads_filter=loads_b,
-            loads_input=loads_input,
+    def streams(self) -> _FedStreams:
+        """Assemble the fed blocks into read-only streams."""
+        return _FedStreams(
+            gpu=self._gpu,
+            l1_set_mask=self.l1.set_mask,
+            l1_assoc=self.l1.assoc,
+            l2_set_mask=self.l2.set_mask,
+            l2_assoc=self.l2.assoc,
             stores=self._stores,
-            workspace_instructions=ws_instrs,
-            lhb_lookups=lhb.stats.lookups if lhb is not None else 0,
-            lhb_hits=lhb.stats.hits if lhb is not None else 0,
-            eliminated_fragments=served_lhb,
-            unique_workspace_ids=unique_ids,
-            l1_accesses=l1_accesses,
-            l1_hits=l1_hits,
-            l2_accesses=l2_accesses,
-            l2_hits=l2_hits,
-            dram_read_bytes=dram_read_bytes,
-            dram_write_bytes=self._stores * self._gpu.store_frag_bytes,
-            mma_ops=mma_ops,
-            breakdown=MemoryBreakdown(
-                lhb=served_lhb,
-                l1=l1_hits,
-                l2=l2_hits,
-                dram=served_dram,
-                shared=served_shared,
-            ),
+            loads=self._loads,
+            loads_a=self._loads_a,
+            loads_input=self._loads_input,
+            consult=_cat(self._consult, bool),
+            shared=_cat(self._shared, bool),
+            lines=_cat(self._lines, np.int64),
+            element=_cat(self._element, np.int64),
+            batch=_cat(self._batch, np.int64),
+            first=_cat(self._first, bool) if self._instruction else None,
+            ws_shortcut=self._ws_shortcut,
+            ws_keys=_cat(self._ws_keys, np.int64),
+            ws_not_ok=self._ws_not_ok,
+            ws_instrs=self._ws_instrs,
         )
+
+
+# ----------------------------------------------------------------------
+# Fed-stream memo
+# ----------------------------------------------------------------------
+
+#: Each thread's most recently fed streams, as ``(epoch, key, streams)``
+#: in ``_fed_memo.entry``.  One slot per thread bounds the memo to one
+#: fed trace per worker, and thread-local storage makes it lock-free.
+_fed_memo = threading.local()
+#: Bumped by :func:`clear_fed_memo`, so a clear reaches every thread's
+#: slot (a slot from an older epoch never hits).
+_fed_epochs = itertools.count()
+_fed_epoch = next(_fed_epochs)
+
+
+def clear_fed_memo() -> None:
+    """Forget every thread's memoised fed streams."""
+    global _fed_epoch
+    _fed_epoch = next(_fed_epochs)
+    _fed_memo.__dict__.clear()
+
+
+def release_fed_memo() -> None:
+    """Empty the calling thread's slot.
+
+    The sweep executor calls this when a chunk ends: a chunk is one
+    layer, so the next chunk never reuses its streams, and a long-lived
+    thread (a serve job worker) then holds none between chunks.
+    """
+    _fed_memo.__dict__.pop("entry", None)
+
+
+def _fed_streams(key, feed) -> _FedStreams:
+    """``feed()``'s streams, memoised per thread under ``key``.
+
+    ``key=None`` bypasses the memo.  A miss empties the thread's slot
+    before feeding, so a thread never holds two fed traces at once.
+    """
+    if key is None:
+        return feed()
+    entry = getattr(_fed_memo, "entry", None)
+    if entry is not None and entry[0] == _fed_epoch and entry[1] == key:
+        obs.add("fastpath.fed_reuses")
+        return entry[2]
+    _fed_memo.entry = None
+    epoch = _fed_epoch
+    streams = feed()
+    _fed_memo.entry = (epoch, key, streams)
+    return streams
 
 
 def replay_blocks_fast(
@@ -896,7 +1004,8 @@ def replay_blocks_fast(
     if mode is not EliminationMode.BASELINE and lhb is None:
         lhb = LoadHistoryBuffer(lifetime=options.lhb_lifetime)
     acc = _StreamAccumulator(
-        spec, int(meta["lda"]), gpu, options, mode, lhb, l2_share_sms
+        spec, int(meta["lda"]), gpu, options, mode, lhb is not None,
+        l2_share_sms,
     )
     for block in blocks:
         acc.feed(
@@ -907,7 +1016,7 @@ def replay_blocks_fast(
     obs.add("fastpath.stream_replays")
     obs.add("fastpath.stream_blocks", acc.blocks)
     obs.add("fastpath.events", acc.events)
-    return acc.finish(int(meta["mma_ops"]))
+    return acc.streams().finish(lhb, int(meta["mma_ops"]))
 
 
 def replay_trace_fast(
@@ -918,19 +1027,34 @@ def replay_trace_fast(
     mode: EliminationMode = EliminationMode.DUPLO,
     lhb: Optional[LoadHistoryBuffer] = None,
     l2_share_sms: Optional[int] = None,
+    trace_key=None,
 ) -> LayerStats:
     """Vectorised, bit-identical drop-in for ``replay_trace``.
 
     Covers every configuration the event path does, warm caller-
     supplied buffers included (the residency snapshot seeds the LHB
     recurrence).
+
+    ``trace_key`` is a hashable identity of ``trace`` together with
+    the ``spec``, ``gpu`` and ``options`` it is replayed under — the
+    simulator passes its trace-LRU key, and builds an LHB exactly when
+    ``mode`` is not the baseline.  With one, the fed streams are
+    memoised per thread under ``(trace_key, mode)``, so consecutive
+    replays of one trace and mode — an LHB size or associativity sweep
+    — feed it once.
     """
     if mode is not EliminationMode.BASELINE and lhb is None:
         lhb = LoadHistoryBuffer(lifetime=options.lhb_lifetime)
     obs.add("fastpath.replays")
     obs.add("fastpath.events", int(trace.kind.size))
-    acc = _StreamAccumulator(
-        spec, trace.lda, gpu, options, mode, lhb, l2_share_sms
-    )
-    acc.feed(trace.kind, trace.address, trace.instr)
-    return acc.finish(trace.mma_ops)
+
+    def feed() -> _FedStreams:
+        acc = _StreamAccumulator(
+            spec, trace.lda, gpu, options, mode, lhb is not None,
+            l2_share_sms,
+        )
+        acc.feed(trace.kind, trace.address, trace.instr)
+        return acc.streams()
+
+    key = None if trace_key is None else (trace_key, mode)
+    return _fed_streams(key, feed).finish(lhb, trace.mma_ops)

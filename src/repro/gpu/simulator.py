@@ -16,7 +16,10 @@ except ``engine``, which picks the replay and never changes the trace
 and aliased options objects differing elsewhere).  The LRU can be
 backed by a persistent :class:`repro.runtime.store.DiskCache` via
 :func:`set_trace_store`, which the sweep executor hooks up for its
-cache so traces survive across runs.
+cache so traces survive across runs.  The fast replay also memoises,
+per thread, the streams it last folded from a trace under this key
+and a mode, so LHB size and associativity sweeps over one trace feed
+it once (:func:`repro.gpu.fastpath.replay_trace_fast`).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from repro.gpu.config import (
     SimulationOptions,
     TITAN_V,
 )
-from repro.gpu.fastpath import replay_trace_fast
+from repro.gpu.fastpath import clear_fed_memo, replay_trace_fast
 from repro.gpu.isa import KernelTrace
 from repro.gpu.kernel import generate_sm_trace
 from repro.gpu.ldst import EliminationMode, replay_trace
@@ -137,9 +140,11 @@ def trace_is_cached(
 
 
 def clear_trace_cache() -> None:
-    """Drop cached traces (tests that tweak globals call this)."""
+    """Drop cached traces and the fast tier's fed streams (tests that
+    tweak globals call this)."""
     with _trace_lock:
         _trace_cache.clear()
+    clear_fed_memo()
 
 
 def trace_cache_info() -> dict:
@@ -305,7 +310,10 @@ def simulate_layer(
                 selected = "fast"
                 with obs.span("sim.replay.fast", layer=spec.qualified_name):
                     sm_traced = replay_trace_fast(
-                        trace, spec, gpu, options, mode, lhb
+                        trace, spec, gpu, options, mode, lhb,
+                        trace_key=_trace_cache_key(
+                            spec, gpu, kernel, options
+                        ),
                     )
         count_selected(selected)
 

@@ -7,9 +7,12 @@ one layer form one chunk, and a chunk runs start to finish on one
 worker — so a layer's trace is generated once and reused for every
 configuration point.
 
-Dispatch has one design.  Warm points (the result cache holds them)
-and analytic points (closed forms, cheaper than any dispatch) resolve
-inline first — the *prefilter*.  Every chunk still pending then runs
+Dispatch has one design.  Repeated points (equal to an earlier point
+of the same submission, counted as ``executor.duplicate_points``),
+warm points (the result cache holds them) and analytic points (closed
+forms, cheaper than any dispatch) resolve inline first — the
+*prefilter*.  A repeat runs nothing: its position receives the first
+occurrence's result object.  Every chunk still pending then runs
 through one chunk runner, called inline, or mapped over a
 ``ThreadPoolExecutor`` when ``min(jobs, pending chunks,
 os.cpu_count()) >= 2``.  The fast tier is NumPy-vectorised and
@@ -61,6 +64,7 @@ from repro.gpu.config import (
     SimulationOptions,
     TITAN_V,
 )
+from repro.gpu.fastpath import release_fed_memo
 from repro.gpu.ldst import EliminationMode
 from repro.runtime.cachekey import result_key, trace_key
 from repro.runtime.store import DiskCache
@@ -224,6 +228,9 @@ def simulate_point(
 #: One pending chunk: its index in the submitted list, and its
 #: uncached points as ``(position in chunk, point, result key)``.
 _Pending = Tuple[int, List[Tuple[int, SimPoint, Optional[str]]]]
+#: One repeated point: its ``(chunk, position)`` and the ``(chunk,
+#: position)`` of the first equal point in the same submission.
+_Duplicate = Tuple[Tuple[int, int], Tuple[int, int]]
 
 
 class SweepExecutor:
@@ -271,6 +278,9 @@ class SweepExecutor:
 
         All points of one chunk run on one worker, in order.  Results
         come back as one list per chunk, aligned with the input.
+        Equal points run once per call: the first occurrence runs, and
+        every later position receives the same (read-only) result
+        object.
         """
         chunks = [list(c) for c in chunks]
         results: Dict[Tuple[int, int], object] = {}
@@ -282,9 +292,11 @@ class SweepExecutor:
             backend=self.backend,
         )
         with sweep_span:
-            pending = self._prefilter(chunks, results)
+            pending, duplicates = self._prefilter(chunks, results)
             if pending:
                 self._dispatch(pending, results)
+        for position, first in duplicates:
+            results[position] = results[first]
         return [
             [results[(ci, pi)] for pi in range(len(chunk))]
             for ci, chunk in enumerate(chunks)
@@ -298,22 +310,32 @@ class SweepExecutor:
 
     # -- prefilter ------------------------------------------------------
 
-    def _prefilter(self, chunks, results) -> List[_Pending]:
+    def _prefilter(
+        self, chunks, results
+    ) -> Tuple[List[_Pending], List[_Duplicate]]:
         """Resolve warm and analytic points inline; return the rest.
 
         A point is resolved here — and its chunk therefore shrinks —
-        when the result cache already holds it, or when the analytic
-        tier answers it (closed forms over a memoised layer profile;
+        when it repeats an earlier point of the submission, when the
+        result cache already holds it, or when the analytic tier
+        answers it (closed forms over a memoised layer profile;
         cheaper than any dispatch).  A chunk whose *every* point
         resolves never reaches a worker (``executor.chunks_skipped``).
+        Returns the pending chunks and the repeats.
         """
         pending: List[_Pending] = []
+        first_seen: Dict[SimPoint, Tuple[int, int]] = {}
+        duplicates: List[_Duplicate] = []
         cache_hits = 0
         analytic_hits = 0
         skipped = 0
         for ci, chunk in enumerate(chunks):
             missing = []
             for pi, point in enumerate(chunk):
+                first = first_seen.setdefault(point, (ci, pi))
+                if first != (ci, pi):
+                    duplicates.append(((ci, pi), first))
+                    continue
                 if _resolves_analytic(point):
                     results[(ci, pi)] = simulate_point(point, None)
                     analytic_hits += 1
@@ -333,21 +355,23 @@ class SweepExecutor:
                 skipped += 1
         obs.add("executor.chunks", len(chunks))
         obs.add("executor.points", sum(len(c) for c in chunks))
+        obs.add("executor.duplicate_points", len(duplicates))
         obs.add("executor.prefilter_hits", cache_hits)
         obs.add("executor.analytic_prefilter", analytic_hits)
         obs.add("executor.chunks_skipped", skipped)
         _log.info(
-            "sweep: %d chunk(s), %d point(s), %d cached, %d analytic, "
-            "%d chunk(s) skipped, jobs=%d backend=%s",
+            "sweep: %d chunk(s), %d point(s), %d duplicate, %d cached, "
+            "%d analytic, %d chunk(s) skipped, jobs=%d backend=%s",
             len(chunks),
             sum(len(c) for c in chunks),
+            len(duplicates),
             cache_hits,
             analytic_hits,
             skipped,
             self.jobs,
             self.backend,
         )
-        return pending
+        return pending, duplicates
 
     # -- dispatch -------------------------------------------------------
 
@@ -389,20 +413,24 @@ class SweepExecutor:
         onto the shared metrics registry, so nothing is exported or
         merged.  A cold fast-tier point streams only where streaming
         cannot cost a second synthesis: a store catches the tee, or no
-        later point of this chunk needs the trace.
+        later point of this chunk needs the trace.  The thread's
+        fed-stream memo lives no longer than the chunk.
         """
         from repro.gpu import simulator
 
         _ci, missing = job
         stream = len(missing) == 1 or simulator.get_trace_store() is not None
         t0 = time.perf_counter()
-        with obs.span(
-            "executor.chunk",
-            layer=missing[0][1].spec.qualified_name,
-            points=len(missing),
-        ):
-            out = [
-                simulate_point(point, self.cache, key, streaming=stream)
-                for _pi, point, key in missing
-            ]
+        try:
+            with obs.span(
+                "executor.chunk",
+                layer=missing[0][1].spec.qualified_name,
+                points=len(missing),
+            ):
+                out = [
+                    simulate_point(point, self.cache, key, streaming=stream)
+                    for _pi, point, key in missing
+                ]
+        finally:
+            release_fed_memo()
         return out, time.perf_counter() - t0

@@ -87,6 +87,22 @@ class TestRuntimeFlags:
         ) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "name",
+        ["figure9", "figure10", "figure11", "figure12", "figure13",
+         "figure14", "energy_area", "arch_zoo"],
+    )
+    def test_sweep_experiments_receive_the_executor(self, monkeypatch, name):
+        from repro import cli
+
+        seen = {}
+        monkeypatch.setattr(
+            cli.exp_mod, name, lambda **kwargs: seen.update(kwargs)
+        )
+        executor = object()
+        cli.EXPERIMENTS[name]("options", executor)
+        assert seen["executor"] is executor
+
     def test_cache_stats_and_clear(self, tmp_path, capsys):
         from repro.runtime import DiskCache
 
