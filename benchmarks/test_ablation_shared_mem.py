@@ -12,7 +12,6 @@ the event path and records the ratio in
 ``results/runtime_scaling.json``.
 """
 
-import dataclasses
 import time
 
 from repro import obs
@@ -22,6 +21,7 @@ from repro.gpu.stats import geometric_mean
 
 from benchmarks.conftest import run_once
 from benchmarks.test_runtime_scaling import _merge_results
+from tests.conftest import event_oracle
 
 VARIANTS = {
     "abc_in_shared": KernelConfig(shared_operands="abc"),
@@ -66,33 +66,31 @@ def test_c_only_baseline_fastest(benchmark, bench_layers, bench_options):
 
 def test_ablation_fast_path_speedup(bench_layers, bench_options):
     """All three variants replay vectorised: fast tier only, identical
-    cycle counts, and the sweep beats the event path >= 2.5x (the
-    baseline-mode replay carries no LHB, so the ratio is pure
+    cycle counts, and the sweep beats the event-level oracle >= 2.5x
+    (the baseline-mode replay carries no LHB, so the ratio is pure
     load/store + cache mask work — measured ~3.3x)."""
-    on = dataclasses.replace(bench_options, engine="fast")
-    off = dataclasses.replace(bench_options, engine="event")
 
-    def sweep(options):
+    def sweep():
         return {
             name: [
                 simulate_layer(
                     spec,
                     EliminationMode.BASELINE,
                     kernel=kernel,
-                    options=options,
+                    options=bench_options,
                 ).cycles
                 for spec in bench_layers
             ]
             for name, kernel in VARIANTS.items()
         }
 
-    sweep(on)  # warm the trace cache: timings compare pure replay
+    sweep()  # warm the trace cache: timings compare pure replay
 
     obs.enable()
     obs.reset()
     try:
         t0 = time.perf_counter()
-        fast = sweep(on)
+        fast = sweep()
         t_fast = time.perf_counter() - t0
         counters = obs.snapshot()["counters"]
     finally:
@@ -101,9 +99,10 @@ def test_ablation_fast_path_speedup(bench_layers, bench_options):
     selected = {k for k in counters if k.startswith("engine.selected.")}
     assert selected == {"engine.selected.fast"}, counters
 
-    t0 = time.perf_counter()
-    event = sweep(off)
-    t_event = time.perf_counter() - t0
+    with event_oracle():
+        t0 = time.perf_counter()
+        event = sweep()
+        t_event = time.perf_counter() - t0
     assert fast == event
 
     ratios = {

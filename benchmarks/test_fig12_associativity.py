@@ -11,7 +11,6 @@ reference (identical rows required) and recording the ratio in
 ``results/runtime_scaling.json``.
 """
 
-import dataclasses
 import gc
 import time
 
@@ -22,6 +21,7 @@ from repro.conv.workloads import get_layer
 
 from benchmarks.conftest import run_once
 from benchmarks.test_runtime_scaling import _merge_results
+from tests.conftest import event_oracle
 
 #: Mirrors tests/test_goldens.py GOLDEN_LAYERS — the figure12 fixture
 #: subset, also the speedup tripwire's sweep.
@@ -60,33 +60,39 @@ def test_figure12_fast_path_sweep_speedup(bench_options):
     Runs on the figure12 golden subset (the layers the committed
     fixture pins).  The first (untimed) run warms the in-process trace
     cache so both timed sweeps compare pure replay work, not trace
-    generation.  The fast sweep must produce row-identical results,
-    and every assoc in the sweep must be answered by the fast tier.
-    Streams dominated
-    by same-address reuse (e.g. resnet C8) accelerate less — the
+    generation, and so no point streams (streaming always feeds the
+    fast replay).  The reference sweep replays through the
+    event-level oracle (``ldst.replay_trace``).  The fast sweep must
+    produce row-identical results, and every assoc in the sweep must
+    be answered by the fast tier.  Streams dominated by same-address
+    reuse (e.g. resnet C8) accelerate less — the
     stack-distance pruning has little to cut there — which is why the
     tripwire lives on the flagship subset; their correctness is pinned
     by the equivalence and fuzz suites.
     """
     layers = [get_layer(n, l) for n, l in GOLDEN_LAYERS]
-    on = dataclasses.replace(bench_options, engine="fast")
-    off = dataclasses.replace(bench_options, engine="event")
 
-    figure12(layers, on)  # warm the trace cache
+    figure12(layers, bench_options)  # warm the trace cache
 
     obs.enable()
     obs.reset()
     try:
-        exp_fast, t_fast = _best_of(lambda: figure12(layers, on), 3)
+        exp_fast, t_fast = _best_of(lambda: figure12(layers, bench_options), 3)
         counters = obs.snapshot()["counters"]
+        obs.reset()
+        with event_oracle():
+            exp_event, t_event = _best_of(
+                lambda: figure12(layers, bench_options), 2
+            )
+        event_counters = obs.snapshot()["counters"]
     finally:
         obs.reset()
         obs.disable()
     selected = {k for k in counters if k.startswith("engine.selected.")}
     assert selected == {"engine.selected.fast"}, counters
     assert counters.get("fastpath.replays", 0) > 0, counters
-
-    exp_event, t_event = _best_of(lambda: figure12(layers, off), 2)
+    # The reference sweep really ran the oracle.
+    assert "fastpath.replays" not in event_counters, event_counters
 
     # Bit-identical rows and summary, or the ratio is meaningless.
     assert exp_fast.rows == exp_event.rows

@@ -138,7 +138,7 @@ points = [
     SimPoint(
         spec=dataclasses.replace(spec, batch=batch),
         mode=EliminationMode.DUPLO,
-        options=SimulationOptions(engine="fast"),
+        options=SimulationOptions(),
     )
     for spec in layers_for_network("yolo")
 ]
@@ -242,7 +242,7 @@ def _bench_suite() -> Dict[str, Callable[[], Tuple[Callable, Callable]]]:
             result = simulate_layer(
                 spec,
                 mode=EliminationMode.DUPLO,
-                options=SimulationOptions(engine="fast"),
+                options=SimulationOptions(),
             )
             reference.append([
                 result.cycles,

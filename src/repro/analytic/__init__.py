@@ -24,7 +24,6 @@ bound table.
 
 from repro.analytic.engine import (
     ENGINE_ENV,
-    ENGINE_TIERS,
     analytic_fallback_reason,
     resolve_engine,
     supports_analytic,
@@ -53,7 +52,6 @@ __all__ = [
     "DEFAULT_GEOMETRIES",
     "ENGINE_ENV",
     "GOLDEN_GEOMETRIES",
-    "ENGINE_TIERS",
     "LayerProfile",
     "METRIC_FLOORS",
     "ValidationCase",

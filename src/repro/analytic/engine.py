@@ -1,18 +1,19 @@
-"""Engine-tier selection: analytic vs fast replay vs event replay.
+"""Engine-tier selection: analytic model vs fast replay.
 
-One simulation request can be answered at three price points:
+One simulation request can be answered at two price points:
 
 =========  =============  ==========================================
 tier       cost           fidelity
 =========  =============  ==========================================
 analytic   O(1) / query   exact LHB counters, bounded-error traffic
-fast       O(trace)       exact (bit-identical to the event path)
-event      O(trace),      exact reference (per-event state machines)
-           Python loop
+fast       O(trace)       exact (bit-identical to the event-level
+                          reference oracle, ``ldst.replay_trace``)
 =========  =============  ==========================================
 
-:func:`resolve_engine` turns ``SimulationOptions.engine`` plus the
-``$REPRO_ENGINE`` environment override into a requested tier;
+The event-level oracle is not a runtime tier: tests and benchmarks
+call it directly.  :func:`resolve_engine` turns
+``SimulationOptions.engine`` plus the ``$REPRO_ENGINE`` environment
+override into a requested tier;
 :func:`analytic_fallback_reason` reports why a configuration is
 outside analytic coverage (``None`` = covered) — every silent
 downgrade is counted under ``analytic.fallback`` (plus an
@@ -35,26 +36,21 @@ from repro.gpu.config import KernelConfig, SimulationOptions
 from repro.gpu.ldst import EliminationMode
 
 #: Environment override consulted when ``options.engine == "auto"``:
-#: set ``REPRO_ENGINE=analytic`` / ``fast`` / ``event`` to pin the
-#: tier without rebuilding options objects (the CI engine lanes use
-#: exactly this).
+#: ``REPRO_ENGINE=analytic`` pins the analytic tier without rebuilding
+#: options objects (the CI engine lane uses exactly this); any other
+#: value is ignored.
 ENGINE_ENV = "REPRO_ENGINE"
-
-#: Tiers the environment override may request.
-ENGINE_TIERS = ("analytic", "fast", "event")
 
 
 def resolve_engine(options: SimulationOptions) -> str:
     """The requested tier: explicit option, else env, else ``"auto"``.
 
-    ``"auto"`` means the default exact tier: the vectorised fast
-    replay.
+    ``"auto"`` means the exact tier: the vectorised fast replay.
     """
     if options.engine != "auto":
         return options.engine
-    env = os.environ.get(ENGINE_ENV, "").strip().lower()
-    if env in ENGINE_TIERS:
-        return env
+    if os.environ.get(ENGINE_ENV, "").strip().lower() == "analytic":
+        return "analytic"
     return "auto"
 
 

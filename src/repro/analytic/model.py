@@ -49,7 +49,7 @@ class AnalyticUnsupported(ValueError):
     """Raised when a prediction is requested outside analytic coverage.
 
     :func:`repro.analytic.engine.analytic_fallback_reason` routes
-    uncovered configurations to the exact tiers *before* reaching the
+    uncovered configurations to the exact tier *before* reaching the
     model.  A warm caller-supplied LHB is the one case it does not
     screen (:func:`~repro.gpu.simulator.simulate_layer` always builds
     a fresh buffer), so :func:`predict_stats` rejects it here.
@@ -82,7 +82,9 @@ def predict_stats(
     """Assemble the traced-prefix :class:`LayerStats` for one geometry.
 
     ``lhb`` must be fresh (the closed forms assume an empty buffer,
-    exactly like the fast path); its ``stats`` counters are filled
+    exactly like the fast path) and keeps counters only afterwards
+    (:meth:`~repro.core.lhb.LoadHistoryBuffer.begin_closed_form`); its
+    ``stats`` counters are filled
     with the exact lookup/hit/miss totals so Figure-10-style
     introspection agrees with the replay.  The structural miss
     taxonomy (compulsory / expired / conflict) is not modelled here —
@@ -97,8 +99,9 @@ def predict_stats(
         if not lhb.is_fresh():
             raise AnalyticUnsupported(
                 "analytic predictions assume a fresh LHB; replay warm "
-                "buffers through an exact tier"
+                "buffers through the event-level oracle (lhb.access)"
             )
+        lhb.begin_closed_form()
         lookups = profile.lookups
         hits = _predicted_hits(profile, lhb)
         lhb.stats.lookups += lookups

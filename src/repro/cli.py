@@ -84,14 +84,12 @@ def _add_arch_flag(parser: argparse.ArgumentParser) -> None:
 
 def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--engine", choices=["auto", "analytic", "fast", "event"],
+        "--engine", choices=["auto", "analytic"],
         default="auto",
-        help="simulation tier: auto runs the vectorised fast replay "
-        "(honouring $REPRO_ENGINE), analytic answers covered configs "
-        "from the closed-form profile (exact LHB counters, "
-        "bounded-error traffic, ~100x faster), fast pins the "
-        "vectorised replay, event the event-by-event reference; "
-        "fast and event are bit-identical",
+        help="simulation tier: auto runs the exact vectorised replay "
+        "(honouring $REPRO_ENGINE=analytic), analytic answers covered "
+        "configs from the closed-form profile (exact LHB counters, "
+        "bounded-error traffic, ~100x faster)",
     )
 
 

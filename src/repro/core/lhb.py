@@ -44,9 +44,9 @@ def vector_set_indices(
 ) -> np.ndarray:
     """Vectorised twin of :meth:`LoadHistoryBuffer._index`.
 
-    Must produce exactly ``_index`` element-wise: the fast replay and
-    the warm-residency fold both bucket by it, and any divergence from
-    the scalar path would silently split tags across sets.
+    Must produce exactly ``_index`` element-wise: the fast replay
+    buckets by it, and any divergence from the scalar path would
+    silently split tags across sets.
     """
     element = np.asarray(element)
     if hashed:
@@ -54,21 +54,6 @@ def vector_set_indices(
         mixed ^= mixed >> np.uint64(29)
         return (mixed % np.uint64(num_sets)).astype(np.int64)
     return np.mod(element.astype(np.int64), num_sets)
-
-
-def _tag_keys(
-    element: np.ndarray, batch: np.ndarray, pid: np.ndarray
-) -> np.ndarray:
-    """Injective int64 key per tag triple (valid within one call).
-
-    Bases are derived from the arrays themselves, so keys from
-    different calls are not comparable.
-    """
-    if not len(element):
-        return element.astype(np.int64)
-    base_b = np.int64(int(batch.max()) + 1)
-    base_p = np.int64(int(pid.max()) + 1)
-    return (element * base_b + batch) * base_p + pid
 
 
 @dataclass
@@ -141,33 +126,6 @@ class LHBResult:
     reg: int  # register holding the datum (existing on hit, new on miss)
 
 
-@dataclass(frozen=True)
-class _VectorState:
-    """Columnar residency snapshot of the buffer.
-
-    ``element``/``batch``/``pid``/``last_use`` are parallel int64
-    arrays, one row per resident entry (expired entries included — they
-    still occupy ways), sorted by ``last_use`` ascending.  ``last_use``
-    holds each entry's *global position*: the value of ``_seq`` at its
-    most recent touch, unique across entries.  The ``seen_*`` arrays
-    are the distinct tags ever missed (the compulsory-miss filter).
-
-    The buffer is always in exactly one representation: either the
-    Python ``_Entry`` structures (event path) or a ``_VectorState``
-    plus pending fast-replay segments (fast path).
-    :meth:`LoadHistoryBuffer.residency_snapshot` folds into this form;
-    :meth:`LoadHistoryBuffer._materialize` folds back.
-    """
-
-    element: np.ndarray
-    batch: np.ndarray
-    pid: np.ndarray
-    last_use: np.ndarray
-    seen_element: np.ndarray
-    seen_batch: np.ndarray
-    seen_pid: np.ndarray
-
-
 class LoadHistoryBuffer:
     """Direct-mapped / set-associative / oracle LHB.
 
@@ -212,14 +170,9 @@ class LoadHistoryBuffer:
         self._lazy_sets: Optional[List[List[_Entry]]] = None
         self.num_sets = 0 if num_entries is None else num_entries // assoc
         self._seen_tags: set = set()
-        # Fast-replay residency state: the last folded snapshot plus
-        # lookup segments replayed since (element, batch, pid arrays
-        # and the value of _seq before the segment).  See
-        # residency_snapshot() / _materialize().
-        self._vector_state: Optional[_VectorState] = None
-        self._pending_segments: List[
-            Tuple[np.ndarray, np.ndarray, np.ndarray, int]
-        ] = []
+        # Set once a closed-form replay has filled the counters: the
+        # buffer then holds no entries, so the event path refuses it.
+        self._closed_form = False
 
     @property
     def _sets(self) -> List[List[_Entry]]:
@@ -233,16 +186,32 @@ class LoadHistoryBuffer:
         return self.num_entries is None
 
     def is_fresh(self) -> bool:
-        """True while the buffer has never served an access.
+        """True while no lookup has been counted."""
+        return self.stats.lookups == 0
 
-        The analytic tier (:mod:`repro.analytic`) prices a lookup
-        stream in closed form under the assumption that the buffer
-        starts empty, so a warm buffer routes past it.  The vectorised
-        replay has no such restriction: it seeds its sorted-space
-        recurrence from :meth:`residency_snapshot`, so warm buffers
-        stay on the fast path.
+    def begin_closed_form(self) -> None:
+        """Hand this fresh buffer to a closed-form replay.
+
+        The fast replay (:mod:`repro.gpu.fastpath`) and the analytic
+        tier (:mod:`repro.analytic`) resolve a whole lookup stream at
+        once, assuming the buffer starts empty, and fill only
+        :attr:`stats`.  So they take fresh buffers only, and the buffer
+        keeps no entries afterwards: the event-path calls, whose
+        answers depend on entries, refuse it from then on.
         """
-        return self._seq == 0 and not self._seen_tags
+        if not self.is_fresh():
+            raise ValueError(
+                f"closed-form LHB replay needs a fresh buffer, but this "
+                f"one has counted {self.stats.lookups} lookups; replay "
+                f"a used buffer with access()"
+            )
+        self._closed_form = True
+
+    def _refuse_closed_form(self) -> None:
+        raise ValueError(
+            "this LHB was replayed in closed form and holds counters "
+            "only, no entries"
+        )
 
     # ------------------------------------------------------------------
     # Core access path
@@ -282,7 +251,8 @@ class LoadHistoryBuffer:
         a hit the returned register is the *existing* holder (the
         renaming target), and the hit relays the entry's lifetime.
         """
-        self._materialize()
+        if self._closed_form:
+            self._refuse_closed_form()
         self._seq += 1
         self.stats.lookups += 1
         tag: Tag = (element_id, batch_id, pid)
@@ -345,186 +315,6 @@ class LoadHistoryBuffer:
             self.stats.compulsory_misses += 1
 
     # ------------------------------------------------------------------
-    # Fast-replay residency state
-    # ------------------------------------------------------------------
-    def note_fast_replay(
-        self,
-        element: np.ndarray,
-        batch: np.ndarray,
-        pid: Optional[np.ndarray] = None,
-    ) -> None:
-        """Record one fast-replayed lookup segment.
-
-        The vectorised replay resolves the whole segment in closed form
-        without touching ``_Entry`` structures; this logs the raw
-        stream (and advances ``_seq`` by its length) so a later
-        :meth:`residency_snapshot` or event-path access can reconstruct
-        the exact post-segment buffer state lazily.
-        """
-        n = len(element)
-        if n == 0:
-            return
-        element = np.asarray(element, dtype=np.int64)
-        batch = np.asarray(batch, dtype=np.int64)
-        if pid is None:
-            pid = np.zeros(n, dtype=np.int64)
-        else:
-            pid = np.asarray(pid, dtype=np.int64)
-        self._pending_segments.append((element, batch, pid, self._seq))
-        self._seq += n
-
-    def residency_snapshot(self) -> _VectorState:
-        """Fold the buffer's current contents into a :class:`_VectorState`.
-
-        Combines whichever representation is live — Python entries, a
-        previous snapshot, pending fast-replay segments — into one
-        columnar latest-per-tag view capped at ``assoc`` most-recent
-        tags per set (exactly the membership the event path would hold:
-        a hit refreshes recency, dead-preferred eviction coincides with
-        plain LRU because expired entries are always older than live
-        ones), then switches the buffer to vector representation.
-        """
-        # -- gather (element, batch, pid, gpos) rows from all sources --
-        if self.is_oracle:
-            py_entries = list(self._oracle.values())
-        elif self._lazy_sets is not None:
-            py_entries = [e for ways in self._lazy_sets for e in ways]
-        else:
-            py_entries = []
-        parts = []
-        if py_entries:
-            parts.append(
-                (
-                    np.array([e.tag[0] for e in py_entries], dtype=np.int64),
-                    np.array([e.tag[1] for e in py_entries], dtype=np.int64),
-                    np.array([e.tag[2] for e in py_entries], dtype=np.int64),
-                    np.array([e.last_use for e in py_entries], dtype=np.int64),
-                )
-            )
-        vs = self._vector_state
-        if vs is not None and len(vs.element):
-            parts.append((vs.element, vs.batch, vs.pid, vs.last_use))
-        for element, batch, pid, seq_before in self._pending_segments:
-            gpos = seq_before + 1 + np.arange(len(element), dtype=np.int64)
-            parts.append((element, batch, pid, gpos))
-
-        empty = np.zeros(0, dtype=np.int64)
-        seen_parts = []
-        if vs is not None and len(vs.seen_element):
-            seen_parts.append((vs.seen_element, vs.seen_batch, vs.seen_pid))
-        if self._seen_tags:
-            rows = np.array(sorted(self._seen_tags), dtype=np.int64)
-            seen_parts.append((rows[:, 0], rows[:, 1], rows[:, 2]))
-
-        if parts:
-            el = np.concatenate([p[0] for p in parts])
-            ba = np.concatenate([p[1] for p in parts])
-            pi = np.concatenate([p[2] for p in parts])
-            gp = np.concatenate([p[3] for p in parts])
-            # Every row's tag has been looked up, so it belongs in the
-            # seen set too.
-            seen_parts.append((el, ba, pi))
-            keep = self._latest_per_tag(el, ba, pi, gp)
-            if not self.is_oracle:
-                keep = self._cap_per_set(el, gp, keep)
-            keep = keep[np.argsort(gp[keep], kind="stable")]
-            el, ba, pi, gp = el[keep], ba[keep], pi[keep], gp[keep]
-        else:
-            el = ba = pi = gp = empty
-
-        if seen_parts:
-            s_el = np.concatenate([p[0] for p in seen_parts])
-            s_ba = np.concatenate([p[1] for p in seen_parts])
-            s_pi = np.concatenate([p[2] for p in seen_parts])
-            ukey = _tag_keys(s_el, s_ba, s_pi)
-            order = np.argsort(ukey, kind="stable")
-            key_s = ukey[order]
-            first = np.ones(len(key_s), dtype=bool)
-            first[1:] = key_s[1:] != key_s[:-1]
-            keep_s = order[first]
-            s_el, s_ba, s_pi = s_el[keep_s], s_ba[keep_s], s_pi[keep_s]
-        else:
-            s_el = s_ba = s_pi = empty
-
-        state = _VectorState(
-            element=el, batch=ba, pid=pi, last_use=gp,
-            seen_element=s_el, seen_batch=s_ba, seen_pid=s_pi,
-        )
-        self._vector_state = state
-        self._pending_segments = []
-        self._oracle = {}
-        self._lazy_sets = None
-        self._seen_tags = set()
-        return state
-
-    @staticmethod
-    def _latest_per_tag(
-        el: np.ndarray, ba: np.ndarray, pi: np.ndarray, gp: np.ndarray
-    ) -> np.ndarray:
-        """Row indices of each distinct tag's most recent occurrence."""
-        key = _tag_keys(el, ba, pi)
-        order = np.lexsort((gp, key))
-        key_s = key[order]
-        last = np.ones(len(key_s), dtype=bool)
-        last[:-1] = key_s[1:] != key_s[:-1]
-        return order[last]
-
-    def _cap_per_set(
-        self, el: np.ndarray, gp: np.ndarray, keep: np.ndarray
-    ) -> np.ndarray:
-        """Keep only the ``assoc`` most-recent tags of each set."""
-        sets = vector_set_indices(el[keep], self.num_sets, self.hashed_index)
-        order = np.lexsort((-gp[keep], sets))
-        sets_s = sets[order]
-        new_set = np.ones(len(order), dtype=bool)
-        new_set[1:] = sets_s[1:] != sets_s[:-1]
-        idx = np.arange(len(order))
-        start = np.maximum.accumulate(np.where(new_set, idx, 0))
-        return keep[order[(idx - start) < self.assoc]]
-
-    def _materialize(self) -> None:
-        """Fold vector residency state back into Python ``_Entry``\\ s.
-
-        Called lazily at the top of every event-path operation so a
-        fast-replayed buffer looks exactly as if the stream had been
-        fed through :meth:`access` one lookup at a time (same
-        membership, recency, expiry horizons, and seen-tag filter; the
-        recorded registers are not reconstructed and read as 0).
-        """
-        if self._vector_state is None and not self._pending_segments:
-            return
-        state = self.residency_snapshot()
-        self._vector_state = None
-        lifetime = self.lifetime
-        entries = [
-            _Entry(
-                tag=(e, b, p),
-                reg=0,
-                expires_at=None if lifetime is None else g + lifetime,
-                last_use=g,
-            )
-            for e, b, p, g in zip(
-                state.element.tolist(),
-                state.batch.tolist(),
-                state.pid.tolist(),
-                state.last_use.tolist(),
-            )
-        ]
-        if self.is_oracle:
-            self._oracle = {entry.tag: entry for entry in entries}
-        elif entries:
-            sets = self._sets
-            for entry in entries:
-                sets[self._index(entry.tag[0])].append(entry)
-        self._seen_tags = set(
-            zip(
-                state.seen_element.tolist(),
-                state.seen_batch.tolist(),
-                state.seen_pid.tolist(),
-            )
-        )
-
-    # ------------------------------------------------------------------
     # Consistency hooks
     # ------------------------------------------------------------------
     def invalidate(self, element_id: int, batch_id: int, pid: int = 0) -> bool:
@@ -538,7 +328,8 @@ class LoadHistoryBuffer:
         notes this never fired in their experiments (GEMM kernels do
         not store to the workspace); our tests exercise it anyway.
         """
-        self._materialize()
+        if self._closed_form:
+            self._refuse_closed_form()
         tag: Tag = (element_id, batch_id, pid)
         if self.is_oracle:
             entry = self._oracle.pop(tag, None)
@@ -558,7 +349,6 @@ class LoadHistoryBuffer:
 
     def flush(self) -> None:
         """Drop all entries (kernel boundary / power-gating)."""
-        self._materialize()
         if self.is_oracle:
             self._oracle.clear()
         elif self._lazy_sets is not None:
@@ -570,7 +360,8 @@ class LoadHistoryBuffer:
     # ------------------------------------------------------------------
     def live_entries(self) -> int:
         """Number of currently valid (non-expired) entries."""
-        self._materialize()
+        if self._closed_form:
+            self._refuse_closed_form()
         if self.is_oracle:
             return sum(self._alive(e) for e in self._oracle.values())
         if self._lazy_sets is None:

@@ -458,16 +458,14 @@ class SimulationOptions:
     pid: int = 0
     representative_sm: int = 0
     #: Simulation engine tier — the one replay selector.  "auto" runs
-    #: the vectorised fast replay unless the ``REPRO_ENGINE``
-    #: environment variable overrides it.  "analytic" answers covered
-    #: configurations from the closed-form profile of
-    #: :mod:`repro.analytic` — approximate traffic counters, exact LHB
-    #: counters, no trace — and falls back to the fast replay where
-    #: uncovered (counted under ``analytic.fallback``).  "fast" pins
-    #: the vectorised replay; "event" pins the event-by-event
-    #: reference oracle.  The two exact tiers are bit-identical, so the
-    #: field is normalised out of cache keys; the analytic tier is
-    #: approximate and therefore never touches the result cache.
+    #: the vectorised fast replay unless ``REPRO_ENGINE=analytic``
+    #: overrides it.  "analytic" answers covered configurations from
+    #: the closed-form profile of :mod:`repro.analytic` — approximate
+    #: traffic counters, exact LHB counters, no trace — and falls back
+    #: to the fast replay where uncovered (counted under
+    #: ``analytic.fallback``).  The field is normalised out of cache
+    #: keys; the analytic tier is approximate and therefore never
+    #: touches the result cache.
     engine: str = "auto"
 
     def __post_init__(self) -> None:
@@ -476,8 +474,7 @@ class SimulationOptions:
                 f"lhb_granularity must be 'fragment' or 'instruction', "
                 f"got {self.lhb_granularity!r}"
             )
-        if self.engine not in ("auto", "analytic", "fast", "event"):
+        if self.engine not in ("auto", "analytic"):
             raise ValueError(
-                f"engine must be 'auto', 'analytic', 'fast' or 'event', "
-                f"got {self.engine!r}"
+                f"engine must be 'auto' or 'analytic', got {self.engine!r}"
             )

@@ -21,12 +21,8 @@ exact closed forms:
   and a resident entry hits iff its retirement window also holds.
   PID-tagged multi-kernel interleavings
   (:mod:`repro.gpu.multikernel`) fold the PID into the tag key and
-  resolve in the same recurrences.  *Warm* buffers resolve too: the
-  buffer's residency snapshot (latest-per-tag membership with global
-  sequence positions) prepends to the stream as a prefix of resident
-  rows, and the recurrences run on global positions instead of stream
-  offsets — for a fresh buffer the two coincide, so the fresh case is
-  byte-for-byte the old closed form.
+  resolve in the same recurrences.  All of them assume the buffer
+  starts empty, so the replay takes fresh buffers only.
 
 * **LRU inclusion property** — an access to a set-associative LRU cache
   hits iff its *stack distance* (distinct lines referenced in the same
@@ -48,10 +44,7 @@ exact closed forms:
 the physical registers the LHB records, which is what keeps the closed
 forms sufficient; the fast path fills the caller's
 :class:`~repro.core.lhb.LHBStats` counters so introspection agrees with
-the event path, and logs the replayed stream with the buffer
-(:meth:`~repro.core.lhb.LoadHistoryBuffer.note_fast_replay`) so
-post-replay state — membership, recency, seen tags — reconstructs
-lazily on the next event-path touch.
+the event path, but keeps no LHB entries.
 """
 
 from __future__ import annotations
@@ -329,19 +322,13 @@ def simulate_lhb_stream(
     lhb: LoadHistoryBuffer,
     pid: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Replay a lookup stream through ``lhb`` in closed form.
+    """Replay a lookup stream through a fresh ``lhb`` in closed form.
 
     Returns the per-lookup hit mask and fills ``lhb.stats`` with the
-    exact counters the event path would produce.  The buffer may be
-    *warm*: its residency snapshot (latest-per-tag membership with
-    global sequence positions) prepends to the stream as a prefix of
-    already-resident rows, and the recurrences compare retirement
-    windows on global positions — for a fresh buffer those equal the
-    stream offsets, so the fresh case reduces to the plain closed form.
-    The replayed segment is logged with the buffer
-    (:meth:`~repro.core.lhb.LoadHistoryBuffer.note_fast_replay`), so
-    the sequence counter advances and a later event-path touch or
-    chained fast replay sees the exact post-stream state.
+    exact counters the event path would produce.  The recurrences
+    assume the buffer starts empty, so a used buffer raises
+    ``ValueError``
+    (:meth:`~repro.core.lhb.LoadHistoryBuffer.begin_closed_form`).
 
     ``pid`` carries the per-lookup process ID of a multi-kernel
     interleaving (:mod:`repro.gpu.multikernel`); omitted, all lookups
@@ -350,6 +337,7 @@ def simulate_lhb_stream(
     tag key only — set indexing stays a function of the element ID,
     exactly as :meth:`~repro.core.lhb.LoadHistoryBuffer._index`.
     """
+    lhb.begin_closed_form()
     n = len(element)
     stats = lhb.stats
     stats.lookups += n
@@ -357,122 +345,58 @@ def simulate_lhb_stream(
         return np.zeros(0, dtype=bool)
     element = np.asarray(element, dtype=np.int64)
     batch = np.asarray(batch, dtype=np.int64)
-    if pid is not None:
-        pid = np.asarray(pid, dtype=np.int64)
-
-    # Fold any carried-over state into the columnar snapshot.  The
-    # prefix rows carry the residency the event path would hold (one
-    # row per resident tag, positioned at its last use); the stream
-    # continues the buffer's global sequence numbering.
-    warm = lhb.residency_snapshot()
-    n_prefix = len(warm.element)
-    warm_seen = len(warm.seen_element) > 0
-    gpos = lhb._seq + 1 + np.arange(n, dtype=np.int64)
-    full_el, full_ba, full_pi = element, batch, pid
-    if n_prefix:
-        full_el = np.concatenate([warm.element, element])
-        full_ba = np.concatenate([warm.batch, batch])
-        full_pi = np.concatenate(
-            [warm.pid, pid if pid is not None else np.zeros(n, dtype=np.int64)]
-        )
-        gpos = np.concatenate([warm.last_use, gpos])
 
     # Injective (element, batch[, pid]) -> int64 key: batches and PIDs
     # are small non-negative ints, elements may be negative (merged
-    # padding).  Bases span the seen tags too so stream keys and the
-    # compulsory-miss filter live in one key space.
-    bmax = int(full_ba.max())
-    if warm_seen:
-        bmax = max(bmax, int(warm.seen_batch.max()))
-    base = np.int64(bmax + 1)
-    tag = full_el * base + full_ba
-    seen_key = None
-    if warm_seen:
-        seen_key = warm.seen_element * base + warm.seen_batch
-    if full_pi is not None or (warm_seen and warm.seen_pid.any()):
-        if full_pi is None:
-            full_pi = np.zeros(len(full_el), dtype=np.int64)
-        pmax = int(full_pi.max())
-        if warm_seen:
-            pmax = max(pmax, int(warm.seen_pid.max()))
-        pbase = np.int64(pmax + 1)
-        tag = tag * pbase + full_pi
-        if seen_key is not None:
-            seen_key = seen_key * pbase + warm.seen_pid
+    # padding).
+    tag = element * np.int64(int(batch.max()) + 1) + batch
+    if pid is not None:
+        pid = np.asarray(pid, dtype=np.int64)
+        tag = tag * np.int64(int(pid.max()) + 1) + pid
 
     if not lhb.is_oracle and lhb.assoc > 1:
-        hit_full = _set_associative_lhb_stream(full_el, tag, gpos, n_prefix, lhb)
+        return _set_associative_lhb_stream(element, tag, lhb)
+
+    # One stable sort groups the lookups by set (tag, for the oracle);
+    # every lookup's predecessor-in-set is then simply the previous
+    # sorted neighbour, so the whole recurrence reduces to adjacent
+    # pair comparisons in sorted space.
+    group = tag if lhb.is_oracle else _lhb_set_indices(element, lhb)
+    order = stable_order(group)
+    adjacent = group[order[1:]] == group[order[:-1]]  # has a predecessor
+    if lhb.is_oracle:
+        same_tag = adjacent
     else:
-        # One stable sort groups the rows by set (tag, for the oracle);
-        # every lookup's predecessor-in-set is then simply the previous
-        # sorted neighbour, so the whole recurrence reduces to adjacent
-        # pair comparisons in sorted space.  Rows enter in ascending
-        # ``gpos`` order (prefix first), so within a group the sorted
-        # neighbours are consecutive in global time; prefix rows carry
-        # distinct tags — at most one per set — and therefore are never
-        # the *later* element of a pair.
-        group = tag if lhb.is_oracle else _lhb_set_indices(full_el, lhb)
-        order = stable_order(group)
-        adjacent = group[order[1:]] == group[order[:-1]]  # has a predecessor
-        if lhb.is_oracle:
-            same_tag = adjacent
-        else:
-            s_tag = tag[order]
-            same_tag = adjacent & (s_tag[1:] == s_tag[:-1])
-        if lhb.lifetime is None:
-            within = adjacent
-        elif n_prefix == 0:
-            # Fresh: gpos is affine in stream position, so position
-            # gaps equal gpos gaps — skip the gather.
-            within = adjacent & ((order[1:] - order[:-1]) < lhb.lifetime)
-        else:
-            g_s = gpos[order]
-            within = adjacent & ((g_s[1:] - g_s[:-1]) < lhb.lifetime)
+        s_tag = tag[order]
+        same_tag = adjacent & (s_tag[1:] == s_tag[:-1])
+    if lhb.lifetime is None:
+        within = adjacent
+    else:
+        within = adjacent & ((order[1:] - order[:-1]) < lhb.lifetime)
 
-        hit_pairs = same_tag & within
-        hit_full = np.zeros(n_prefix + n, dtype=bool)
-        hit_full[order[1:]] = hit_pairs
-        n_hits = int(hit_pairs.sum())
-        stats.hits += n_hits
-        stats.misses += n - n_hits
-        stats.expired_misses += int((same_tag & ~within).sum())
-        if lhb.is_oracle:
-            if not warm_seen:
-                # Adjacency already chains same-tag accesses: the group
-                # leaders are exactly the first-of-tag (compulsory)
-                # lookups.
-                stats.compulsory_misses += n - int(adjacent.sum())
-        else:
-            stats.conflict_replacements += int(
-                (adjacent & ~same_tag & within).sum()
-            )
-
-    # Compulsory misses: distinct stream tags never seen before.  The
-    # event path counts a tag's first-ever miss; a stream tag absent
-    # from the seen set necessarily misses on its first occurrence
-    # (no resident prefix row carries an unseen tag).
-    if warm_seen:
-        stream_tag = tag[n_prefix:]
-        sk = np.sort(seen_key)
-        st = np.sort(stream_tag)
-        firsts = np.ones(len(st), dtype=bool)
-        firsts[1:] = st[1:] != st[:-1]
-        distinct = st[firsts]
-        idx = np.searchsorted(sk, distinct)
-        idx[idx == len(sk)] = len(sk) - 1
-        stats.compulsory_misses += int((sk[idx] != distinct).sum())
-    elif not lhb.is_oracle:
+    hit_pairs = same_tag & within
+    hit = np.zeros(n, dtype=bool)
+    hit[order[1:]] = hit_pairs
+    n_hits = int(hit_pairs.sum())
+    stats.hits += n_hits
+    stats.misses += n - n_hits
+    stats.expired_misses += int((same_tag & ~within).sum())
+    if lhb.is_oracle:
+        # Adjacency already chains same-tag accesses: the group leaders
+        # are exactly the first-of-tag (compulsory) lookups.
+        stats.compulsory_misses += n - int(adjacent.sum())
+    else:
+        stats.conflict_replacements += int(
+            (adjacent & ~same_tag & within).sum()
+        )
+        # Each distinct tag misses compulsorily on its first lookup.
         stats.compulsory_misses += distinct_count(tag)
-
-    lhb.note_fast_replay(element, batch, pid)
-    return hit_full[n_prefix:]
+    return hit
 
 
 def _set_associative_lhb_stream(
     element: np.ndarray,
     tag: np.ndarray,
-    gpos: np.ndarray,
-    n_prefix: int,
     lhb: LoadHistoryBuffer,
 ) -> np.ndarray:
     """Offline per-set LRU resolution of a 2+-way LHB stream.
@@ -491,8 +415,8 @@ def _set_associative_lhb_stream(
       inclusion; counted by the same dominance pass as
       :func:`lru_hit_mask`);
     * **hit** — resident and the previous access is within the
-      retirement window (global stream positions — the LHB sequence
-      number spans all sets);
+      retirement window (stream positions — the LHB sequence number
+      spans all sets);
     * **expired miss** — resident but outside the window (the entry is
       still in the set, so the event path finds-and-removes it);
     * **conflict replacement** — a miss of a non-resident tag in a
@@ -503,30 +427,22 @@ def _set_associative_lhb_stream(
       windowed last-occurrence count, answered by one more dominance
       pass over next-occurrence indices.
 
-    The first ``n_prefix`` rows are a warm buffer's residency snapshot
-    (distinct tags, at most ``assoc`` per set, positioned at their
-    ``gpos`` of last use); they participate in every recurrence as
-    already-resident candidates but never produce counters themselves
-    — they carry no predecessor (distinct tags) and can never evict
-    (at most ``assoc`` prefix rows per set).  Retirement windows
-    compare ``gpos`` — the buffer's global sequence numbers — which
-    for a fresh buffer coincide with stream positions.
+    Compulsory misses are the distinct tags: the buffer starts empty.
     """
-    n_total = len(tag)
-    n = n_total - n_prefix  # stream lookups (counters cover these only)
+    n = len(tag)
     stats = lhb.stats
     assoc = lhb.assoc
     sets = _lhb_set_indices(element, lhb)
 
-    order = stable_order(sets)  # set-grouped, global-time order within
+    order = stable_order(sets)  # set-grouped, stream order within
     s_tag = tag[order]
-    g_s = gpos[order]
-    pos = np.arange(n_total, dtype=np.int64)
+    pos = np.arange(n, dtype=np.int64)
     prev_s = prev_in_group(s_tag)  # same tag => same set => same block
     has_prev = prev_s >= 0
 
     first = ~has_prev  # first-ever occurrence of the tag (== in-set)
     csum = np.cumsum(first)
+    stats.compulsory_misses += int(csum[-1])
 
     # Residency: windows shorter than assoc short-circuit; first-ever
     # occurrences inside the window are distinct tags for free (an
@@ -548,17 +464,17 @@ def _set_associative_lhb_stream(
             sd = counts - (qt + 1)
             resident[qi[sd < assoc]] = True
 
-    # Retirement window: gaps are *global* sequence positions (the LHB
-    # sequence number counts every lookup, whichever set it lands in).
-    within = np.zeros(n_total, dtype=bool)
+    # Retirement window: gaps are stream positions (the LHB sequence
+    # number counts every lookup, whichever set it lands in).
+    within = np.zeros(n, dtype=bool)
     ip = np.nonzero(has_prev)[0]
     if lhb.lifetime is None:
         within[ip] = True
     else:
-        within[ip] = (g_s[ip] - g_s[prev_s[ip]]) < lhb.lifetime
+        within[ip] = (order[ip] - order[prev_s[ip]]) < lhb.lifetime
 
     hit_s = resident & within
-    hit = np.zeros(n_total, dtype=bool)
+    hit = np.zeros(n, dtype=bool)
     hit[order] = hit_s
     n_hits = int(hit_s.sum())
     stats.hits += n_hits
@@ -567,7 +483,7 @@ def _set_associative_lhb_stream(
 
     # Conflict replacements: misses of non-resident tags in full sets.
     s_sets = sets[order]
-    new_block = np.ones(n_total, dtype=bool)
+    new_block = np.ones(n, dtype=bool)
     new_block[1:] = s_sets[1:] != s_sets[:-1]
     block_id = np.cumsum(new_block) - 1
     bstart = pos[new_block][block_id]  # block start per sorted slot
@@ -578,17 +494,17 @@ def _set_associative_lhb_stream(
             stats.conflict_replacements += int(evict.sum())
         else:
             ei = pos[evict]
-            # Next same-tag occurrence per sorted slot (n_total = none).
-            nxt = np.full(n_total, n_total, dtype=np.int64)
+            # Next same-tag occurrence per sorted slot (n = none).
+            nxt = np.full(n, n, dtype=np.int64)
             nxt[prev_s[ip]] = ip
             # First in-window slot of each evicting miss's set block:
-            # per-block offsets keep the (block, global position) key
-            # monotone for one global searchsorted.  gpos is ascending
-            # within each block, bounded by its final value.
-            big = np.int64(int(gpos[-1]) + 2)
-            aug = block_id * big + g_s
+            # per-block offsets keep the (block, stream position) key
+            # monotone for one global searchsorted.  Positions ascend
+            # within each block and stay below n.
+            big = np.int64(n + 1)
+            aug = block_id * big + order
             first_in_window = np.searchsorted(
-                aug, block_id[ei] * big + (g_s[ei] - lhb.lifetime),
+                aug, block_id[ei] * big + (order[ei] - lhb.lifetime),
                 side="right",
             )
             # A window opening before the stream start underflows into
@@ -775,7 +691,6 @@ class _StreamAccumulator:
         options: SimulationOptions,
         mode: EliminationMode,
         lookups: bool,
-        l2_share_sms: Optional[int] = None,
     ):
         self.spec = spec
         self.lda = lda
@@ -783,17 +698,12 @@ class _StreamAccumulator:
         self.mode = mode
         self.lookups = lookups
 
-        l2_capacity = gpu.l2_bytes
-        if l2_share_sms is not None:
-            l2_capacity = max(
-                gpu.l2_bytes // l2_share_sms, gpu.l2_assoc * gpu.l2_line_bytes
-            )
         self.l1 = SetAssociativeCache(
             gpu.l1_bytes, gpu.l1_assoc, gpu.l1_line_bytes,
             mshr_window=gpu.l1_latency,
         )
         self.l2 = SetAssociativeCache(
-            l2_capacity, gpu.l2_assoc, gpu.l2_line_bytes
+            gpu.l2_bytes, gpu.l2_assoc, gpu.l2_line_bytes
         )
         self._gpu = gpu
 
@@ -989,7 +899,6 @@ def replay_blocks_fast(
     options: SimulationOptions = SimulationOptions(),
     mode: EliminationMode = EliminationMode.DUPLO,
     lhb: Optional[LoadHistoryBuffer] = None,
-    l2_share_sms: Optional[int] = None,
 ) -> LayerStats:
     """Streaming twin of :func:`replay_trace_fast`.
 
@@ -1004,8 +913,7 @@ def replay_blocks_fast(
     if mode is not EliminationMode.BASELINE and lhb is None:
         lhb = LoadHistoryBuffer(lifetime=options.lhb_lifetime)
     acc = _StreamAccumulator(
-        spec, int(meta["lda"]), gpu, options, mode, lhb is not None,
-        l2_share_sms,
+        spec, int(meta["lda"]), gpu, options, mode, lhb is not None
     )
     for block in blocks:
         acc.feed(
@@ -1026,14 +934,12 @@ def replay_trace_fast(
     options: SimulationOptions = SimulationOptions(),
     mode: EliminationMode = EliminationMode.DUPLO,
     lhb: Optional[LoadHistoryBuffer] = None,
-    l2_share_sms: Optional[int] = None,
     trace_key=None,
 ) -> LayerStats:
     """Vectorised, bit-identical drop-in for ``replay_trace``.
 
-    Covers every configuration the event path does, warm caller-
-    supplied buffers included (the residency snapshot seeds the LHB
-    recurrence).
+    Covers every configuration the event path does.  A caller-supplied
+    ``lhb`` must be fresh: a used buffer raises ``ValueError``.
 
     ``trace_key`` is a hashable identity of ``trace`` together with
     the ``spec``, ``gpu`` and ``options`` it is replayed under — the
@@ -1050,8 +956,7 @@ def replay_trace_fast(
 
     def feed() -> _FedStreams:
         acc = _StreamAccumulator(
-            spec, trace.lda, gpu, options, mode, lhb is not None,
-            l2_share_sms,
+            spec, trace.lda, gpu, options, mode, lhb is not None
         )
         acc.feed(trace.kind, trace.address, trace.instr)
         return acc.streams()

@@ -199,7 +199,6 @@ def replay_trace(
     options: SimulationOptions = SimulationOptions(),
     mode: EliminationMode = EliminationMode.DUPLO,
     lhb: Optional[LoadHistoryBuffer] = None,
-    l2_share_sms: Optional[int] = None,
 ) -> LayerStats:
     """Replay one SM's trace through the LHB and memory hierarchy.
 
@@ -208,24 +207,21 @@ def replay_trace(
     capacity against this SM's stream: for the shared operands
     (filters) every SM reads the same lines so one copy serves all,
     and the private workspace stream is far larger than any slice
-    would hold anyway.  ``l2_share_sms`` overrides this with a
-    capacity slice (contention ablation).
+    would hold anyway.
+
+    This is the event-by-event reference oracle that
+    :func:`repro.gpu.fastpath.replay_trace_fast` reproduces bit for
+    bit; tests and benchmarks call it directly.
     """
     if mode is not EliminationMode.BASELINE and lhb is None:
         lhb = LoadHistoryBuffer(lifetime=options.lhb_lifetime)
-    l2_capacity = gpu.l2_bytes
-    if l2_share_sms is not None:
-        l2_capacity = max(
-            gpu.l2_bytes // l2_share_sms, gpu.l2_assoc * gpu.l2_line_bytes
-        )
-
     # Hits within a fill latency of the line's miss are MSHR merges
     # (Figure 8's MSHR; same traffic, different latency attribution).
     l1 = SetAssociativeCache(
         gpu.l1_bytes, gpu.l1_assoc, gpu.l1_line_bytes,
         mshr_window=gpu.l1_latency,
     )
-    l2 = SetAssociativeCache(l2_capacity, gpu.l2_assoc, gpu.l2_line_bytes)
+    l2 = SetAssociativeCache(gpu.l2_bytes, gpu.l2_assoc, gpu.l2_line_bytes)
 
     is_load = trace.kind != STORE_D
     load_kind = trace.kind[is_load]

@@ -75,7 +75,7 @@ def _interleave(
     streams: Sequence[Tuple[np.ndarray, np.ndarray]], chunk: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Round-robin ``chunk``-sized slices into one (batch, element, pid)
-    stream — the exact access order of the event-path scheduler loop."""
+    stream — the access order of kernels time-sliced onto one SM."""
     b_parts: List[np.ndarray] = []
     e_parts: List[np.ndarray] = []
     p_parts: List[np.ndarray] = []
@@ -118,17 +118,11 @@ def simulate_shared_lhb(
     The scheduler alternates ``chunk``-sized load slices round-robin
     across the kernels (the granularity at which time-slicing
     interleaves co-resident kernels' warps); kernel ``i`` is tagged
-    with PID ``i``.
-
-    ``options.engine`` selects the replay implementation as in the
-    single-kernel simulator: ``"event"`` pins the event loop, every
-    other tier takes the vectorised recurrence, which folds the PID
-    into the tag key and is bit-identical to the event loop on every
-    counter, including against a caller-supplied *warm* ``lhb`` (its
-    residency snapshot seeds the recurrence).
+    with PID ``i``.  The vectorised recurrence folds the PID into the
+    tag key and is bit-identical to feeding the interleaved stream
+    through ``lhb.access`` on every counter.  A caller-supplied
+    ``lhb`` must be fresh.
     """
-    from repro.analytic.engine import resolve_engine
-
     if not specs:
         raise ValueError("need at least one kernel")
     if chunk < 1:
@@ -146,34 +140,11 @@ def simulate_shared_lhb(
     ]
     lookups = [len(element) for _, element in streams]
 
-    if resolve_engine(options) != "event":
-        batch_i, element_i, pid_i = _interleave(streams, chunk)
-        obs.add("fastpath.shared_replays")
-        obs.add("fastpath.shared_lookups", int(len(element_i)))
-        hit = simulate_lhb_stream(element_i, batch_i, lhb, pid=pid_i)
-        counts = np.bincount(pid_i[hit], minlength=len(specs))
-        hits = [int(c) for c in counts]
-    else:
-        cursors = [0] * len(specs)
-        hits = [0] * len(specs)
-        live = True
-        while live:
-            live = False
-            for pid, (batch, element) in enumerate(streams):
-                start = cursors[pid]
-                if start >= len(element):
-                    continue
-                live = True
-                stop = min(start + chunk, len(element))
-                b_l = batch[start:stop].tolist()
-                e_l = element[start:stop].tolist()
-                access = lhb.access
-                h = 0
-                for b, e in zip(b_l, e_l):
-                    if access(e, b, 0, pid=pid).hit:
-                        h += 1
-                hits[pid] += h
-                cursors[pid] = stop
+    batch_i, element_i, pid_i = _interleave(streams, chunk)
+    obs.add("fastpath.shared_replays")
+    obs.add("fastpath.shared_lookups", int(len(element_i)))
+    hit = simulate_lhb_stream(element_i, batch_i, lhb, pid=pid_i)
+    hits = np.bincount(pid_i[hit], minlength=len(specs)).tolist()
 
     return [
         KernelShare(spec=spec, pid=pid, lookups=lookups[pid], hits=hits[pid])

@@ -11,7 +11,7 @@ produced.
 Traces are cached per (layer, gpu, kernel, options) in an in-process
 LRU so parameter sweeps (Figures 9, 10, 12, 13) pay trace generation
 once.  The key covers the *full* frozen :class:`SimulationOptions`
-except ``engine``, which picks the replay and never changes the trace
+except ``engine``, which picks the tier and never changes the trace
 (an earlier revision keyed only on ``max_ctas`` / ``representative_sm``
 and aliased options objects differing elsewhere).  The LRU can be
 backed by a persistent :class:`repro.runtime.store.DiskCache` via
@@ -43,7 +43,7 @@ from repro.gpu.config import (
 from repro.gpu.fastpath import clear_fed_memo, replay_trace_fast
 from repro.gpu.isa import KernelTrace
 from repro.gpu.kernel import generate_sm_trace
-from repro.gpu.ldst import EliminationMode, replay_trace
+from repro.gpu.ldst import EliminationMode
 from repro.gpu.stats import LayerStats
 from repro.gpu.timing import TimingModel
 
@@ -79,8 +79,8 @@ def get_trace_store():
 
 
 def _trace_cache_key(spec, gpu, kernel, options) -> Tuple:
-    # The engine selects the replay implementation, never the trace —
-    # normalise it out so fast/event runs share one cached trace.
+    # The engine selects the tier, never the trace — normalise it out
+    # so an analytic fallback shares the exact tier's cached trace.
     return (spec, gpu, kernel, replace(options, engine="auto"))
 
 
@@ -255,11 +255,10 @@ def simulate_layer(
 
     The ``options.engine`` tier (with its ``$REPRO_ENGINE`` override)
     picks how the request is answered: the trace-free analytic model
-    where covered, the event-level reference oracle when pinned, else
-    the vectorised fast replay.  The tier that actually served is
-    published as ``engine.selected.<tier>``; analytic coverage misses
-    are counted under ``analytic.fallback`` — see
-    :mod:`repro.analytic.engine`.
+    where covered, else the vectorised fast replay.  The tier that
+    actually served is published as ``engine.selected.<tier>``;
+    analytic coverage misses are counted under ``analytic.fallback`` —
+    see :mod:`repro.analytic.engine`.
     """
     from repro.analytic.engine import (
         analytic_fallback_reason,
@@ -300,21 +299,12 @@ def simulate_layer(
             trace = _get_trace(spec, gpu, kernel, options)
             meta = trace
             events = int(trace.kind.size)
-            if tier == "event":
-                selected = "event"
-                with obs.span("sim.replay.event", layer=spec.qualified_name):
-                    sm_traced = replay_trace(
-                        trace, spec, gpu, options, mode, lhb
-                    )
-            else:  # "fast", "auto", or analytic coverage fallback
-                selected = "fast"
-                with obs.span("sim.replay.fast", layer=spec.qualified_name):
-                    sm_traced = replay_trace_fast(
-                        trace, spec, gpu, options, mode, lhb,
-                        trace_key=_trace_cache_key(
-                            spec, gpu, kernel, options
-                        ),
-                    )
+            selected = "fast"
+            with obs.span("sim.replay.fast", layer=spec.qualified_name):
+                sm_traced = replay_trace_fast(
+                    trace, spec, gpu, options, mode, lhb,
+                    trace_key=_trace_cache_key(spec, gpu, kernel, options),
+                )
         count_selected(selected)
 
     return _assemble_result(

@@ -125,23 +125,6 @@ def _resolves_analytic(point: SimPoint) -> bool:
     )
 
 
-def _point_tier(point: SimPoint) -> str:
-    """Which engine tier will answer ``point``: analytic/fast/event.
-
-    A *pure* mirror of the simulator's tier selection — it must not
-    touch ``repro.obs``.  Points always reach ``simulate_layer`` with a
-    fresh LHB, so the only route to the event tier is the explicit
-    ``engine="event"`` pin (or its env override).
-    """
-    from repro.analytic.engine import resolve_engine
-
-    if _resolves_analytic(point):
-        return "analytic"
-    if resolve_engine(point.options) == "event":
-        return "event"
-    return "fast"
-
-
 def _stream_cold(point: SimPoint, cache: Optional[DiskCache]) -> bool:
     """Should this point stream instead of materialising its trace?
 
@@ -150,12 +133,12 @@ def _stream_cold(point: SimPoint, cache: Optional[DiskCache]) -> bool:
     store's sidecar writer) blockwise, so nothing ever holds the full
     event columns.  A trace already in the in-process LRU or the disk
     store is cheaper to replay from — and keeps RSS flat anyway, since
-    it is materialised at most once.  Only the fast tier can stream
-    (the accumulator is the vectorised replay's).
+    it is materialised at most once.  Analytic points have no trace to
+    stream.
     """
     from repro.gpu import simulator
 
-    if _point_tier(point) != "fast":
+    if _resolves_analytic(point):
         return False
     if simulator.trace_is_cached(
         point.spec, point.gpu, point.kernel, point.options

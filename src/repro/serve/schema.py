@@ -32,12 +32,12 @@ from repro.gpu.config import (
 from repro.gpu.ldst import EliminationMode
 from repro.runtime.executor import SimPoint
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 NETWORKS = tuple(sorted(WORKLOADS))
 ARCH_NAMES = tuple(sorted(ARCHS))
 MODES = tuple(m.value for m in EliminationMode)
-ENGINES = ("auto", "analytic", "fast", "event")
+ENGINES = ("auto", "analytic")
 
 #: Every field a query may carry (anything else is rejected).
 _FIELDS = (

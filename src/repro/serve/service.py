@@ -53,7 +53,7 @@ from repro.serve.schema import (
 )
 
 #: Latency histogram bucket upper bounds, seconds.  Spans the analytic
-#: tier (sub-ms warm) through a cold event-tier layer; the last bucket
+#: tier (sub-ms warm) through a cold full-network layer; the last bucket
 #: is open-ended.
 LATENCY_BUCKETS_S = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,

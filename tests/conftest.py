@@ -1,5 +1,7 @@
 """Shared fixtures: small synthetic layers and deterministic data."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,32 @@ def pytest_configure(config):
     assert "slow" in markers, (
         "the 'slow' marker must stay registered in pyproject.toml"
     )
+
+
+@contextlib.contextmanager
+def event_oracle():
+    """Within the block, :func:`~repro.gpu.simulator.simulate_layer`
+    replays through the event-level oracle
+    (:func:`repro.gpu.ldst.replay_trace`) instead of the fast replay.
+
+    This is how end-to-end results are checked against the oracle.
+    The streaming entry is not covered (it feeds the fast replay's
+    accumulator), so warm the trace cache first when running a sweep
+    inside the block.
+    """
+    from repro.gpu import simulator
+    from repro.gpu.ldst import replay_trace
+
+    fast = simulator.replay_trace_fast
+
+    def oracle(*args, trace_key=None):
+        return replay_trace(*args)
+
+    simulator.replay_trace_fast = oracle
+    try:
+        yield
+    finally:
+        simulator.replay_trace_fast = fast
 
 
 def make_spec(

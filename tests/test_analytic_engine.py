@@ -13,7 +13,7 @@ into :func:`repro.gpu.simulator.simulate_layer`:
 * analytic answers bypass the persistent result cache in both
   directions (never served from exact results, never persisted where
   an exact tier would read them);
-* a warm caller-supplied LHB never reaches the analytic predictor.
+* the analytic predictor takes fresh LHBs only.
 """
 
 import pytest
@@ -28,6 +28,7 @@ from repro.analytic import (
     supports_analytic,
 )
 from repro.analytic.engine import analytic_resolves
+from repro.conv.workloads import get_layer
 from repro.core.lhb import LoadHistoryBuffer
 from repro.gpu import simulator
 from repro.gpu.config import (
@@ -77,12 +78,11 @@ class TestSelectionMatrix:
         [
             ("auto", None, "fast"),
             ("auto", "analytic", "analytic"),
+            # Retired tier names are ignored like any unknown value.
             ("auto", "fast", "fast"),
-            ("auto", "event", "event"),
+            ("auto", "event", "fast"),
             ("analytic", None, "analytic"),
             ("analytic", "event", "analytic"),  # explicit beats env
-            ("fast", "analytic", "fast"),
-            ("event", "analytic", "event"),
         ],
     )
     def test_requested_tier(self, monkeypatch, engine, env, expected):
@@ -90,7 +90,7 @@ class TestSelectionMatrix:
             monkeypatch.setenv("REPRO_ENGINE", env)
         options = SimulationOptions(max_ctas=1, engine=engine)
         assert resolve_engine(options) == (
-            engine if engine != "auto" else (env or "auto")
+            "analytic" if "analytic" in (engine, env) else "auto"
         )
         assert _selected(options=options) == expected
 
@@ -102,6 +102,13 @@ class TestSelectionMatrix:
     def test_bad_engine_option_rejected(self):
         with pytest.raises(ValueError, match="engine"):
             SimulationOptions(engine="bogus")
+
+    @pytest.mark.parametrize("engine", ["fast", "event"])
+    def test_retired_engine_option_rejected(self, engine):
+        """The event-level oracle is no runtime tier, and "fast" was an
+        alias of "auto"."""
+        with pytest.raises(ValueError, match="engine"):
+            SimulationOptions(engine=engine)
 
     def test_auto_never_selects_analytic(self):
         """The default stays exact: auto runs the fast replay."""
@@ -172,28 +179,30 @@ class TestAnalyticCoverage:
         ) == "analytic"
         assert obs.counters_with_prefix("analytic.fallback") == {}
 
-    def test_warm_lhb_routes_to_fast_tier(self):
-        """The closed forms assume a fresh buffer, so the predictor
-        refuses a warm one; a warm buffer under ``engine="analytic"``
-        is replayed by the fast tier instead, which seeds its
-        recurrence from the residency snapshot."""
+    def test_used_lhb_is_refused(self):
+        """The closed forms assume a fresh buffer: the predictor
+        refuses a buffer the event path has touched, and one it has
+        already filled.  Before the freshness rule counted lookups, a
+        second prediction on one buffer doubled its lookup count."""
         warm = LoadHistoryBuffer(num_entries=16)
         warm.access(1, 0, dest_reg=0)
         profile = layer_profile(
             SPEC, EliminationMode.DUPLO, options=OPTS
         )
-        with pytest.raises(AnalyticUnsupported, match="warm"):
+        with pytest.raises(AnalyticUnsupported, match="fresh"):
             predict_stats(profile, warm)
-        obs.enable()
-        obs.reset()
-        simulate_shared_lhb(
-            [SPEC], 16, lhb=warm,
-            options=SimulationOptions(max_ctas=1, engine="analytic"),
+        with pytest.raises(ValueError, match="fresh"):
+            simulate_shared_lhb([SPEC], 16, lhb=warm, options=OPTS)
+
+        yolo_c2 = layer_profile(
+            get_layer("yolo", "C2"), EliminationMode.DUPLO, options=OPTS
         )
-        assert obs.counters_with_prefix("fastpath.shared_") == {
-            "fastpath.shared_replays": 1,
-            "fastpath.shared_lookups": warm.stats.lookups - 1,
-        }
+        lhb = LoadHistoryBuffer(num_entries=1024)
+        assert predict_stats(yolo_c2, lhb).lhb_lookups == 9216
+        assert not lhb.is_fresh()
+        with pytest.raises(AnalyticUnsupported, match="fresh"):
+            predict_stats(yolo_c2, lhb)
+        assert lhb.stats.lookups == 9216
 
 
 class TestNoTraceGeneration:

@@ -32,10 +32,10 @@ LAYERS = [
 ]
 OPTIONS = SimulationOptions(max_ctas=2)
 
-#: Engine tiers under test.  The two exact tiers must match serial
+#: Engine tiers under test.  The exact tier must match serial
 #: bit-for-bit; the analytic tier is approximate but must still be
 #: identical across *backends* (same closed forms, same answer).
-ENGINES = ("auto", "fast", "event", "analytic")
+ENGINES = ("auto", "analytic")
 
 #: (backend, executor kwargs): inline, and a thread pool (the
 #: fixture below gives every test a 4-core host, so jobs=4 pools).

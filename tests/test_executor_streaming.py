@@ -4,7 +4,7 @@
 points through the bounded-RSS
 :func:`~repro.gpu.simulator.simulate_layer_streaming` entry — and
 ONLY those: warm traces (in-process LRU or disk store) keep the
-cheaper replay-from-store path, and the analytic/event tiers cannot
+cheaper replay-from-store path, and the analytic tier cannot
 stream.  The executor streams only where it cannot cost a second
 synthesis: a store catches the tee, or the point is its chunk's only
 pending one.  Results are bit-identical either way; the routing
@@ -32,7 +32,7 @@ LAYERS = [
     make_spec(name="st-plain"),
     make_spec(name="st-strided", h=9, w=9, pad=0, stride=2),
 ]
-OPTIONS = SimulationOptions(max_ctas=2, engine="fast")
+OPTIONS = SimulationOptions(max_ctas=2)
 
 
 @pytest.fixture(autouse=True)
@@ -144,7 +144,7 @@ def test_warm_store_suppresses_streaming(tmp_path):
 
 def test_non_fast_tiers_never_stream(tmp_path):
     cache = DiskCache(tmp_path / "cache")
-    for p in _points(engine="analytic") + _points(engine="event"):
+    for p in _points(engine="analytic"):
         assert not _stream_cold(p, cache)
 
 
@@ -161,7 +161,7 @@ points = [
     SimPoint(
         spec=dataclasses.replace(spec, batch=16),
         mode=EliminationMode.DUPLO,
-        options=SimulationOptions(engine="fast"),
+        options=SimulationOptions(),
     )
     for spec in layers_for_network("yolo")
 ]
@@ -186,6 +186,7 @@ def test_full_network_cold_sweep_rss_bounded():
         p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
     )
     env["REPRO_TRACE_BLOCK"] = "65536"
+    env.pop("REPRO_ENGINE", None)
     proc = subprocess.run(
         [sys.executable, "-c", _RSS_CHILD],
         capture_output=True, text=True, env=env, check=True,

@@ -13,6 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.conv.workloads import get_layer
 from repro.core.lhb import LoadHistoryBuffer
 from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.config import BASELINE_KERNEL, SimulationOptions, TITAN_V
@@ -249,15 +250,37 @@ class TestSimulateLhbStream:
         assert simulate_lhb_stream(empty, empty, buf).size == 0
         assert buf.stats.lookups == 0
 
-    def test_accumulates_across_calls(self, rng):
-        """Consecutive streams through one buffer merge their stats
-        (the counters are += , matching LHBStats.merge semantics)."""
-        buf = LoadHistoryBuffer(num_entries=16)
+    def test_used_buffer_raises(self, rng):
+        """The closed form assumes an empty buffer: a stream through a
+        buffer that already counted lookups raises instead of adding
+        its counters on top."""
         e = rng.integers(0, 10, size=100, dtype=np.int64)
         b = np.zeros(100, dtype=np.int64)
+        buf = LoadHistoryBuffer(num_entries=16)
         simulate_lhb_stream(e, b, buf)
-        simulate_lhb_stream(e, b, buf)
-        assert buf.stats.lookups == 200
+        with pytest.raises(ValueError, match="fresh"):
+            simulate_lhb_stream(e, b, buf)
+        assert buf.stats.lookups == 100
+        used = LoadHistoryBuffer(num_entries=16)
+        used.access(1, 0, dest_reg=0)
+        with pytest.raises(ValueError, match="fresh"):
+            simulate_lhb_stream(e, b, used)
+        assert used.stats.lookups == 1
+
+    def test_replayed_buffer_refuses_event_path(self, rng):
+        """A closed-form replay keeps counters only, so the event-path
+        calls that read entries refuse the buffer afterwards."""
+        e = rng.integers(0, 10, size=100, dtype=np.int64)
+        buf = LoadHistoryBuffer(num_entries=16)
+        simulate_lhb_stream(e, np.zeros(100, dtype=np.int64), buf)
+        for call in (
+            lambda: buf.access(1, 0, dest_reg=0),
+            lambda: buf.invalidate(1, 0),
+            buf.live_entries,
+        ):
+            with pytest.raises(ValueError, match="closed form"):
+                call()
+        assert buf.stats.lookups == 100
 
 
 class TestSupport:
@@ -287,31 +310,25 @@ class TestSupport:
                 stats[1]
             ), (mode, lhb_kwargs)
 
-    def test_replay_matches_event_path_for_warm_lhb(self):
-        """A warm caller-supplied buffer replays bit-identically on
-        both paths, and the post-replay buffer state agrees too."""
-        spec = make_spec()
+    def test_replay_refuses_used_lhb(self):
+        """A second replay through one buffer raises: before the
+        freshness check it returned ``lhb_lookups`` and ``lhb_hits``
+        summed over both replays against one replay's
+        ``eliminated_fragments``."""
+        spec = get_layer("yolo", "C2")
         options = SimulationOptions(max_ctas=1)
         trace = generate_sm_trace(spec, TITAN_V, BASELINE_KERNEL, options)
-
-        def warmed():
-            lhb = LoadHistoryBuffer(num_entries=16, assoc=4, lifetime=64)
-            for i in range(40):
-                lhb.access(i % 11, i % 3, dest_reg=i)
-            return lhb
-
-        warm_fast, warm_event = warmed(), warmed()
-        fast = replay_trace_fast(
-            trace, spec, TITAN_V, options, EliminationMode.DUPLO, warm_fast
+        lhb = LoadHistoryBuffer(num_entries=1024)
+        first = replay_trace_fast(
+            trace, spec, TITAN_V, options, EliminationMode.DUPLO, lhb
         )
-        event = replay_trace(
-            trace, spec, TITAN_V, options, EliminationMode.DUPLO, warm_event
-        )
-        assert dataclasses.asdict(fast) == dataclasses.asdict(event)
-        assert dataclasses.asdict(warm_fast.stats) == dataclasses.asdict(
-            warm_event.stats
-        )
-        assert warm_fast.live_entries() == warm_event.live_entries()
+        assert first.lhb_lookups == lhb.stats.lookups == 9216
+        assert first.lhb_hits == first.eliminated_fragments
+        with pytest.raises(ValueError, match="fresh"):
+            replay_trace_fast(
+                trace, spec, TITAN_V, options, EliminationMode.DUPLO, lhb
+            )
+        assert lhb.stats.lookups == 9216
 
     def test_replay_accepts_set_associative_lhb(self):
         """Regression for the closed fallback: a fresh wide LHB runs

@@ -2,8 +2,8 @@
 
 The acceptance bar for the vectorised replay: `dataclasses.asdict`
 equality on every counter, for every elimination mode, on real Table I
-layer traces — plus the plumbing around it (the `engine` switch on
-:func:`simulate_layer` and its `$REPRO_ENGINE` override, cache-key
+layer traces — plus the plumbing around it (:func:`simulate_layer`
+against the oracle, its `$REPRO_ENGINE` override, cache-key
 normalisation, and the sidecar-pair trace round-trip the disk store
 uses).  Both replays are called explicitly, so the module needs no
 environment forcing.
@@ -25,11 +25,17 @@ from repro.gpu.config import (
 from repro.gpu.fastpath import replay_trace_fast
 from repro.gpu.kernel import generate_sm_trace
 from repro.gpu.ldst import EliminationMode, replay_trace
-from repro.gpu.multikernel import simulate_shared_lhb
+from repro.gpu.multikernel import (
+    _interleave,
+    _workspace_stream,
+    simulate_shared_lhb,
+)
 from repro.gpu.simulator import make_lhb, simulate_layer
 from repro.runtime.cachekey import result_key, trace_key
-from repro.runtime.executor import SimPoint, _point_tier
+from repro.runtime.executor import SimPoint, _resolves_analytic
 from repro.runtime.store import DiskCache
+
+from tests.conftest import event_oracle
 
 
 @pytest.fixture(autouse=True)
@@ -65,7 +71,7 @@ def layer_trace(network, layer, options=OPTIONS, kernel=BASELINE_KERNEL):
 
 
 def both_replays(
-    trace, spec, options, mode, lhb_entries="default", lhb_assoc=1, **kwargs
+    trace, spec, options, mode, lhb_entries="default", lhb_assoc=1
 ):
     """Run the event and fast replays on fresh, identical state."""
 
@@ -77,10 +83,8 @@ def both_replays(
             entries, lhb_assoc, options.lhb_lifetime, options.lhb_hashed_index
         )
 
-    event = replay_trace(trace, spec, TITAN_V, options, mode, fresh_lhb(), **kwargs)
-    fast = replay_trace_fast(
-        trace, spec, TITAN_V, options, mode, fresh_lhb(), **kwargs
-    )
+    event = replay_trace(trace, spec, TITAN_V, options, mode, fresh_lhb())
+    fast = replay_trace_fast(trace, spec, TITAN_V, options, mode, fresh_lhb())
     return event, fast
 
 
@@ -120,33 +124,29 @@ def test_bit_identical_on_table1_layers(network, layer, mode, lhb_entries, lhb_a
 
 
 @pytest.mark.parametrize(
-    "options,kernel,kwargs",
+    "options,kernel",
     [
         (SimulationOptions(max_ctas=1, lhb_granularity="instruction"),
-         BASELINE_KERNEL, {}),
-        (SimulationOptions(max_ctas=1, merge_padding=True), BASELINE_KERNEL, {}),
+         BASELINE_KERNEL),
+        (SimulationOptions(max_ctas=1, merge_padding=True), BASELINE_KERNEL),
         (SimulationOptions(max_ctas=1, lhb_hashed_index=False),
-         BASELINE_KERNEL, {}),
-        (SimulationOptions(max_ctas=1, lhb_lifetime=None), BASELINE_KERNEL, {}),
-        (SimulationOptions(max_ctas=1), IMPLICIT_KERNEL, {}),
+         BASELINE_KERNEL),
+        (SimulationOptions(max_ctas=1, lhb_lifetime=None), BASELINE_KERNEL),
+        (SimulationOptions(max_ctas=1), IMPLICIT_KERNEL),
         (SimulationOptions(max_ctas=1, lhb_granularity="instruction"),
-         IMPLICIT_KERNEL, {}),
-        (SimulationOptions(max_ctas=1), BASELINE_KERNEL,
-         {"l2_share_sms": 80}),
+         IMPLICIT_KERNEL),
     ],
     ids=[
         "instruction-granularity", "merge-padding", "unhashed-index",
-        "no-lifetime", "implicit-gemm", "implicit-instruction", "l2-slice",
+        "no-lifetime", "implicit-gemm", "implicit-instruction",
     ],
 )
-def test_bit_identical_across_configurations(options, kernel, kwargs):
+def test_bit_identical_across_configurations(options, kernel):
     """Config axes that reroute the replay internals, on the paper's
     flagship layer (YOLO C2, Section IV-D)."""
     spec, trace = layer_trace("yolo", "C2", options, kernel)
     for mode in (EliminationMode.DUPLO, EliminationMode.WIR):
-        event, fast = both_replays(
-            trace, spec, options, mode, "default", **kwargs
-        )
+        event, fast = both_replays(trace, spec, options, mode, "default")
         assert_identical(event, fast, (options, kernel, mode))
 
 
@@ -160,15 +160,14 @@ def test_small_lhb_bit_identical():
     assert event.lhb_hits < event.lhb_lookups  # conflicts actually bit
 
 
-FAST = dataclasses.replace(OPTIONS, engine="fast")
-EVENT = dataclasses.replace(OPTIONS, engine="event")
-
-
 class TestSimulateLayerSwitch:
     def test_on_off_identical_results(self):
         spec = get_layer("gan", "TC3")
-        fast = simulate_layer(spec, EliminationMode.DUPLO, options=FAST)
-        event = simulate_layer(spec, EliminationMode.DUPLO, options=EVENT)
+        fast = simulate_layer(spec, EliminationMode.DUPLO, options=OPTIONS)
+        with event_oracle():
+            event = simulate_layer(
+                spec, EliminationMode.DUPLO, options=OPTIONS
+            )
         assert dataclasses.asdict(fast.stats) == dataclasses.asdict(
             event.stats
         )
@@ -179,15 +178,16 @@ class TestSimulateLayerSwitch:
         assert fast.time_ms == event.time_ms
 
     def test_set_associative_on_off_identical(self):
-        """assoc > 1 runs the vectorised replay — and both
-        implementations agree end to end through simulate_layer."""
+        """assoc > 1 runs the vectorised replay — and it agrees with
+        the oracle end to end through simulate_layer."""
         spec = get_layer("gan", "TC3")
         fast = simulate_layer(
-            spec, EliminationMode.DUPLO, lhb_assoc=4, options=FAST
+            spec, EliminationMode.DUPLO, lhb_assoc=4, options=OPTIONS
         )
-        event = simulate_layer(
-            spec, EliminationMode.DUPLO, lhb_assoc=4, options=EVENT
-        )
+        with event_oracle():
+            event = simulate_layer(
+                spec, EliminationMode.DUPLO, lhb_assoc=4, options=OPTIONS
+            )
         assert dataclasses.asdict(fast.stats) == dataclasses.asdict(
             event.stats
         )
@@ -195,8 +195,7 @@ class TestSimulateLayerSwitch:
 
     def test_no_covered_config_falls_back(self):
         """Every simulate_layer configuration in the matrix takes the
-        fast path under auto: a silent regression to the event replay
-        shows up in ``engine.selected.event``."""
+        fast path under auto."""
         obs.enable()
         obs.reset()
         try:
@@ -225,9 +224,9 @@ class TestSimulateLayerSwitch:
             obs.disable()
 
     def test_env_override_steers_auto(self, monkeypatch):
-        """``$REPRO_ENGINE`` steers ``engine="auto"`` — in the simulator
-        and in the executor's pure tier mirror alike — while an
-        explicit option beats the environment."""
+        """``$REPRO_ENGINE=analytic`` steers ``engine="auto"`` — in the
+        simulator and in the executor's pure mirror alike — and any
+        other value, the retired tier names included, is ignored."""
         spec = get_layer("gan", "TC3")
 
         def tiers(options):
@@ -239,38 +238,41 @@ class TestSimulateLayerSwitch:
             finally:
                 obs.reset()
                 obs.disable()
-            return list(selected), _point_tier(SimPoint(spec, options=options))
-
-        monkeypatch.setenv("REPRO_ENGINE", "event")
-        assert tiers(OPTIONS) == (["engine.selected.event"], "event")
-        assert tiers(FAST) == (["engine.selected.fast"], "fast")
-        monkeypatch.setenv("REPRO_ENGINE", "fast")
-        assert tiers(OPTIONS) == (["engine.selected.fast"], "fast")
-        assert tiers(EVENT) == (["engine.selected.event"], "event")
-
-    def test_forced_on_accepts_warm_lhb(self):
-        """``engine="fast"`` replays a warm caller-supplied buffer
-        natively (multi-kernel runs are the entry point taking one)."""
-        warm = make_lhb(1024, 1, 4096, True)
-        warm.access(1, 0, dest_reg=0)
-        obs.enable()
-        obs.reset()
-        try:
-            simulate_shared_lhb(
-                [get_layer("gan", "TC3")], 1024, options=FAST, lhb=warm
+            return list(selected), _resolves_analytic(
+                SimPoint(spec, options=options)
             )
-            counters = obs.snapshot()["counters"]
-            assert counters.get("fastpath.shared_replays") == 1, counters
-        finally:
-            obs.reset()
-            obs.disable()
+
+        monkeypatch.setenv("REPRO_ENGINE", "analytic")
+        assert tiers(OPTIONS) == (["engine.selected.analytic"], True)
+        for retired in ("event", "fast"):
+            monkeypatch.setenv("REPRO_ENGINE", retired)
+            assert tiers(OPTIONS) == (["engine.selected.fast"], False)
 
     def test_invalid_choice_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            SimulationOptions(engine="sometimes")
+        for engine in ("sometimes", "fast", "event"):
+            with pytest.raises(ValueError, match="engine"):
+                SimulationOptions(engine=engine)
         # engine is the only replay selector.
         with pytest.raises(TypeError, match="fast_path"):
             SimulationOptions(fast_path="on")
+
+
+def event_scheduler(specs, options, entries, assoc, chunk):
+    """The shared-LHB run as the oracle sees it: the interleaved
+    stream fed through ``lhb.access`` one lookup at a time."""
+    lhb = make_lhb(entries, assoc, options.lhb_lifetime,
+                   options.lhb_hashed_index)
+    streams = [
+        _workspace_stream(spec, TITAN_V, BASELINE_KERNEL, options)
+        for spec in specs
+    ]
+    batch, element, pid = _interleave(streams, chunk)
+    hits = [0] * len(specs)
+    for b, e, p in zip(batch.tolist(), element.tolist(), pid.tolist()):
+        if lhb.access(e, b, 0, pid=p).hit:
+            hits[p] += 1
+    lookups = [len(e) for _, e in streams]
+    return list(zip(lookups, hits)), lhb
 
 
 class TestMultiKernelEquivalence:
@@ -279,26 +281,25 @@ class TestMultiKernelEquivalence:
     per-kernel hit counts and every shared-buffer counter."""
 
     @staticmethod
-    def _run(specs, options, entries, assoc, chunk):
-        lhb = make_lhb(entries, assoc, options.lhb_lifetime,
-                       options.lhb_hashed_index)
+    def _check(specs, entries, assoc, chunk):
+        lhb = make_lhb(entries, assoc, OPTIONS.lhb_lifetime,
+                       OPTIONS.lhb_hashed_index)
         shares = simulate_shared_lhb(
-            specs, entries, chunk=chunk, options=options, lhb=lhb
+            specs, entries, chunk=chunk, options=OPTIONS, lhb=lhb
         )
-        return shares, lhb
+        expected, ref = event_scheduler(specs, OPTIONS, entries, assoc, chunk)
+        assert dataclasses.asdict(lhb.stats) == dataclasses.asdict(
+            ref.stats
+        ), (specs, entries, assoc, chunk)
+        assert [(s.lookups, s.hits) for s in shares] == expected
+        assert [s.pid for s in shares] == list(range(len(specs)))
+        assert sum(s.lookups for s in shares) == lhb.stats.lookups
 
     @pytest.mark.parametrize("network,layer", TABLE_I_LAYERS)
     def test_bit_identical_shared_replay(self, network, layer):
         """Each Table I layer co-scheduled with a second kernel."""
         specs = [get_layer(network, layer), get_layer("gan", "TC3")]
-        s_on, l_on = self._run(specs, FAST, 256, 1, 128)
-        s_off, l_off = self._run(specs, EVENT, 256, 1, 128)
-        assert dataclasses.asdict(l_on.stats) == dataclasses.asdict(
-            l_off.stats
-        ), (network, layer)
-        for a, b in zip(s_on, s_off):
-            assert (a.pid, a.lookups, a.hits) == (b.pid, b.lookups, b.hits)
-        assert sum(s.lookups for s in s_on) == l_on.stats.lookups
+        self._check(specs, 256, 1, 128)
 
     @pytest.mark.parametrize("entries,assoc", [(256, 4), (64, 8), (None, 1)])
     @pytest.mark.parametrize("chunk", [64, 997])
@@ -306,53 +307,14 @@ class TestMultiKernelEquivalence:
         """Associativity x interleave-granularity sweep, incl. oracle
         and a chunk size coprime to the stream lengths."""
         specs = [get_layer("gan", "TC3"), get_layer("resnet", "C2")]
-        s_on, l_on = self._run(specs, FAST, entries, assoc, chunk)
-        s_off, l_off = self._run(specs, EVENT, entries, assoc, chunk)
-        assert dataclasses.asdict(l_on.stats) == dataclasses.asdict(
-            l_off.stats
-        ), (entries, assoc, chunk)
-        for a, b in zip(s_on, s_off):
-            assert (a.lookups, a.hits) == (b.lookups, b.hits)
+        self._check(specs, entries, assoc, chunk)
 
     def test_three_kernels_hold_isolation(self):
         """PIDs keep identical kernels from aliasing: three copies of
         one spec share no tags, so hits match the solo run only when
         capacity permits — here we just require fast == event."""
         spec = get_layer("gan", "TC3")
-        s_on, l_on = self._run([spec] * 3, FAST, 128, 2, 32)
-        s_off, l_off = self._run([spec] * 3, EVENT, 128, 2, 32)
-        assert dataclasses.asdict(l_on.stats) == dataclasses.asdict(
-            l_off.stats
-        )
-        for a, b in zip(s_on, s_off):
-            assert (a.lookups, a.hits) == (b.lookups, b.hits)
-
-    def test_warm_lhb_stays_fast_and_matches_event(self):
-        """A warm shared buffer seeds the closed forms: auto keeps the
-        fast path and the result matches a pure event run continued
-        from the same state."""
-        specs = [get_layer("gan", "TC3")]
-        warm_a = make_lhb(128, 1, 4096, True)
-        warm_a.access(7, 0, dest_reg=0)
-        warm_b = make_lhb(128, 1, 4096, True)
-        warm_b.access(7, 0, dest_reg=0)
-        obs.enable()
-        obs.reset()
-        try:
-            s_auto = simulate_shared_lhb(
-                specs, 128, options=OPTIONS, lhb=warm_a
-            )
-            counters = obs.snapshot()["counters"]
-            assert counters.get("fastpath.shared_replays") == 1
-        finally:
-            obs.reset()
-            obs.disable()
-        s_off = simulate_shared_lhb(specs, 128, options=EVENT, lhb=warm_b)
-        assert dataclasses.asdict(warm_a.stats) == dataclasses.asdict(
-            warm_b.stats
-        )
-        assert s_auto[0].hits == s_off[0].hits
-        assert warm_a.live_entries() == warm_b.live_entries()
+        self._check([spec] * 3, 128, 2, 32)
 
 
 class TestTraceSerialization:
@@ -387,12 +349,12 @@ class TestTraceSerialization:
 
 class TestCacheKeyNormalisation:
     def test_fast_path_choice_shares_artifacts(self):
-        """auto/fast/event runs must hit the same cached trace and
-        result."""
+        """auto and analytic runs key the same trace and result (the
+        executor keeps analytic answers out of the result cache)."""
         spec = get_layer("yolo", "C2")
         keys = set()
         rkeys = set()
-        for choice in ("auto", "fast", "event"):
+        for choice in ("auto", "analytic"):
             options = dataclasses.replace(OPTIONS, engine=choice)
             keys.add(trace_key(spec, TITAN_V, BASELINE_KERNEL, options))
             rkeys.add(

@@ -228,7 +228,7 @@ def test_multikernel_interleave_matches_event_scheduler(
     the event scheduler's shared-buffer counters and per-kernel hits."""
     kernels = [(b, e) for e, b, _ in streams]  # (batch, element) pairs
 
-    # Event reference: the exact scheduler loop of simulate_shared_lhb.
+    # Event reference: a round-robin scheduler feeding lhb.access.
     ref = LoadHistoryBuffer(**config)
     cursors = [0] * len(kernels)
     ref_hits = [0] * len(kernels)
@@ -303,86 +303,3 @@ def test_stream_matches_event_path_deep(config, stream):
 @given(case=replay_cases())
 def test_full_replay_matches_event_path_deep(case):
     test_full_replay_matches_event_path.hypothesis.inner_test(case)
-
-
-# ----------------------------------------------------------------------
-# Warm-buffer seeding (the last closed event-path fallback)
-# ----------------------------------------------------------------------
-
-@settings(max_examples=MAX_EXAMPLES, deadline=None)
-@given(
-    config=lhb_configs(),
-    stream=lookup_streams(max_len=200, max_pids=3),
-    cut=st.integers(0, 200),
-    warm_fast=st.booleans(),
-)
-def test_warm_seeded_stream_matches_event_path(
-    config, stream, cut, warm_fast
-):
-    """A warm buffer replays the rest of its stream on the fast path
-    bit-identically to the event loop — whichever path (event accesses
-    or a previous fast replay) built the residency being seeded."""
-    element, batch, pid = stream
-    cut = min(cut, len(element))
-    ref, expected = _event_stream(config, element, batch, pid)
-    expected = expected[cut:]
-
-    fast = LoadHistoryBuffer(**config)
-    if warm_fast:
-        simulate_lhb_stream(
-            element[:cut], batch[:cut], fast, pid=pid[:cut]
-        )
-    else:
-        for e, b, p in zip(element[:cut], batch[:cut], pid[:cut]):
-            fast.access(int(e), int(b), dest_reg=0, pid=int(p))
-    got = simulate_lhb_stream(
-        element[cut:], batch[cut:], fast, pid=pid[cut:]
-    )
-    np.testing.assert_array_equal(
-        got, expected, err_msg=str((config, cut, warm_fast))
-    )
-    _assert_stats_equal(fast, ref, (config, cut, warm_fast))
-    assert fast.live_entries() == ref.live_entries()
-
-
-@settings(max_examples=MAX_EXAMPLES, deadline=None)
-@given(
-    case=replay_cases(),
-    warm=lookup_streams(max_len=60, max_pids=1),
-    warm_fast=st.booleans(),
-)
-def test_full_replay_with_warm_lhb_matches_event_path(
-    case, warm, warm_fast
-):
-    """End-to-end replay over a caller-supplied *warm* buffer: the
-    residency snapshot seeding must leave every LayerStats counter and
-    the final buffer state equal to the event path's."""
-    spec, gpu, options, mode, entries, assoc = case
-    if mode is EliminationMode.BASELINE:
-        mode = EliminationMode.DUPLO  # warmth only matters with an LHB
-    trace = generate_sm_trace(spec, gpu, BASELINE_KERNEL, options)
-    w_element, w_batch, _ = warm
-
-    def warmed(fast_seed):
-        buf = LoadHistoryBuffer(
-            num_entries=entries,
-            assoc=assoc,
-            lifetime=options.lhb_lifetime,
-            hashed_index=options.lhb_hashed_index,
-        )
-        if fast_seed:
-            simulate_lhb_stream(w_element, w_batch, buf)
-        else:
-            for e, b in zip(w_element, w_batch):
-                buf.access(int(e), int(b), dest_reg=0)
-        return buf
-
-    ref_lhb = warmed(False)
-    event = replay_trace(trace, spec, gpu, options, mode, ref_lhb)
-    fast_lhb = warmed(warm_fast)
-    fast = replay_trace_fast(trace, spec, gpu, options, mode, fast_lhb)
-    assert dataclasses.asdict(event) == dataclasses.asdict(fast), (
-        spec, gpu, options, mode, entries, assoc, warm_fast
-    )
-    _assert_stats_equal(fast_lhb, ref_lhb, (options, mode, warm_fast))
-    assert fast_lhb.live_entries() == ref_lhb.live_entries()

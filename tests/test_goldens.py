@@ -114,10 +114,13 @@ ARCH_GOLDEN_LAYERS = GOLDEN_LAYERS + [("attention", "QK")]
 @pytest.fixture(scope="module")
 def arch_zoo_experiment():
     """One arch_zoo run shared by every per-preset drift check (the
-    sweep covers all presets in a single pass)."""
+    sweep covers all presets in a single pass).  Module-scoped, so it
+    runs before the function-scoped environment scrub: scrub here too."""
     clear_trace_cache()
     layers = [get_layer(net, name) for net, name in ARCH_GOLDEN_LAYERS]
-    return experiments.arch_zoo(layers, options=GOLDEN_OPTIONS)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("REPRO_ENGINE", raising=False)
+        return experiments.arch_zoo(layers, options=GOLDEN_OPTIONS)
 
 
 @pytest.mark.parametrize("arch", sorted(ARCHS))

@@ -40,7 +40,7 @@ from repro.serve import (
     result_payload,
 )
 from repro.serve.jobs import JobQueue
-from repro.serve.schema import Query, query_point
+from repro.serve.schema import SCHEMA_VERSION, Query, query_point
 from repro.serve.service import _LatencyHistogram
 
 BODY = {"network": "yolo", "layer": "C2", "max_ctas": 1}
@@ -91,6 +91,9 @@ def _reference(body):
     (dict(BODY, arch="kepler"), "'arch'"),
     (dict(BODY, arch=1), "'arch'"),
     (dict(BODY, frobnicate=1), "unknown field"),
+    # The event-level oracle is no runtime tier; "fast" aliased "auto".
+    (dict(BODY, engine="fast"), "'engine'"),
+    (dict(BODY, engine="event"), "'engine'"),
 ])
 def test_schema_rejects(body, fragment):
     with pytest.raises(SchemaError, match=fragment):
@@ -106,11 +109,11 @@ def test_schema_defaults_and_oracle_normalisation():
 
 
 def test_query_point_round_trip():
-    q = parse_query(dict(BODY, mode="baseline", engine="fast"))
+    q = parse_query(dict(BODY, mode="baseline", engine="analytic"))
     p = query_point(q)
     assert p.spec.qualified_name == "yolo/C2"
     assert p.mode.value == "baseline"
-    assert p.options.engine == "fast"
+    assert p.options.engine == "analytic"
     assert p.options.max_ctas == 1
 
 
@@ -209,8 +212,10 @@ def test_concurrent_identical_cold_queries_coalesce(service, monkeypatch):
     assert all(p == payloads[0] for p in payloads)
 
 
-def test_analytic_and_exact_never_share_a_slot():
-    exact = query_point(parse_query(dict(BODY, engine="fast")))
+def test_analytic_and_exact_never_share_a_slot(monkeypatch):
+    # ``auto`` is exact only without the analytic lane's override.
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    exact = query_point(parse_query(dict(BODY, engine="auto")))
     analytic = query_point(parse_query(dict(BODY, engine="analytic")))
     # The result cache key normalises the engine away by design...
     assert exact.cache_key() == analytic.cache_key()
@@ -454,7 +459,12 @@ def test_http_query_and_errors(server):
     status, payload = _http(base + "/query", BODY)
     assert status == 200
     assert payload == _reference(BODY)
+    assert payload["schema_version"] == SCHEMA_VERSION == 3
     assert _http(base + "/query", dict(BODY, frob=1))[0] == 400
+    for engine in ("fast", "event"):
+        status, err = _http(base + "/query", dict(BODY, engine=engine))
+        assert status == 400
+        assert "engine" in err["error"]
     status, err = _http(base + "/query", dict(BODY, arch="kepler"))
     assert status == 400
     assert "arch" in err["error"]

@@ -233,7 +233,11 @@ def test_gen_counters_published():
 
 @pytest.mark.parametrize("mode", list(EliminationMode))
 @pytest.mark.parametrize("kernel", [BASELINE_KERNEL, IMPLICIT_KERNEL])
-def test_simulate_layer_streaming_matches_simulate_layer(kernel, mode):
+def test_simulate_layer_streaming_matches_simulate_layer(
+    kernel, mode, monkeypatch
+):
+    # The streaming entry always replays exactly; so must the reference.
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
     options = SimulationOptions(max_ctas=2)
     ref = simulate_layer(SPEC, mode, lhb_entries=64, lhb_assoc=2,
                          kernel=kernel, options=options)
