@@ -58,10 +58,9 @@ def test_figure12_fast_path_sweep_speedup(bench_options):
     """The associativity sweep end to end: >= 5x over the event path.
 
     Runs on the figure12 golden subset (the layers the committed
-    fixture pins).  The first (untimed) run warms the in-process trace
-    cache so both timed sweeps compare pure replay work, not trace
-    generation, and so no point streams (streaming always feeds the
-    fast replay).  The reference sweep replays through the
+    fixture pins).  The first run is untimed warm-up.  Each timed
+    sweep synthesizes every layer's trace once, so both pay the same
+    synthesis.  The reference sweep replays through the
     event-level oracle (``ldst.replay_trace``).  The fast sweep must
     produce row-identical results, and every assoc in the sweep must
     be answered by the fast tier.  Streams dominated by same-address
@@ -72,7 +71,7 @@ def test_figure12_fast_path_sweep_speedup(bench_options):
     """
     layers = [get_layer(n, l) for n, l in GOLDEN_LAYERS]
 
-    figure12(layers, bench_options)  # warm the trace cache
+    figure12(layers, bench_options)  # warm-up
 
     obs.enable()
     obs.reset()

@@ -6,7 +6,7 @@ set-associative — a PID-tagged multi-kernel shared-LHB replay in both
 implementations, an end-to-end baseline/Duplo pair, a warm-cache sweep
 rerun, a cold fast-path query, an analytic-tier geometry sweep, a cold
 sweep run serially and with ``jobs=4`` worker threads, a subprocess
-streaming sweep — driven through the SweepExecutor — whose manifest
+cold sweep — driven through the SweepExecutor — whose manifest
 peak RSS must stay under a committed cap, and a warm-service QPS run
 through the full ``repro.serve`` HTTP stack with every response
 checked bit-identical against ``simulate_point``), takes the
@@ -88,50 +88,40 @@ ANALYTIC_SWEEP_QUERIES = ANALYTIC_SWEEP_GEOMETRIES * ANALYTIC_SWEEP_PASSES
 #: body repeats the identical generation; the derived
 #: ``trace_gen_events_per_s`` counts every pass.
 TRACE_GEN_PASSES = 5
-#: Batch size for the streaming_sweep full-network run — large enough
-#: that the extrapolated grids dwarf the traced slice, exercising the
-#: bounded-memory claim on a workload whose full event columns would
-#: otherwise be the biggest allocation in the process.
-STREAMING_SWEEP_BATCH = 64
-#: Streamed block budget for the streaming_sweep child (events per
-#: :class:`~repro.gpu.isa.TraceBlock`); small enough that hundreds of
-#: blocks flow through every layer.
-STREAMING_SWEEP_BLOCK_EVENTS = 65536
+#: Batch size for the cold_sweep full-network run — large enough that
+#: the extrapolated grids dwarf the traced slice, exercising the
+#: bounded-memory claim on a workload whose traces are the biggest
+#: allocations in the process.
+COLD_SWEEP_BATCH = 64
 #: Warm-query passes per timed serve_warm_qps run: each pass answers
 #: the full query set once over HTTP against the in-process server, so
 #: one timed body is ``SERVE_WARM_PASSES * len(set)`` round-trips —
 #: long enough for a stable median through the socket stack.
 SERVE_WARM_PASSES = 25
-#: Committed peak-RSS cap for the streaming_sweep child process, read
-#: from its obs run manifest (``ru_maxrss``).  Measured ~211 MB on the
+#: Committed peak-RSS cap for the cold_sweep child process, read from
+#: its obs run manifest (``ru_maxrss``).  Measured ~211 MB on the
 #: reference host (interpreter + NumPy import dominate); the cap is a
 #: regression tripwire for unbounded buffering, not a tight budget.
-STREAMING_SWEEP_RSS_CAP_BYTES = 512 * 2**20
+COLD_SWEEP_RSS_CAP_BYTES = 512 * 2**20
 
-#: Child body for the streaming_sweep benchmark: a full-network
-#: large-batch cold sweep *through the SweepExecutor* in its own
-#: interpreter so the manifest's ``peak_rss_bytes`` (ru_maxrss — a
-#: high-water mark, never resettable in-process) measures exactly this
-#: workload and nothing else.  Driving the executor (rather than
-#: calling ``simulate_layer_streaming`` directly) locks the sweep-path
-#: streaming dispatch: every cold fast-tier point must route through
-#: the bounded-RSS entry, asserted by the ``executor.streamed_points``
-#: counter the child exports alongside its results.
-_STREAMING_SWEEP_CHILD = """\
+#: Child body for the cold_sweep benchmark: a full-network large-batch
+#: cold sweep *through the SweepExecutor* in its own interpreter so the
+#: manifest's ``peak_rss_bytes`` (ru_maxrss — a high-water mark, never
+#: resettable in-process) measures exactly this workload and nothing
+#: else.  Driving the executor locks its trace residency: each worker
+#: holds one trace at a time and none after its chunk.
+_COLD_SWEEP_CHILD = """\
 import dataclasses
 import json
-import os
 import sys
 
 from repro import obs
 from repro.conv.workloads import layers_for_network
 from repro.gpu.config import SimulationOptions
-from repro.gpu.kernel import TRACE_BLOCK_ENV
 from repro.gpu.ldst import EliminationMode
 from repro.runtime.executor import SimPoint, SweepExecutor
 
-batch, block_events = json.loads(sys.argv[1])
-os.environ[TRACE_BLOCK_ENV] = str(block_events)
+batch = json.loads(sys.argv[1])
 obs.enable()
 obs.reset()
 points = [
@@ -152,14 +142,9 @@ rows = [
     ]
     for result in results
 ]
-streamed = obs.counters_with_prefix("executor.streamed_points")
-manifest = obs.collect_manifest("streaming_sweep", argv=sys.argv)
+manifest = obs.collect_manifest("cold_sweep", argv=sys.argv)
 json.dump(
-    {
-        "rows": rows,
-        "streamed_points": streamed.get("executor.streamed_points", 0),
-        "peak_rss_bytes": manifest.peak_rss_bytes,
-    },
+    {"rows": rows, "peak_rss_bytes": manifest.peak_rss_bytes},
     sys.stdout,
 )
 """
@@ -208,20 +193,15 @@ def _bench_suite() -> Dict[str, Callable[[], Tuple[Callable, Callable]]]:
 
         return run, counters
 
-    def streaming_sweep_setup():
+    def cold_sweep_setup():
         """Full-network large-batch cold sweep, bounded peak RSS.
 
         The timed body launches a child interpreter running a
         :class:`~repro.runtime.executor.SweepExecutor` over every yolo
-        layer at batch ``STREAMING_SWEEP_BATCH`` with a small block
-        budget — the executor's streaming dispatch must route every
-        cold fast-tier point through
-        :func:`~repro.gpu.simulator.simulate_layer_streaming`
-        (``all_points_streamed``) — then reads the child's obs run
-        manifest:
-        ``peak_rss_bytes`` must stay under the committed
-        ``STREAMING_SWEEP_RSS_CAP_BYTES`` and the streamed results
-        must equal the in-memory :func:`simulate_layer` reference
+        layer at batch ``COLD_SWEEP_BATCH``, then reads the child's
+        obs run manifest: ``peak_rss_bytes`` must stay under the
+        committed ``COLD_SWEEP_RSS_CAP_BYTES`` and the swept results
+        must equal the direct :func:`simulate_layer` reference
         computed untimed here.  Both checks land in the deterministic
         counters (``rss_under_cap`` / ``matches_inmemory``); the
         actual high-water mark is kept outside ``counters`` (in
@@ -234,7 +214,7 @@ def _bench_suite() -> Dict[str, Callable[[], Tuple[Callable, Callable]]]:
         from repro.gpu.simulator import simulate_layer
 
         specs = [
-            dataclasses.replace(spec, batch=STREAMING_SWEEP_BATCH)
+            dataclasses.replace(spec, batch=COLD_SWEEP_BATCH)
             for spec in layers_for_network("yolo")
         ]
         reference = []
@@ -250,6 +230,7 @@ def _bench_suite() -> Dict[str, Callable[[], Tuple[Callable, Callable]]]:
                 int(result.stats.lhb_lookups),
                 int(result.stats.eliminated_fragments),
             ])
+        clear_trace_cache()
 
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -257,13 +238,11 @@ def _bench_suite() -> Dict[str, Callable[[], Tuple[Callable, Callable]]]:
                 os.path.join(REPO_ROOT, "src"), env.get("PYTHONPATH")
             ) if p
         )
-        child_args = json.dumps(
-            [STREAMING_SWEEP_BATCH, STREAMING_SWEEP_BLOCK_EVENTS]
-        )
+        child_args = json.dumps(COLD_SWEEP_BATCH)
 
         def run():
             proc = subprocess.run(
-                [sys.executable, "-c", _STREAMING_SWEEP_CHILD, child_args],
+                [sys.executable, "-c", _COLD_SWEEP_CHILD, child_args],
                 capture_output=True, text=True, env=env, check=True,
             )
             return json.loads(proc.stdout)
@@ -273,18 +252,15 @@ def _bench_suite() -> Dict[str, Callable[[], Tuple[Callable, Callable]]]:
             return {
                 "rows": len(payload["rows"]),
                 "rss_under_cap": int(
-                    peak is None or peak < STREAMING_SWEEP_RSS_CAP_BYTES
+                    peak is None or peak < COLD_SWEEP_RSS_CAP_BYTES
                 ),
                 "matches_inmemory": int(payload["rows"] == reference),
-                "all_points_streamed": int(
-                    payload["streamed_points"] == len(payload["rows"])
-                ),
             }
 
         def extra(payload):
             return {
                 "peak_rss_bytes": payload["peak_rss_bytes"],
-                "rss_cap_bytes": STREAMING_SWEEP_RSS_CAP_BYTES,
+                "rss_cap_bytes": COLD_SWEEP_RSS_CAP_BYTES,
             }
 
         return run, counters, extra
@@ -596,7 +572,7 @@ def _bench_suite() -> Dict[str, Callable[[], Tuple[Callable, Callable]]]:
 
     return {
         "trace_gen.yolo_c2": trace_gen_setup,
-        "streaming_sweep.yolo": streaming_sweep_setup,
+        "cold_sweep.yolo": cold_sweep_setup,
         "replay_fast.yolo_c2": lambda: _replay_setup(replay_trace_fast),
         "replay_event.yolo_c2": lambda: _replay_setup(replay_trace),
         "replay_fast_assoc8.yolo_c2":
@@ -621,7 +597,7 @@ def run_suite(repeats: int) -> Dict[str, dict]:
     for name, setup in _bench_suite().items():
         # setup() returns (run, counters) or (run, counters, extra);
         # ``extra`` carries host-shaped diagnostics (e.g. the
-        # streaming sweep's actual peak RSS) that the checker must
+        # cold sweep's actual peak RSS) that the checker must
         # never compare across machines.
         run, counters, *rest = setup()
         times: List[float] = []

@@ -20,8 +20,8 @@ Every layer simulation is a :class:`~repro.runtime.executor.SimPoint`
 submitted through one :class:`~repro.runtime.executor.SweepExecutor`
 sweep.  A layer's forward points (the weight gradient, which is the
 baseline forward GEMM, and every configuration's forward GEMM) form
-one chunk, so the layer's trace is materialised once; each data
-gradient is a chunk of its own, so a cold one streams.  The executor
+one chunk, so the layer's trace is synthesized once; each data
+gradient is a chunk of its own.  The executor
 runs equal points once, so a baseline GEMM shared by the weight
 gradient and several configurations is simulated once per sweep.
 """

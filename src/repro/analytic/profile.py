@@ -35,7 +35,7 @@ artifacts:
   a result, all in closed form from the tiling.
 
 Profiles are cached in a small in-process LRU keyed by the full
-configuration (same normalisation as the trace cache), so a geometry
+configuration (same normalisation as the trace key), so a geometry
 sweep pays the stream pass once.
 """
 
@@ -360,7 +360,7 @@ _PROFILE_CACHE_LIMIT = 16
 
 
 def _cache_options(options: SimulationOptions) -> SimulationOptions:
-    # Like the trace cache: implementation selectors never change the
+    # Like the trace key: implementation selectors never change the
     # profile.  Query-side knobs (lifetime, hashed_index) stay in the
     # key — they are cheap to vary and keeping them avoids aliasing
     # surprises if a future field interacts with the stream.

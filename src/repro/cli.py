@@ -10,12 +10,12 @@ Commands
     Regenerate one paper figure/table (``figure2`` .. ``figure14``,
     ``table2``, ``multikernel``, ``energy_area``, ``arch_zoo``).
     ``--jobs N`` fans the sweep's layers across up to N worker
-    threads; artifacts persist under ``results/cache/`` unless
+    threads; results persist under ``results/cache/`` unless
     ``--no-cache`` is given.
 ``calibration``
     Print the model's headline numbers against the paper's.
 ``cache stats`` / ``cache clear``
-    Inspect or empty the persistent trace/result cache.
+    Inspect or empty the persistent result cache.
 ``serve``
     Long-running HTTP what-if query server (``docs/SERVICE.md``):
     coalesced ``/query``, async ``/sweep`` jobs, ``/metrics``, and a
@@ -133,7 +133,7 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--no-cache", action="store_true",
-        help="skip the persistent trace/result cache",
+        help="skip the persistent result cache",
     )
     parser.add_argument(
         "--cache-dir", default=None,
@@ -324,7 +324,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     s = cache.stats()
     note = "" if cache.root.is_dir() else "  (empty — not created yet)"
     print(f"cache root:    {s.root}{note}")
-    print(f"trace files:   {s.trace_files}")
     print(f"result files:  {s.result_files}")
     print(f"disk bytes:    {s.disk_bytes:,}")
     return 0
@@ -365,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_runtime_flags(cal)
 
     cache = sub.add_parser(
-        "cache", help="inspect or clear the persistent trace/result cache"
+        "cache", help="inspect or clear the persistent result cache"
     )
     cache.add_argument("action", choices=["stats", "clear"])
     cache.add_argument(
@@ -404,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--store-max-bytes", type=_positive_int, default=None,
         metavar="BYTES",
         help="byte cap on the persistent store; the service evicts "
-        "LRU artifact groups past it (default: unbounded)",
+        "least recently used results past it (default: unbounded)",
     )
     srv.add_argument(
         "--job-workers", type=_positive_int, default=1,

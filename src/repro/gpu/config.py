@@ -478,3 +478,9 @@ class SimulationOptions:
             raise ValueError(
                 f"engine must be 'auto' or 'analytic', got {self.engine!r}"
             )
+        if self.max_ctas is not None and self.max_ctas < 1:
+            raise ValueError(f"max_ctas must be >= 1, got {self.max_ctas}")
+        if self.representative_sm < 0:
+            raise ValueError(
+                f"representative_sm must be >= 0, got {self.representative_sm}"
+            )

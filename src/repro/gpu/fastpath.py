@@ -733,7 +733,6 @@ class _StreamAccumulator:
             )
 
         self.events = 0
-        self.blocks = 0
         self._stores = 0
         self._loads = 0
         self._loads_a = 0
@@ -755,7 +754,6 @@ class _StreamAccumulator:
     ) -> None:
         """Fold one block's columns into the accumulated streams."""
         self.events += len(kind)
-        self.blocks += 1
         is_load = kind != STORE_D
         load_kind = kind[is_load]
         load_addr = address[is_load]
@@ -842,12 +840,14 @@ class _StreamAccumulator:
 
 
 # ----------------------------------------------------------------------
-# Fed-stream memo
+# Per-thread trace slot
 # ----------------------------------------------------------------------
 
-#: Each thread's most recently fed streams, as ``(epoch, key, streams)``
-#: in ``_fed_memo.entry``.  One slot per thread bounds the memo to one
-#: fed trace per worker, and thread-local storage makes it lock-free.
+#: Each thread's slot, ``_fed_memo.entry = [epoch, trace_key, trace,
+#: fed]``: the trace it last replayed, under the simulator's trace key,
+#: and ``fed = (mode, streams)``, the streams last folded from it.  One
+#: slot per thread bounds residency to one trace and one fed stream
+#: set per worker, and thread-local storage makes it lock-free.
 _fed_memo = threading.local()
 #: Bumped by :func:`clear_fed_memo`, so a clear reaches every thread's
 #: slot (a slot from an older epoch never hits).
@@ -856,7 +856,7 @@ _fed_epoch = next(_fed_epochs)
 
 
 def clear_fed_memo() -> None:
-    """Forget every thread's memoised fed streams."""
+    """Empty every thread's slot."""
     global _fed_epoch
     _fed_epoch = next(_fed_epochs)
     _fed_memo.__dict__.clear()
@@ -866,28 +866,57 @@ def release_fed_memo() -> None:
     """Empty the calling thread's slot.
 
     The sweep executor calls this when a chunk ends: a chunk is one
-    layer, so the next chunk never reuses its streams, and a long-lived
-    thread (a serve job worker) then holds none between chunks.
+    layer, so the next chunk never reuses its trace or streams, and a
+    long-lived thread (a serve job worker) then holds none between
+    chunks.
     """
     _fed_memo.__dict__.pop("entry", None)
 
 
-def _fed_streams(key, feed) -> _FedStreams:
-    """``feed()``'s streams, memoised per thread under ``key``.
-
-    ``key=None`` bypasses the memo.  A miss empties the thread's slot
-    before feeding, so a thread never holds two fed traces at once.
-    """
-    if key is None:
-        return feed()
+def _slot_entry(trace_key):
+    """The calling thread's slot if it is current and holds ``trace_key``."""
     entry = getattr(_fed_memo, "entry", None)
-    if entry is not None and entry[0] == _fed_epoch and entry[1] == key:
-        obs.add("fastpath.fed_reuses")
+    if entry is not None and entry[0] == _fed_epoch and entry[1] == trace_key:
+        return entry
+    return None
+
+
+def held_trace(trace_key, synthesize) -> KernelTrace:
+    """The calling thread's trace under ``trace_key``.
+
+    On a miss the slot is emptied first, so a thread never holds two
+    traces at once, and then takes ``synthesize()``'s trace.
+    """
+    entry = _slot_entry(trace_key)
+    if entry is not None:
         return entry[2]
     _fed_memo.entry = None
     epoch = _fed_epoch
+    trace = synthesize()
+    _fed_memo.entry = [epoch, trace_key, trace, None]
+    return trace
+
+
+def _fed_streams(trace, trace_key, mode, feed) -> _FedStreams:
+    """``feed()``'s streams, memoised in the thread's slot.
+
+    ``trace_key=None`` bypasses the slot.  A fed stream set replaces
+    the previous one, and a trace the slot does not hold replaces the
+    slot's trace.
+    """
+    if trace_key is None:
+        return feed()
+    entry = _slot_entry(trace_key)
+    if entry is None:
+        _fed_memo.entry = None
+        entry = [_fed_epoch, trace_key, trace, None]
+    elif entry[3] is not None and entry[3][0] == mode:
+        obs.add("fastpath.fed_reuses")
+        return entry[3][1]
+    entry[3] = None
     streams = feed()
-    _fed_memo.entry = (epoch, key, streams)
+    entry[3] = (mode, streams)
+    _fed_memo.entry = entry
     return streams
 
 
@@ -900,14 +929,12 @@ def replay_blocks_fast(
     mode: EliminationMode = EliminationMode.DUPLO,
     lhb: Optional[LoadHistoryBuffer] = None,
 ) -> LayerStats:
-    """Streaming twin of :func:`replay_trace_fast`.
+    """Blockwise twin of :func:`replay_trace_fast`.
 
     ``blocks`` is any iterable of :class:`~repro.gpu.isa.TraceBlock`
-    (``repro.gpu.kernel.iter_trace_blocks`` generates them without
-    ever materialising the whole trace; ``KernelTrace.iter_blocks``
-    slices an existing trace).  ``meta`` carries the
-    scalar trace fields (a dict from ``TracePlan.meta()`` /
-    ``KernelTrace.meta()``).  Results are bit-identical to the
+    (:meth:`repro.gpu.kernel.TracePlan.iter_blocks` generates them).
+    ``meta`` carries the scalar trace fields (a dict from
+    ``TracePlan.meta()``).  Results are bit-identical to the
     in-memory replay whatever the block size.
     """
     if mode is not EliminationMode.BASELINE and lhb is None:
@@ -921,8 +948,6 @@ def replay_blocks_fast(
             np.asarray(block.instr),
         )
     obs.add("fastpath.replays")
-    obs.add("fastpath.stream_replays")
-    obs.add("fastpath.stream_blocks", acc.blocks)
     obs.add("fastpath.events", acc.events)
     return acc.streams().finish(lhb, int(meta["mma_ops"]))
 
@@ -943,11 +968,11 @@ def replay_trace_fast(
 
     ``trace_key`` is a hashable identity of ``trace`` together with
     the ``spec``, ``gpu`` and ``options`` it is replayed under — the
-    simulator passes its trace-LRU key, and builds an LHB exactly when
-    ``mode`` is not the baseline.  With one, the fed streams are
-    memoised per thread under ``(trace_key, mode)``, so consecutive
-    replays of one trace and mode — an LHB size or associativity sweep
-    — feed it once.
+    simulator passes its trace key, and builds an LHB exactly when
+    ``mode`` is not the baseline.  With one, the trace and its fed
+    streams stay in the calling thread's slot under ``(trace_key,
+    mode)``, so consecutive replays of one trace and mode — an LHB
+    size or associativity sweep — feed it once.
     """
     if mode is not EliminationMode.BASELINE and lhb is None:
         lhb = LoadHistoryBuffer(lifetime=options.lhb_lifetime)
@@ -961,5 +986,6 @@ def replay_trace_fast(
         acc.feed(trace.kind, trace.address, trace.instr)
         return acc.streams()
 
-    key = None if trace_key is None else (trace_key, mode)
-    return _fed_streams(key, feed).finish(lhb, trace.mma_ops)
+    return _fed_streams(trace, trace_key, mode, feed).finish(
+        lhb, trace.mma_ops
+    )

@@ -22,7 +22,7 @@ Two granularities coexist, matching the paper's microarchitecture:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import BinaryIO, Dict, Iterator, Union
+from typing import Dict
 
 import numpy as np
 
@@ -64,21 +64,8 @@ FILTER_BASE = 0x8000_0000
 OUTPUT_BASE = 0xC000_0000
 INPUT_BASE = 0xE000_0000
 
-#: Columnar record layout of one trace event.  Narrow unsigned fields
-#: (kinds fit a byte, warp slots a halfword) shrink the on-disk and
-#: interchange footprint to 15 bytes/event versus the ~4x wider
-#: individual int64 arrays.
-EVENT_DTYPE = np.dtype(
-    [
-        ("kind", np.uint8),
-        ("address", np.int64),
-        ("warp", np.uint16),
-        ("instr", np.int32),
-    ]
-)
-
-#: Scalar trace fields serialized alongside the event records (the
-#: store's ``.meta.json``), in a fixed order.
+#: Scalar trace fields (everything but the event columns), in a fixed
+#: order.
 _META_FIELDS = (
     "mma_ops",
     "traced_ctas",
@@ -95,14 +82,12 @@ _META_FIELDS = (
 class TraceBlock:
     """One bounded slice of a trace's parallel event columns.
 
-    The unit of streaming generation and replay: block boundaries are
+    The unit of blockwise generation and replay: block boundaries are
     an implementation detail — concatenating a trace's blocks in order
     reproduces the full columns bit-identically, whatever the block
-    size (``repro.gpu.kernel.iter_trace_blocks`` guarantees this by
-    construction, and the ``REPRO_TRACE_BLOCK`` CI lane locks it).
-    Consumers (:func:`repro.gpu.fastpath.replay_blocks_fast`, the disk
-    store's streaming writer) fold each block into compact accumulators
-    instead of materialising the whole trace.
+    size (:meth:`repro.gpu.kernel.TracePlan.iter_blocks` guarantees
+    this by construction).  :func:`repro.gpu.fastpath.replay_blocks_fast`
+    folds each block into compact accumulators.
     """
 
     kind: np.ndarray
@@ -112,15 +97,6 @@ class TraceBlock:
 
     def __len__(self) -> int:
         return len(self.kind)
-
-    def to_columnar(self) -> np.ndarray:
-        """Pack this block's events into one structured record array."""
-        events = np.empty(len(self), dtype=EVENT_DTYPE)
-        events["kind"] = self.kind
-        events["address"] = self.address
-        events["warp"] = self.warp
-        events["instr"] = self.instr
-        return events
 
 
 @dataclass
@@ -182,72 +158,6 @@ class KernelTrace:
         kinds, counts = np.unique(self.kind, return_counts=True)
         return {KIND_NAMES[int(k)]: int(c) for k, c in zip(kinds, counts)}
 
-    def iter_blocks(self, block_events: int) -> Iterator[TraceBlock]:
-        """Yield the trace as bounded :class:`TraceBlock` column slices.
-
-        Slices are views into the trace's columns; nothing is copied.
-        """
-        if block_events < 1:
-            raise ValueError(f"block_events must be >= 1, got {block_events}")
-        n = len(self)
-        for start in range(0, n, block_events):
-            stop = min(start + block_events, n)
-            yield TraceBlock(
-                kind=self.kind[start:stop],
-                address=self.address[start:stop],
-                warp=self.warp[start:stop],
-                instr=self.instr[start:stop],
-            )
-
-    # -- columnar encoding -------------------------------------------------
-
-    def to_columnar(self) -> np.ndarray:
-        """Pack the parallel event arrays into one structured record array."""
-        events = np.empty(len(self), dtype=EVENT_DTYPE)
-        events["kind"] = self.kind
-        events["address"] = self.address
-        events["warp"] = self.warp
-        events["instr"] = self.instr
-        return events
-
     def meta(self) -> Dict[str, int]:
         """The scalar trace fields, keyed by name."""
         return {name: int(getattr(self, name)) for name in _META_FIELDS}
-
-    @classmethod
-    def from_columnar(
-        cls, events: np.ndarray, meta: Dict[str, int]
-    ) -> "KernelTrace":
-        """Rebuild a trace from :meth:`to_columnar` + :meth:`meta` output.
-
-        Every column is widened back to the dense int64 arrays the
-        replay paths index, so round-tripping is lossless (mixed-width
-        arithmetic on the narrow columns would silently wrap under
-        NumPy's value-preserving promotion rules).
-        """
-        return cls(
-            kind=events["kind"].astype(np.int64),
-            address=events["address"].astype(np.int64),
-            warp=events["warp"].astype(np.int64),
-            instr=events["instr"].astype(np.int64),
-            **{name: int(meta[name]) for name in _META_FIELDS},
-        )
-
-    def save_npy(self, file: Union[str, BinaryIO]) -> None:
-        """Serialize the columnar events as one *uncompressed* ``.npy``.
-
-        The store persists traces in this form, and
-        :class:`~repro.runtime.store.TraceStreamWriter` writes the same
-        bytes incrementally.  Scalars travel separately (:meth:`meta` →
-        JSON in the store).
-        """
-        np.save(file, self.to_columnar(), allow_pickle=False)
-
-    @classmethod
-    def load_npy(
-        cls,
-        file: Union[str, BinaryIO],
-        meta: Dict[str, int],
-    ) -> "KernelTrace":
-        """Load a :meth:`save_npy` events file plus its scalar fields."""
-        return cls.from_columnar(np.load(file, allow_pickle=False), meta)

@@ -28,7 +28,6 @@ the accumulator width.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -60,14 +59,6 @@ from repro.gpu.isa import (
     WORKSPACE_BASE,
 )
 from repro.gpu.scheduler import waves
-
-#: Environment override forcing a small streaming block size (events
-#: per yielded :class:`TraceBlock`) through ``generate_sm_trace``; the
-#: assembled trace is bit-identical for any value by construction.
-TRACE_BLOCK_ENV = "REPRO_TRACE_BLOCK"
-
-#: Default block budget for streaming consumers that do not choose one.
-DEFAULT_BLOCK_EVENTS = 1 << 20
 
 
 def _align(x: int, a: int) -> int:
@@ -571,11 +562,9 @@ class TracePlan:
     """Closed-form description of one SM's trace, ready to synthesize.
 
     Built once by :func:`plan_sm_trace`; every downstream consumer —
-    the vectorised generator, :func:`iter_trace_blocks` streaming, the
-    analytic profiler's consult-stream mirror, the disk store's
-    streaming writer (which needs :meth:`event_count` up front for the
-    ``.npy`` header) — derives from this object, so the schedule is
-    defined in exactly one place.
+    the vectorised generator, :meth:`iter_blocks`, the analytic
+    profiler's consult-stream mirror — derives from this object, so
+    the schedule is defined in exactly one place.
     """
 
     spec: ConvLayerSpec
@@ -606,15 +595,6 @@ class TracePlan:
             min(self.concurrency, max(self.assigned, 1))
             * self.kernel.warps_per_cta
         )
-
-    @property
-    def scale_factor(self) -> float:
-        """Extrapolation factor (`KernelTrace.scale_factor` twin) —
-        the plan stands in for the trace in the simulator's scaling
-        tail, so streaming replays never need the trace object."""
-        if self.traced_ctas == 0:
-            return 1.0
-        return self.assigned / self.traced_ctas
 
     def meta(self) -> Dict[str, int]:
         """Scalar trace fields (`KernelTrace.meta` order and names)."""
@@ -669,8 +649,8 @@ class TracePlan:
 
         The k-loop contribution is ``pool_length * k_steps`` per warp;
         stores and (implicit-mode) staging chunks add their literal
-        burst lengths.  Streaming writers size their ``.npy`` header
-        from this before any block is generated.
+        burst lengths.  The generator sizes its columns from this
+        before any event is synthesized.
         """
         k_steps = self.geom.k_steps
         total = 0
@@ -767,26 +747,24 @@ class TracePlan:
                 yield cols
 
     def iter_blocks(
-        self, block_events: Optional[int] = None
+        self, max_events: Optional[int] = None
     ) -> Iterator[TraceBlock]:
         """Yield the trace as bounded-size :class:`TraceBlock` chunks.
 
-        ``block_events`` caps the events accumulated per block (the
-        last chunk may overshoot by one synthesis span); ``None``
-        yields everything as a single block.  Concatenating the blocks
+        ``max_events`` caps the events accumulated per block (the last
+        chunk may overshoot by one synthesis span); ``None`` yields
+        everything as a single block.  Concatenating the blocks
         reproduces :func:`generate_sm_trace` bit-identically for any
         block size, by construction.
         """
-        if block_events is not None and block_events < 1:
-            raise ValueError(
-                f"block_events must be >= 1, got {block_events}"
-            )
+        if max_events is not None and max_events < 1:
+            raise ValueError(f"max_events must be >= 1, got {max_events}")
         pending: List[_Columns] = []
         count = 0
         for cols in self._iter_columns():
             pending.append(cols)
             count += len(cols[0])
-            if block_events is not None and count >= block_events:
+            if max_events is not None and count >= max_events:
                 yield _concat_block(pending)
                 pending = []
                 count = 0
@@ -827,13 +805,25 @@ def plan_sm_trace(
 
     Shared front half of every synthesis consumer: CTA assignment
     (round-robin, ``max_ctas`` truncation), per-warp fragment
-    templates, and the scalar meta fields.
+    templates, and the scalar meta fields.  An SM that does not exist
+    or receives no CTA has nothing to stand for, so choosing one raises
+    ``ValueError``.
     """
     validate_arch(gpu, kernel)
+    if options.representative_sm >= gpu.num_sms:
+        raise ValueError(
+            f"representative_sm={options.representative_sm} does not exist "
+            f"on {gpu.name} ({gpu.num_sms} SMs)"
+        )
     geom = gemm_geometry(spec, gpu)
     blocks, total_ctas = sm_cta_blocks(
         geom, kernel, gpu, options.representative_sm
     )
+    if not blocks:
+        raise ValueError(
+            f"representative_sm={options.representative_sm} runs no CTA "
+            f"of {spec.qualified_name} (grid_ctas={total_ctas})"
+        )
     assigned = len(blocks)
     if options.max_ctas is not None:
         blocks = blocks[: options.max_ctas]
@@ -863,33 +853,6 @@ def plan_sm_trace(
     )
 
 
-def _env_block_events() -> Optional[int]:
-    raw = os.environ.get(TRACE_BLOCK_ENV, "").strip()
-    if not raw:
-        return None
-    return max(1, int(raw))
-
-
-def iter_trace_blocks(
-    spec: ConvLayerSpec,
-    gpu: GPUConfig = TITAN_V,
-    kernel: KernelConfig = BASELINE_KERNEL,
-    options: SimulationOptions = SimulationOptions(),
-    block_events: Optional[int] = None,
-) -> Iterator[TraceBlock]:
-    """Stream one SM's trace as bounded column blocks.
-
-    The streaming twin of :func:`generate_sm_trace`: blocks arrive in
-    emission order and concatenate to the exact full trace.  The block
-    budget defaults to ``$REPRO_TRACE_BLOCK`` if set, else
-    :data:`DEFAULT_BLOCK_EVENTS`.
-    """
-    if block_events is None:
-        block_events = _env_block_events() or DEFAULT_BLOCK_EVENTS
-    plan = plan_sm_trace(spec, gpu, kernel, options)
-    yield from plan.iter_blocks(block_events)
-
-
 def generate_sm_trace(
     spec: ConvLayerSpec,
     gpu: GPUConfig = TITAN_V,
@@ -912,38 +875,14 @@ def generate_sm_trace(
     rather than emitted turn by turn.
     """
     plan = plan_sm_trace(spec, gpu, kernel, options)
-    block_events = _env_block_events()
-    if block_events is not None:
-        # Forced block size: route through the streaming iterator so
-        # the REPRO_TRACE_BLOCK CI lane exercises block assembly.
-        blocks = list(plan.iter_blocks(block_events))
-        if not blocks:
-            kind = np.empty(0, dtype=np.uint8)
-            address = np.empty(0, dtype=np.int64)
-            warp = np.empty(0, dtype=np.int32)
-            instr = np.empty(0, dtype=np.int64)
-        elif len(blocks) == 1:
-            kind, address, warp, instr = (
-                blocks[0].kind, blocks[0].address,
-                blocks[0].warp, blocks[0].instr,
-            )
-        else:
-            kind = np.concatenate([b.kind for b in blocks])
-            address = np.concatenate([b.address for b in blocks])
-            warp = np.concatenate([b.warp for b in blocks])
-            instr = np.concatenate([b.instr for b in blocks])
-        num_blocks = len(blocks)
-    else:
-        # Single-shot: synthesize straight into the final columns.
-        total = plan.event_count()
-        kind = np.empty(total, dtype=np.uint8)
-        address = np.empty(total, dtype=np.int64)
-        warp = np.empty(total, dtype=np.int32)
-        instr = np.empty(total, dtype=np.int64)
-        for _ in plan._iter_columns(out=(kind, address, warp, instr)):
-            pass
-        num_blocks = 1
+    # Synthesize straight into the final columns.
+    total = plan.event_count()
+    kind = np.empty(total, dtype=np.uint8)
+    address = np.empty(total, dtype=np.int64)
+    warp = np.empty(total, dtype=np.int32)
+    instr = np.empty(total, dtype=np.int64)
+    for _ in plan._iter_columns(out=(kind, address, warp, instr)):
+        pass
     obs.add("gen.traces")
     obs.add("gen.events", int(kind.size))
-    obs.add("gen.blocks", num_blocks)
     return plan.make_trace(kind, address, warp, instr)

@@ -1,4 +1,4 @@
-"""Per-layer simulation entry points.
+"""Per-layer simulation entry point.
 
 :func:`simulate_layer` runs one Table I layer under one configuration
 (baseline / Duplo with a given LHB / WIR) and returns a
@@ -8,25 +8,22 @@ baseline and a Duplo variant over the *same* trace, which is how all
 the paper's "performance improvement over baseline" figures are
 produced.
 
-Traces are cached per (layer, gpu, kernel, options) in an in-process
-LRU so parameter sweeps (Figures 9, 10, 12, 13) pay trace generation
-once.  The key covers the *full* frozen :class:`SimulationOptions`
-except ``engine``, which picks the tier and never changes the trace
-(an earlier revision keyed only on ``max_ctas`` / ``representative_sm``
-and aliased options objects differing elsewhere).  The LRU can be
-backed by a persistent :class:`repro.runtime.store.DiskCache` via
-:func:`set_trace_store`, which the sweep executor hooks up for its
-cache so traces survive across runs.  The fast replay also memoises,
-per thread, the streams it last folded from a trace under this key
-and a mode, so LHB size and associativity sweeps over one trace feed
-it once (:func:`repro.gpu.fastpath.replay_trace_fast`).
+A trace is synthesized where it is replayed: synthesis is cheaper than
+any store round trip, so traces are never persisted.  Each thread
+keeps the one trace it last replayed, keyed by (layer, gpu, kernel,
+options), next to the streams the fast replay last folded from it
+(:func:`repro.gpu.fastpath.held_trace`).  The key covers the *full*
+frozen :class:`SimulationOptions` except ``engine``, which picks the
+tier and never changes the trace (an earlier revision keyed only on
+``max_ctas`` / ``representative_sm`` and aliased options objects
+differing elsewhere).  Consecutive replays of one trace — the points
+of one sweep chunk, whatever their mode and LHB — therefore synthesize
+it once, and the sweep executor empties the slot when a chunk ends.
 """
 
 from __future__ import annotations
 
 import logging
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
@@ -40,7 +37,7 @@ from repro.gpu.config import (
     SimulationOptions,
     TITAN_V,
 )
-from repro.gpu.fastpath import clear_fed_memo, replay_trace_fast
+from repro.gpu.fastpath import clear_fed_memo, held_trace, replay_trace_fast
 from repro.gpu.isa import KernelTrace
 from repro.gpu.kernel import generate_sm_trace
 from repro.gpu.ldst import EliminationMode
@@ -49,38 +46,10 @@ from repro.gpu.timing import TimingModel
 
 _log = logging.getLogger(__name__)
 
-_trace_cache: "OrderedDict[Tuple, KernelTrace]" = OrderedDict()
-_TRACE_CACHE_LIMIT = 64
-#: Guards the LRU's OrderedDict against concurrent mutation — the
-#: sweep executor's thread backend replays several layers at once and
-#: ``move_to_end``/``popitem`` are not atomic.  Generation and store
-#: round-trips run *outside* the lock (they dominate and are
-#: independent per layer); the worst concurrent case is two threads
-#: generating the same trace, which wastes work but stays correct.
-_trace_lock = threading.Lock()
-_trace_store = None  # optional repro.runtime.store.DiskCache
-
-
-def set_trace_store(store) -> None:
-    """Back the in-process trace LRU with a persistent disk store.
-
-    ``store`` is a :class:`repro.runtime.store.DiskCache` (or any
-    object with ``get_trace(key)`` / ``put_trace(key, trace)``) —
-    ``None`` detaches it.  Misses in the LRU then consult the store
-    before regenerating, and fresh traces are persisted.
-    """
-    global _trace_store
-    _trace_store = store
-
-
-def get_trace_store():
-    """The currently attached persistent trace store (or ``None``)."""
-    return _trace_store
-
 
 def _trace_cache_key(spec, gpu, kernel, options) -> Tuple:
     # The engine selects the tier, never the trace — normalise it out
-    # so an analytic fallback shares the exact tier's cached trace.
+    # so an analytic fallback shares the exact tier's trace.
     return (spec, gpu, kernel, replace(options, engine="auto"))
 
 
@@ -90,72 +59,17 @@ def _get_trace(
     kernel: KernelConfig,
     options: SimulationOptions,
 ) -> KernelTrace:
-    key = _trace_cache_key(spec, gpu, kernel, options)
-    with _trace_lock:
-        trace = _trace_cache.get(key)
-        if trace is not None:
-            _trace_cache.move_to_end(key)
-    if trace is not None:
-        obs.add("sim.trace.lru_hits")
-        return trace
-    if _trace_store is not None:
-        from repro.runtime.cachekey import trace_key
-
-        digest = trace_key(spec, gpu, kernel, options)
-        with obs.span("sim.trace.store_get", layer=spec.qualified_name):
-            trace = _trace_store.get_trace(digest)
-        if trace is None:
-            with obs.span("sim.trace.generate", layer=spec.qualified_name):
-                trace = generate_sm_trace(spec, gpu, kernel, options)
-            obs.add("sim.trace.generated")
-            with obs.span("sim.trace.store_put", layer=spec.qualified_name):
-                _trace_store.put_trace(digest, trace)
-        else:
-            obs.add("sim.trace.store_hits")
-    else:
-        with obs.span("sim.trace.generate", layer=spec.qualified_name):
-            trace = generate_sm_trace(spec, gpu, kernel, options)
-        obs.add("sim.trace.generated")
-    with _trace_lock:
-        while len(_trace_cache) >= _TRACE_CACHE_LIMIT:
-            _trace_cache.popitem(last=False)
-        _trace_cache[key] = trace
-    return trace
-
-
-def trace_is_cached(
-    spec: ConvLayerSpec,
-    gpu: GPUConfig,
-    kernel: KernelConfig,
-    options: SimulationOptions,
-) -> bool:
-    """True iff the in-process LRU already holds this trace.
-
-    A read-only probe (no LRU reordering, no store consult) — the
-    sweep executor uses it to decide whether a point's trace is cold
-    enough to stream.
-    """
-    with _trace_lock:
-        return _trace_cache_key(spec, gpu, kernel, options) in _trace_cache
+    """The calling thread's trace for this layer, synthesized on a miss."""
+    return held_trace(
+        _trace_cache_key(spec, gpu, kernel, options),
+        lambda: generate_sm_trace(spec, gpu, kernel, options),
+    )
 
 
 def clear_trace_cache() -> None:
-    """Drop cached traces and the fast tier's fed streams (tests that
-    tweak globals call this)."""
-    with _trace_lock:
-        _trace_cache.clear()
+    """Empty every thread's trace slot (tests that tweak globals call
+    this)."""
     clear_fed_memo()
-
-
-def trace_cache_info() -> dict:
-    """Introspection for tests: size, limit, and key list (LRU order)."""
-    with _trace_lock:
-        return {
-            "size": len(_trace_cache),
-            "limit": _TRACE_CACHE_LIMIT,
-            "keys": list(_trace_cache.keys()),
-            "store": _trace_store,
-        }
 
 
 @dataclass(frozen=True)
@@ -326,14 +240,13 @@ def _assemble_result(
     lhb_entries: Optional[int],
     lhb_assoc: int,
 ) -> LayerResult:
-    """Scaling + timing tail shared by every replay entry point.
+    """Scaling + timing tail of :func:`simulate_layer`, either tier.
 
     Extrapolates the traced prefix to the SM's full CTA assignment,
     then to the whole grid.  ``meta`` is anything exposing the scaling
     fields (``scale_factor`` / ``grid_ctas`` / ``traced_ctas`` /
-    ``concurrent_warps``): the trace on the replay tiers, the
-    closed-form scalars on the analytic tier, the
-    :class:`~repro.gpu.kernel.TracePlan` on the streaming tier.
+    ``concurrent_warps``): the trace on the replay tier, the
+    closed-form scalars on the analytic tier.
     """
     sm_stats = sm_traced.scaled(meta.scale_factor)
     if timing is None:
@@ -361,92 +274,6 @@ def _assemble_result(
         lhb_entries=lhb_entries if lhb is not None else None,
         lhb_assoc=lhb_assoc,
     )
-
-
-def simulate_layer_streaming(
-    spec: ConvLayerSpec,
-    mode: EliminationMode = EliminationMode.DUPLO,
-    lhb_entries: Optional[int] = 1024,
-    lhb_assoc: int = 1,
-    gpu: GPUConfig = TITAN_V,
-    kernel: KernelConfig = BASELINE_KERNEL,
-    options: SimulationOptions = SimulationOptions(),
-    timing: Optional[TimingModel] = None,
-    block_events: Optional[int] = None,
-    store=None,
-) -> LayerResult:
-    """Simulate one layer without ever materialising its trace.
-
-    The bounded-memory twin of :func:`simulate_layer`: trace blocks
-    stream straight from the closed-form synthesizer
-    (:meth:`~repro.gpu.kernel.TracePlan.iter_blocks`) into the
-    vectorised replay's accumulator, so peak memory holds one block
-    plus the replay's compact derived streams instead of the full
-    event columns.  Results are bit-identical to
-    :func:`simulate_layer` for any block size.
-
-    ``block_events`` defaults to ``$REPRO_TRACE_BLOCK`` or the
-    built-in block budget.  With ``store`` (a
-    :class:`repro.runtime.store.DiskCache`) each block is also teed
-    into the store's streaming sidecar writer, persisting the trace
-    under its usual content-addressed key at no extra memory cost.
-    """
-    from repro.analytic.engine import count_selected
-    from repro.gpu.fastpath import replay_blocks_fast
-    from repro.gpu.kernel import (
-        DEFAULT_BLOCK_EVENTS,
-        _env_block_events,
-        plan_sm_trace,
-    )
-
-    if block_events is None:
-        block_events = _env_block_events() or DEFAULT_BLOCK_EVENTS
-    with obs.span(
-        "sim.layer", layer=spec.qualified_name, mode=mode.value
-    ):
-        lhb = None
-        if mode is not EliminationMode.BASELINE:
-            lhb = make_lhb(
-                lhb_entries, lhb_assoc, options.lhb_lifetime,
-                options.lhb_hashed_index,
-            )
-        plan = plan_sm_trace(spec, gpu, kernel, options)
-        events = plan.event_count()
-        obs.add("gen.traces")
-        obs.add("gen.events", events)
-        blocks = plan.iter_blocks(block_events)
-        writer = None
-        if store is not None:
-            from repro.runtime.cachekey import trace_key
-
-            digest = trace_key(spec, gpu, kernel, options)
-            writer = store.trace_stream_writer(digest, plan.meta(), events)
-            blocks = _tee_blocks(blocks, writer)
-        try:
-            with obs.span(
-                "sim.replay.stream", layer=spec.qualified_name
-            ):
-                sm_traced = replay_blocks_fast(
-                    blocks, plan.meta(), spec, gpu, options, mode, lhb
-                )
-            if writer is not None:
-                writer.commit()
-        except BaseException:
-            if writer is not None:
-                writer.abort()
-            raise
-        count_selected("fast")
-
-    return _assemble_result(
-        spec, mode, sm_traced, plan, events, gpu, options, timing,
-        lhb, lhb_entries, lhb_assoc,
-    )
-
-
-def _tee_blocks(blocks, writer):
-    for block in blocks:
-        writer.append(block)
-        yield block
 
 
 def simulate_pair(
@@ -483,3 +310,8 @@ def performance_improvement(
     """Fractional speedup of Duplo over baseline (0.25 = +25%)."""
     base, duplo = simulate_pair(spec, lhb_entries, lhb_assoc, **kwargs)
     return duplo.speedup_over(base) - 1.0
+
+
+# Kept only because bench/tracing.py (frozen) wraps this name by
+# attribute; it is the one replay entry point under another name.
+simulate_layer_streaming = simulate_layer

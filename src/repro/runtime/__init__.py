@@ -1,4 +1,4 @@
-"""Experiment runtime: sweep executor + persistent artifact cache.
+"""Experiment runtime: sweep executor + persistent result cache.
 
 Public surface:
 
@@ -9,15 +9,11 @@ Public surface:
   and its get-or-compute entry point.
 * :class:`DiskCache` / :func:`open_cache` / :func:`default_cache_dir`
   — the content-addressed on-disk store under ``results/cache/``.
-* :func:`trace_key` / :func:`result_key` / :data:`CACHE_SALT` —
-  stable content hashes and the code-version salt.
+* :func:`result_key` / :data:`CACHE_SALT` — the stable content hash
+  of a result and the code-version salt.
 """
 
-from repro.runtime.cachekey import (
-    CACHE_SALT,
-    result_key,
-    trace_key,
-)
+from repro.runtime.cachekey import CACHE_SALT, result_key
 from repro.runtime.executor import (
     BACKENDS,
     SimPoint,
@@ -44,5 +40,4 @@ __all__ = [
     "open_cache",
     "result_key",
     "simulate_point",
-    "trace_key",
 ]

@@ -1,22 +1,15 @@
-"""Stable content-addressed cache keys for simulation artifacts.
+"""Stable content-addressed cache keys for simulation results.
 
-Every cached artifact — a :class:`~repro.gpu.isa.KernelTrace` or a
-:class:`~repro.gpu.simulator.LayerResult` — is stored under a SHA-256
-digest of the *complete* configuration that produced it:
-
-``trace_key``
-    ``(ConvLayerSpec, GPUConfig, KernelConfig, SimulationOptions,
-    salt)`` — the full frozen options object, not a hand-picked field
-    subset.  The seed code keyed its in-process trace cache on
-    ``(max_ctas, representative_sm)`` only, so two options objects
-    differing elsewhere aliased to one entry; keying on the canonical
-    form of the whole dataclass closes that bug surface for good (any
-    field added to ``SimulationOptions`` later is picked up
-    automatically).
-
-``result_key``
-    The trace key's inputs plus the replay configuration
-    ``(mode, lhb_entries, lhb_assoc)``.
+Every cached :class:`~repro.gpu.simulator.LayerResult` is stored under
+a SHA-256 digest of the *complete* configuration that produced it:
+``(ConvLayerSpec, GPUConfig, KernelConfig, SimulationOptions, mode,
+lhb_entries, lhb_assoc, salt)`` — the full frozen options object, not
+a hand-picked field subset.  The seed code keyed its in-process trace
+cache on ``(max_ctas, representative_sm)`` only, so two options
+objects differing elsewhere aliased to one entry; keying on the
+canonical form of the whole dataclass closes that bug surface for good
+(any field added to ``SimulationOptions`` later is picked up
+automatically).
 
 Keys incorporate :data:`CACHE_SALT`, a code-version salt bumped
 whenever trace generation or replay semantics change, so a stale
@@ -36,8 +29,8 @@ from repro.gpu.config import GPUConfig, KernelConfig, SimulationOptions
 
 #: Code-version salt.  Bump the trailing integer whenever
 #: ``repro.gpu.kernel``, ``repro.gpu.ldst``, ``repro.gpu.timing``, or
-#: anything else that shapes traces/results changes semantics, so
-#: previously persisted artifacts are invalidated wholesale.
+#: anything else that shapes results changes semantics, so previously
+#: persisted results are invalidated wholesale.
 CACHE_SALT = "duplo-runtime-v3"
 
 
@@ -85,25 +78,6 @@ def canonical(obj) -> object:
 def _digest(payload: dict) -> str:
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def trace_key(
-    spec: ConvLayerSpec,
-    gpu: GPUConfig,
-    kernel: KernelConfig,
-    options: SimulationOptions,
-) -> str:
-    """Content hash identifying one SM trace."""
-    return _digest(
-        {
-            "salt": CACHE_SALT,
-            "kind": "trace",
-            "spec": canonical(spec),
-            "gpu": canonical(gpu),
-            "kernel": canonical(kernel),
-            "options": canonical(_replay_invariant(options)),
-        }
-    )
 
 
 def result_key(

@@ -17,24 +17,17 @@ through one chunk runner, called inline, or mapped over a
 ``ThreadPoolExecutor`` when ``min(jobs, pending chunks,
 os.cpu_count()) >= 2``.  The fast tier is NumPy-vectorised and
 releases the GIL for the bulk of its time, so threads get real
-parallelism there while sharing the parent's trace LRU and metrics
-registry directly.  ``backend="serial"`` forces inline.  The venue can
-never change results.
+parallelism there while sharing the parent's metrics registry
+directly.  ``backend="serial"`` forces inline.  The venue can never
+change results.
 
-Cold fast-tier points **stream**: when neither the in-process LRU nor
-the disk store holds a point's trace, :func:`simulate_point` routes it
-through :func:`~repro.gpu.simulator.simulate_layer_streaming` — trace
-blocks flow straight from the closed-form synthesizer into the
-replay's incremental accumulator (and, when a store is attached, into
-its streaming sidecar writer), so a full-network cold sweep never
-materialises any layer's event columns.  A streamed trace never enters
-the in-process LRU, so the executor streams a point only when a store
-catches the tee (later points of the chunk replay it warm) or when it
-is its chunk's only pending point; otherwise the chunk materialises
-its trace once and every point replays it.  The ``streaming_sweep``
-perf-gate benchmark asserts the bounded RSS end to end through this
-executor.  Results are bit-identical either way (the streaming
-equivalence suite pins this at any block size).
+Every point replays through
+:func:`~repro.gpu.simulator.simulate_layer`, which synthesizes the
+layer's trace into the worker thread's one trace slot unless the slot
+already holds it.  A chunk is one layer, so its first point
+synthesizes the trace and every later point replays it; the runner
+empties the slot when the chunk ends, so no thread holds a trace
+between chunks.  Only results are persisted.
 
 Determinism contract: a point's :class:`LayerResult` is a pure
 function of the point (the simulator has no hidden state beyond its
@@ -66,7 +59,7 @@ from repro.gpu.config import (
 )
 from repro.gpu.fastpath import release_fed_memo
 from repro.gpu.ldst import EliminationMode
-from repro.runtime.cachekey import result_key, trace_key
+from repro.runtime.cachekey import result_key
 from repro.runtime.store import DiskCache
 
 #: Valid ``SweepExecutor(backend=...)`` values: ``auto`` applies the
@@ -125,51 +118,17 @@ def _resolves_analytic(point: SimPoint) -> bool:
     )
 
 
-def _stream_cold(point: SimPoint, cache: Optional[DiskCache]) -> bool:
-    """Should this point stream instead of materialising its trace?
-
-    Streaming pays off exactly when the trace does not exist anywhere
-    yet: the closed-form synthesizer then feeds the replay (and the
-    store's sidecar writer) blockwise, so nothing ever holds the full
-    event columns.  A trace already in the in-process LRU or the disk
-    store is cheaper to replay from — and keeps RSS flat anyway, since
-    it is materialised at most once.  Analytic points have no trace to
-    stream.
-    """
-    from repro.gpu import simulator
-
-    if _resolves_analytic(point):
-        return False
-    if simulator.trace_is_cached(
-        point.spec, point.gpu, point.kernel, point.options
-    ):
-        return False
-    store = cache if cache is not None else simulator.get_trace_store()
-    if store is not None and store.has_trace(
-        trace_key(point.spec, point.gpu, point.kernel, point.options)
-    ):
-        return False
-    return True
-
-
 def simulate_point(
     point: SimPoint,
     cache: Optional[DiskCache] = None,
     key: Optional[str] = None,
-    streaming: bool = False,
 ):
     """Get-or-compute one point's :class:`LayerResult`.
 
     ``key`` is the precomputed result key when the caller already paid
     for it (the executor's prefilter ships keys with the points so
-    chunks never recompute the digest).  ``streaming=True`` routes
-    cold fast-tier points through the bounded-RSS
-    :func:`~repro.gpu.simulator.simulate_layer_streaming` entry,
-    teeing the synthesized trace into ``cache`` (or the simulator's
-    attached trace store) so later points find it warm; results are
-    bit-identical to the materialising path.
+    chunks never recompute the digest).
     """
-    from repro.gpu import simulator
     from repro.gpu.simulator import simulate_layer
 
     if cache is not None and _resolves_analytic(point):
@@ -180,29 +139,15 @@ def simulate_point(
         hit = cache.get_result(key)
         if hit is not None:
             return hit
-    if streaming and _stream_cold(point, cache):
-        tee = cache if cache is not None else simulator.get_trace_store()
-        obs.add("executor.streamed_points")
-        result = simulator.simulate_layer_streaming(
-            point.spec,
-            point.mode,
-            lhb_entries=point.lhb_entries,
-            lhb_assoc=point.lhb_assoc,
-            gpu=point.gpu,
-            kernel=point.kernel,
-            options=point.options,
-            store=tee,
-        )
-    else:
-        result = simulate_layer(
-            point.spec,
-            point.mode,
-            lhb_entries=point.lhb_entries,
-            lhb_assoc=point.lhb_assoc,
-            gpu=point.gpu,
-            kernel=point.kernel,
-            options=point.options,
-        )
+    result = simulate_layer(
+        point.spec,
+        point.mode,
+        lhb_entries=point.lhb_entries,
+        lhb_assoc=point.lhb_assoc,
+        gpu=point.gpu,
+        kernel=point.kernel,
+        options=point.options,
+    )
     if cache is not None:
         cache.put_result(key, result)
     return result
@@ -226,8 +171,7 @@ class SweepExecutor:
         calling thread — the serial reference path.
     cache:
         Optional :class:`DiskCache`.  When set, layer results are
-        served from / persisted to disk and trace generation routes
-        through the same store.
+        served from / persisted to disk.
     backend:
         ``"auto"`` (default) opens a thread pool when
         ``min(jobs, pending chunks, os.cpu_count()) >= 2``;
@@ -360,24 +304,15 @@ class SweepExecutor:
 
     def _dispatch(self, pending: List[_Pending], results) -> None:
         """Run every pending chunk inline or on a thread pool."""
-        from repro.gpu import simulator
-
         workers = self.workers(len(pending))
-        prev = simulator.get_trace_store()
-        if self.cache is not None:
-            simulator.set_trace_store(self.cache)
         t0 = time.perf_counter()
-        try:
-            if workers < 2:
-                obs.add("executor.inline_chunks", len(pending))
-                done = [self._run_chunk(job) for job in pending]
-            else:
-                obs.add("executor.dispatch.threads", len(pending))
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    done = list(pool.map(self._run_chunk, pending))
-        finally:
-            if self.cache is not None:
-                simulator.set_trace_store(prev)
+        if workers < 2:
+            obs.add("executor.inline_chunks", len(pending))
+            done = [self._run_chunk(job) for job in pending]
+        else:
+            obs.add("executor.dispatch.threads", len(pending))
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                done = list(pool.map(self._run_chunk, pending))
         for (ci, missing), (out, _busy_s) in zip(pending, done):
             for (pi, _point, _key), result in zip(missing, out):
                 results[(ci, pi)] = result
@@ -394,15 +329,10 @@ class SweepExecutor:
 
         Returns ``(results, busy seconds)``.  Threads record straight
         onto the shared metrics registry, so nothing is exported or
-        merged.  A cold fast-tier point streams only where streaming
-        cannot cost a second synthesis: a store catches the tee, or no
-        later point of this chunk needs the trace.  The thread's
-        fed-stream memo lives no longer than the chunk.
+        merged.  The thread's trace slot lives no longer than the
+        chunk.
         """
-        from repro.gpu import simulator
-
         _ci, missing = job
-        stream = len(missing) == 1 or simulator.get_trace_store() is not None
         t0 = time.perf_counter()
         try:
             with obs.span(
@@ -411,7 +341,7 @@ class SweepExecutor:
                 points=len(missing),
             ):
                 out = [
-                    simulate_point(point, self.cache, key, streaming=stream)
+                    simulate_point(point, self.cache, key)
                     for _pi, point, key in missing
                 ]
         finally:

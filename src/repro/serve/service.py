@@ -225,7 +225,7 @@ class QueryService:
             return dict(slot.payload, query=query.as_dict())
         try:
             self._bump("serve.simulations")
-            result = simulate_point(point, self.cache, streaming=True)
+            result = simulate_point(point, self.cache)
             slot.payload = result_payload(query, result)
             return slot.payload
         except BaseException as exc:
@@ -256,7 +256,7 @@ class QueryService:
     def _run_sweep(
         self, queries: List[Query], progress: Callable[[int], None]
     ) -> List[Dict[str, Any]]:
-        """Job-queue runner: chunk by layer, stream cold fast points.
+        """Job-queue runner: one executor chunk per layer.
 
         Points sharing a layer form one executor chunk (the trace is
         generated once and reused), and chunks run one executor call

@@ -25,10 +25,9 @@ def event_oracle():
     replays through the event-level oracle
     (:func:`repro.gpu.ldst.replay_trace`) instead of the fast replay.
 
-    This is how end-to-end results are checked against the oracle.
-    The streaming entry is not covered (it feeds the fast replay's
-    accumulator), so warm the trace cache first when running a sweep
-    inside the block.
+    This is how end-to-end results are checked against the oracle;
+    it covers every sweep point, since they all replay through
+    ``simulate_layer``.
     """
     from repro.gpu import simulator
     from repro.gpu.ldst import replay_trace

@@ -14,7 +14,6 @@ import pytest
 
 from tests.conftest import make_spec
 from repro import obs
-from repro.gpu import simulator
 from repro.gpu.config import SimulationOptions
 from repro.gpu.ldst import EliminationMode
 from repro.gpu.simulator import clear_trace_cache
@@ -56,7 +55,6 @@ def _fresh(monkeypatch):
     obs.disable()
     obs.reset()
     clear_trace_cache()
-    simulator.set_trace_store(None)
 
 
 def _chunks(engine="auto"):

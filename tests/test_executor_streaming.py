@@ -1,14 +1,12 @@
-"""Sweep-path streaming dispatch.
+"""Cold sweeps through the executor: one synthesis per chunk, no trace
+left behind.
 
-``simulate_point(..., streaming=True)`` must route *cold fast-tier*
-points through the bounded-RSS
-:func:`~repro.gpu.simulator.simulate_layer_streaming` entry — and
-ONLY those: warm traces (in-process LRU or disk store) keep the
-cheaper replay-from-store path, and the analytic tier cannot
-stream.  The executor streams only where it cannot cost a second
-synthesis: a store catches the tee, or the point is its chunk's only
-pending one.  Results are bit-identical either way; the routing
-itself is pinned by the ``executor.streamed_points`` counter.
+Every sweep point replays through ``simulate_layer``, which keeps the
+worker thread's one trace.  A chunk is one layer, so its trace is
+synthesized once whatever the mix of modes and LHBs, with or without a
+result store; the runner empties the slot when the chunk ends, and the
+store only ever holds results.  A full-network cold sweep stays under
+the committed RSS cap.
 """
 
 import dataclasses
@@ -21,12 +19,11 @@ import pytest
 
 from tests.conftest import make_spec
 from repro import obs
-from repro.gpu import simulator
+from repro.gpu import fastpath
 from repro.gpu.config import SimulationOptions
 from repro.gpu.ldst import EliminationMode
 from repro.gpu.simulator import clear_trace_cache, simulate_layer
 from repro.runtime import DiskCache, SimPoint, SweepExecutor
-from repro.runtime.executor import _stream_cold
 
 LAYERS = [
     make_spec(name="st-plain"),
@@ -45,7 +42,6 @@ def _fresh(monkeypatch):
     obs.disable()
     obs.reset()
     clear_trace_cache()
-    simulator.set_trace_store(None)
 
 
 def _points(**overrides):
@@ -57,30 +53,8 @@ def _points(**overrides):
     ]
 
 
-def _streamed() -> int:
-    return obs.counters_with_prefix("executor.").get(
-        "executor.streamed_points", 0
-    )
-
-
-def test_cold_fast_points_stream_once_per_layer(tmp_path):
-    """Cold sweep: first point of each layer streams, the rest replay
-    the trace the stream teed into the store."""
-    cache = DiskCache(tmp_path / "cache")
-    SweepExecutor(jobs=1, cache=cache, backend="serial").run(_points())
-    assert _streamed() == len(LAYERS)
-    # The tee persisted every layer's trace for later warm replays.
-    from repro.runtime import trace_key
-
-    for spec in LAYERS:
-        p = _points()[0]
-        assert cache.has_trace(
-            trace_key(spec, p.gpu, p.kernel, p.options)
-        )
-
-
 def _direct(points):
-    """The materialising reference: ``simulate_layer`` per point."""
+    """The reference: one ``simulate_layer`` call per point."""
     return [
         simulate_layer(
             p.spec, p.mode, lhb_entries=p.lhb_entries,
@@ -98,20 +72,9 @@ def _assert_same(expected, got):
         assert (a.cycles, a.time_ms) == (b.cycles, b.time_ms)
 
 
-def test_streaming_results_bit_identical(tmp_path):
-    on = SweepExecutor(
-        jobs=1, cache=DiskCache(tmp_path / "on"), backend="serial"
-    ).run(_points())
-    assert _streamed() == len(LAYERS)
-    clear_trace_cache()
-    _assert_same(_direct(_points()), on)
-
-
 def test_cacheless_chunk_synthesizes_its_trace_once():
-    """Regression: with no store to catch a streamed trace, a
-    multi-point chunk must materialise its trace once and replay it
-    for every point — streaming each point would synthesize it anew
-    every time."""
+    """Regression: a multi-point chunk must synthesize its trace once
+    and replay it for every point."""
     chunk = [
         SimPoint(LAYERS[0], options=OPTIONS, lhb_entries=entries)
         for entries in (64, 256, 1024, None)
@@ -119,33 +82,80 @@ def test_cacheless_chunk_synthesizes_its_trace_once():
     (rows,) = SweepExecutor(jobs=1).run_chunks([chunk])
     counters = obs.snapshot()["counters"]
     assert counters["gen.traces"] == 1
-    assert _streamed() == 0
     clear_trace_cache()
     _assert_same(_direct(chunk), rows)
 
 
-def test_warm_store_suppresses_streaming(tmp_path):
-    """Traces already persisted are replayed from the store, never
-    regenerated through the streaming entry."""
-    cache = DiskCache(tmp_path / "cache")
-    points = _points()
-    SweepExecutor(jobs=1, cache=cache, backend="serial").run(points)
+@pytest.mark.parametrize("store", [False, True])
+def test_mixed_mode_chunk_synthesizes_once(tmp_path, store):
+    """A baseline + Duplo + WIR chunk shares one synthesis, with and
+    without a result store."""
+    chunk = [
+        SimPoint(LAYERS[1], mode=mode, options=OPTIONS)
+        for mode in (EliminationMode.BASELINE, EliminationMode.DUPLO,
+                     EliminationMode.WIR)
+    ]
+    cache = DiskCache(tmp_path / "cache") if store else None
+    (rows,) = SweepExecutor(jobs=1, cache=cache).run_chunks([chunk])
+    assert obs.snapshot()["counters"]["gen.traces"] == 1
     clear_trace_cache()
-    obs.reset()
-    for p in points:
-        # Drop persisted results so the executor must re-simulate —
-        # cold results, warm traces: nothing may stream.
-        path = cache._path("results", p.cache_key())
-        if path.exists():
-            path.unlink()
-    SweepExecutor(jobs=1, cache=cache, backend="serial").run(points)
-    assert _streamed() == 0
+    _assert_same(_direct(chunk), rows)
 
 
-def test_non_fast_tiers_never_stream(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_no_thread_holds_a_trace_after_run_chunks(monkeypatch, jobs):
+    """Every chunk runner, inline or pooled, empties its slot; the
+    caller's thread is left as it was."""
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    holders = []
+    release = fastpath.release_fed_memo
+
+    def recording_release():
+        holders.append(fastpath._fed_memo)
+        entry = getattr(fastpath._fed_memo, "entry", None)
+        assert entry is not None and entry[2] is not None
+        release()
+        assert getattr(fastpath._fed_memo, "entry", None) is None
+
+    monkeypatch.setattr(
+        "repro.runtime.executor.release_fed_memo", recording_release
+    )
+    chunks = [[p for p in _points() if p.spec == spec] for spec in LAYERS]
+    SweepExecutor(jobs=jobs).run_chunks(chunks)
+    assert len(holders) == len(chunks)
+    assert getattr(fastpath._fed_memo, "entry", None) is None
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_each_chunk_synthesizes_its_trace_once(monkeypatch, jobs):
+    """Inline or on a pool, a sweep synthesizes one trace per chunk —
+    each chunk's points reuse it on whichever worker runs the chunk."""
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    chunks = [
+        [dataclasses.replace(p, mode=mode) for p in _points()
+         if p.spec == spec for mode in EliminationMode]
+        for spec in LAYERS
+    ]
+    rows = SweepExecutor(jobs=jobs).run_chunks(chunks)
+    counters = obs.snapshot()["counters"]
+    assert counters["gen.traces"] == len(LAYERS)
+    assert counters["sim.layers_simulated"] == sum(map(len, chunks))
+    clear_trace_cache()
+    for chunk, row in zip(chunks, rows):
+        _assert_same(_direct(chunk), row)
+
+
+def test_cold_sweep_persists_results_only(tmp_path):
+    """A cold sweep on a store writes results and nothing under
+    ``traces/``; its results equal direct simulation."""
     cache = DiskCache(tmp_path / "cache")
-    for p in _points(engine="analytic"):
-        assert not _stream_cold(p, cache)
+    swept = SweepExecutor(jobs=1, cache=cache).run(_points())
+    assert not (tmp_path / "cache" / "traces").exists()
+    files = [p for p in (tmp_path / "cache").rglob("*") if p.is_file()]
+    assert files and all(p.suffix == ".pkl" for p in files)
+    assert cache.stats().result_files == len(_points())
+    clear_trace_cache()
+    _assert_same(_direct(_points()), swept)
 
 
 _RSS_CHILD = """\
@@ -167,10 +177,8 @@ points = [
 ]
 results = SweepExecutor(jobs=1, backend="serial").run(points)
 manifest = obs.collect_manifest("rss_child", argv=sys.argv)
-streamed = obs.counters_with_prefix("executor.streamed_points")
 json.dump({
     "n": len(results),
-    "streamed": streamed.get("executor.streamed_points", 0),
     "peak_rss_bytes": manifest.peak_rss_bytes,
 }, sys.stdout)
 """
@@ -179,13 +187,12 @@ json.dump({
 @pytest.mark.slow
 def test_full_network_cold_sweep_rss_bounded():
     """Executor-driven cold yolo sweep stays under the committed RSS
-    cap (the same invariant the perf-gate streaming lane enforces)."""
+    cap (the same invariant the perf gate's cold_sweep enforces)."""
     env = dict(os.environ)
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
     )
-    env["REPRO_TRACE_BLOCK"] = "65536"
     env.pop("REPRO_ENGINE", None)
     proc = subprocess.run(
         [sys.executable, "-c", _RSS_CHILD],
@@ -193,7 +200,6 @@ def test_full_network_cold_sweep_rss_bounded():
     )
     payload = json.loads(proc.stdout)
     assert payload["n"] == 6
-    assert payload["streamed"] == payload["n"]
     assert payload["peak_rss_bytes"] is None or (
         payload["peak_rss_bytes"] < 512 * 2**20
     )

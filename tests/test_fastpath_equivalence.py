@@ -3,15 +3,13 @@
 The acceptance bar for the vectorised replay: `dataclasses.asdict`
 equality on every counter, for every elimination mode, on real Table I
 layer traces — plus the plumbing around it (:func:`simulate_layer`
-against the oracle, its `$REPRO_ENGINE` override, cache-key
-normalisation, and the sidecar-pair trace round-trip the disk store
-uses).  Both replays are called explicitly, so the module needs no
+against the oracle, its `$REPRO_ENGINE` override and cache-key
+normalisation).  Both replays are called explicitly, so the module needs no
 environment forcing.
 """
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro import obs
@@ -31,9 +29,8 @@ from repro.gpu.multikernel import (
     simulate_shared_lhb,
 )
 from repro.gpu.simulator import make_lhb, simulate_layer
-from repro.runtime.cachekey import result_key, trace_key
+from repro.runtime.cachekey import result_key
 from repro.runtime.executor import SimPoint, _resolves_analytic
-from repro.runtime.store import DiskCache
 
 from tests.conftest import event_oracle
 
@@ -317,60 +314,28 @@ class TestMultiKernelEquivalence:
         self._check([spec] * 3, 128, 2, 32)
 
 
-class TestTraceSerialization:
-    def test_sidecar_round_trip(self, tmp_path):
-        spec, trace = layer_trace("gan", "TC1")
-        cache = DiskCache(tmp_path)
-        cache.put_trace("a" * 64, trace)
-        loaded = cache.get_trace("a" * 64)
-        for field in ("kind", "address", "warp", "instr"):
-            np.testing.assert_array_equal(
-                getattr(trace, field), getattr(loaded, field), err_msg=field
-            )
-        assert trace.meta() == loaded.meta()
-        # The round-tripped trace replays identically.
-        event, fast = both_replays(
-            loaded, spec, OPTIONS, EliminationMode.DUPLO
-        )
-        assert_identical(event, fast, "sidecar round trip")
-
-    def test_disk_store_uses_sidecar_pair(self, tmp_path):
-        """One trace format: the ``.events.npy`` record array (15 bytes
-        per event) plus its ``.meta.json`` commit marker — no pickle,
-        no archive."""
-        _, trace = layer_trace("gan", "TC1")
-        cache = DiskCache(tmp_path)
-        cache.put_trace("a" * 64, trace)
-        names = sorted(p.name for p in tmp_path.rglob("*") if p.is_file())
-        assert names == ["a" * 64 + ".events.npy", "a" * 64 + ".meta.json"]
-        events = next(tmp_path.rglob("*.events.npy"))
-        assert events.stat().st_size < 15 * len(trace) + 256
-
-
 class TestCacheKeyNormalisation:
     def test_fast_path_choice_shares_artifacts(self):
-        """auto and analytic runs key the same trace and result (the
-        executor keeps analytic answers out of the result cache)."""
+        """auto and analytic runs key the same result (the executor
+        keeps analytic answers out of the result cache)."""
         spec = get_layer("yolo", "C2")
-        keys = set()
         rkeys = set()
         for choice in ("auto", "analytic"):
             options = dataclasses.replace(OPTIONS, engine=choice)
-            keys.add(trace_key(spec, TITAN_V, BASELINE_KERNEL, options))
             rkeys.add(
                 result_key(
                     spec, TITAN_V, BASELINE_KERNEL, options,
                     "duplo", 1024, 1,
                 )
             )
-        assert len(keys) == 1
         assert len(rkeys) == 1
 
     def test_real_option_changes_still_split(self):
         spec = get_layer("yolo", "C2")
-        a = trace_key(spec, TITAN_V, BASELINE_KERNEL, OPTIONS)
-        b = trace_key(
+        a = result_key(spec, TITAN_V, BASELINE_KERNEL, OPTIONS,
+                       "duplo", 1024, 1)
+        b = result_key(
             spec, TITAN_V, BASELINE_KERNEL,
-            dataclasses.replace(OPTIONS, max_ctas=2),
+            dataclasses.replace(OPTIONS, max_ctas=2), "duplo", 1024, 1,
         )
         assert a != b

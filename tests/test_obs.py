@@ -300,7 +300,6 @@ class TestCacheStatsRegression:
         missing = tmp_path / "never" / "created"
         assert main(["cache", "stats", "--dir", str(missing)]) == 0
         out = capsys.readouterr().out
-        assert "trace files:   0" in out
         assert "result files:  0" in out
         assert "disk bytes:    0" in out
         assert "not created yet" in out
@@ -317,4 +316,4 @@ class TestCacheStatsRegression:
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         assert main(["cache", "stats"]) == 0
-        assert "trace files:   0" in capsys.readouterr().out
+        assert "result files:  0" in capsys.readouterr().out

@@ -69,7 +69,6 @@ def _fresh(monkeypatch):
     obs.disable()
     obs.reset()
     clear_trace_cache()
-    simulator.set_trace_store(None)
 
 
 def _rows(results):

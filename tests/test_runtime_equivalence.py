@@ -42,7 +42,6 @@ def _fresh_caches(monkeypatch):
     clear_trace_cache()
     yield
     clear_trace_cache()
-    simulator.set_trace_store(None)
 
 
 def serial_reference():

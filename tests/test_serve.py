@@ -16,7 +16,6 @@ pinned here too: the store may never exceed ``max_bytes`` after any
 put, under a randomized put sequence, and reads refresh recency.
 """
 
-import dataclasses
 import json
 import random
 import threading
@@ -173,10 +172,10 @@ def test_concurrent_identical_cold_queries_coalesce(service, monkeypatch):
     calls = []
     real = simulate_point
 
-    def gated(point, cache=None, key=None, streaming=False):
+    def gated(point, cache=None, key=None):
         calls.append(point)
         assert gate.wait(30), "test gate never opened"
-        return real(point, cache, key, streaming=streaming)
+        return real(point, cache, key)
 
     monkeypatch.setattr(service_mod, "simulate_point", gated)
     payloads = [None] * n
@@ -252,7 +251,7 @@ def test_leader_failure_propagates_to_followers(service, monkeypatch):
 
     gate = threading.Event()
 
-    def boom(point, cache=None, key=None, streaming=False):
+    def boom(point, cache=None, key=None):
         assert gate.wait(30)
         raise RuntimeError("engine exploded")
 
@@ -371,6 +370,31 @@ def test_sweep_job_results_match_direct(service):
     assert status["done"] == status["total"] == len(bodies)
     for body, payload in zip(bodies, status["results"]):
         assert json.loads(json.dumps(payload)) == _reference(body)
+
+
+def test_sweep_job_worker_holds_no_trace(service, monkeypatch):
+    """Each layer of a sweep job synthesizes its trace once on the job
+    worker, which empties its trace slot when the layer's chunk ends."""
+    import repro.runtime.executor as executor_mod
+    from repro.gpu import fastpath
+
+    released = []
+    release = fastpath.release_fed_memo
+
+    def recording():
+        entry = getattr(fastpath._fed_memo, "entry", None)
+        release()
+        released.append((entry is not None,
+                         getattr(fastpath._fed_memo, "entry", None)))
+
+    monkeypatch.setattr(executor_mod, "release_fed_memo", recording)
+    bodies = [dict(BODY, lhb_entries=e) for e in (64, 256)]
+    bodies += [dict(BODY, layer="C3", lhb_entries=e) for e in (64, 256)]
+    status = _wait_job(
+        service.jobs, service.submit_sweep({"queries": bodies})
+    )
+    assert status["state"] == "done"
+    assert released == [(True, None), (True, None)]  # one per layer
 
 
 def test_sweep_validation():

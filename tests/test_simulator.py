@@ -90,22 +90,31 @@ class TestScaling:
 
 
 class TestTraceCache:
-    def test_cache_reuses_trace_across_modes(self, spec):
+    @pytest.fixture
+    def generated(self, monkeypatch):
         import repro.gpu.simulator as sim
 
+        calls = []
+        real = sim.generate_sm_trace
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sim, "generate_sm_trace", counting)
+        return calls
+
+    def test_cache_reuses_trace_across_modes(self, spec, generated):
         simulate_layer(spec, EliminationMode.BASELINE, kernel=KERNEL)
-        n = len(sim._trace_cache)
         simulate_layer(spec, EliminationMode.DUPLO, kernel=KERNEL)
-        assert len(sim._trace_cache) == n
+        assert len(generated) == 1
 
-    def test_different_options_different_trace(self, spec):
-        import repro.gpu.simulator as sim
-
+    def test_different_options_different_trace(self, spec, generated):
         simulate_layer(spec, kernel=KERNEL)
         simulate_layer(
             spec, kernel=KERNEL, options=SimulationOptions(max_ctas=1)
         )
-        assert len(sim._trace_cache) == 2
+        assert len(generated) == 2
 
 
 class TestMakeLhb:
@@ -146,13 +155,3 @@ class TestConvenienceApi:
 
         r = repro.simulate_layer(spec, EliminationMode.BASELINE, kernel=KERNEL)
         assert r.cycles > 0
-
-    def test_trace_cache_eviction_limit(self):
-        import repro.gpu.simulator as sim
-
-        for i in range(sim._TRACE_CACHE_LIMIT + 5):
-            s = make_spec(name=f"evict{i}", batch=1, h=6 + (i % 3), w=6,
-                          c=4, filters=4)
-            simulate_layer(s, EliminationMode.BASELINE, kernel=KERNEL,
-                           options=SimulationOptions(max_ctas=1))
-        assert len(sim._trace_cache) <= sim._TRACE_CACHE_LIMIT
