@@ -41,21 +41,12 @@ def main() -> int:
     layers = [get_layer(net, name) for net, name in GOLDEN_LAYERS]
     options = SimulationOptions(max_ctas=GOLDEN_MAX_CTAS)
     os.makedirs(OUT_DIR, exist_ok=True)
-    runs = {
-        "figure9": lambda: experiments.figure9(layers, options),
-        "figure10": lambda: experiments.figure10(layers, options),
-        "figure12": lambda: experiments.figure12(layers, options),
-        "table2": lambda: experiments.table2(),
-        "multikernel": lambda: experiments.multikernel_sharing(
-            layers, options=options
-        ),
-    }
     config = {
         "layers": ["/".join(p) for p in GOLDEN_LAYERS],
         "max_ctas": GOLDEN_MAX_CTAS,
     }
-    for name, run in runs.items():
-        exp = run()
+    for name in ("figure9", "figure10", "figure12", "table2", "multikernel"):
+        exp = experiments.REGISTRY[name](layers, options, None)
         payload = {
             "config": config,
             "rows": exp.rows,

@@ -3,18 +3,22 @@
 Every function returns an :class:`Experiment` whose ``rows`` are the
 exact bars/series the paper plots and whose ``summary`` holds the
 aggregate the paper quotes in prose, alongside ``paper`` — the
-published value — so EXPERIMENTS.md can tabulate paper-vs-measured.
+published value, read from :mod:`repro.analysis.claims` — so
+EXPERIMENTS.md can tabulate paper-vs-measured.
 
 All functions accept ``layers`` and ``options`` so the benchmark
 suite can run reduced configurations (CTA caps) while examples and
-EXPERIMENTS.md use the full traces.
+EXPERIMENTS.md use the full traces.  :data:`REGISTRY` names every
+experiment behind one call signature, and :data:`PAPER_EVALUATION`
+lists the ones that make up the paper's evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.analysis.claims import paper_values
 from repro.analysis.methodcost import (
     method_memory_ratio,
     method_speedup,
@@ -86,7 +90,13 @@ class Experiment:
     description: str
     rows: List[Dict]
     summary: Dict[str, float] = field(default_factory=dict)
-    paper: Dict[str, float] = field(default_factory=dict)
+    #: The published value of each summary metric the paper quotes;
+    #: by default the claims catalogue's values for ``name``.
+    paper: Optional[Dict[str, float]] = None
+
+    def __post_init__(self) -> None:
+        if self.paper is None:
+            self.paper = paper_values(self.name)
 
 
 def _default_layers(layers: Optional[Sequence[ConvLayerSpec]]):
@@ -119,12 +129,6 @@ def figure2(layers: Optional[Sequence[ConvLayerSpec]] = None) -> Experiment:
         description="Speedup of convolution methods over direct convolution",
         rows=rows,
         summary=summary,
-        paper={
-            "gmean_gemm": 13.5,
-            "gmean_winograd": 20.7,
-            "gmean_fft": 11.5,
-            "gmean_gemm_tc": 25.7,
-        },
     )
 
 
@@ -150,12 +154,6 @@ def figure3(layers: Optional[Sequence[ConvLayerSpec]] = None) -> Experiment:
         description="Relative memory usage of convolution methods",
         rows=rows,
         summary=summary,
-        paper={
-            "mean_gemm": 9.7,
-            "mean_gemm_tc": 1.1,
-            "mean_winograd": 12.2,
-            "mean_fft": 53.5,
-        },
     )
 
 
@@ -190,7 +188,6 @@ def figure9(
         description="Duplo performance improvement with variable-sized LHBs",
         rows=rows,
         summary=summary,
-        paper={"gmean_oracle": 0.259, "gmean_1024-entry": 0.221},
     )
 
 
@@ -222,7 +219,6 @@ def figure10(
         description="LHB hit rate with variable buffer sizes",
         rows=rows,
         summary=summary,
-        paper={"hit_oracle": 0.76, "theoretical_limit": 0.889},
     )
 
 
@@ -274,11 +270,6 @@ def figure11(
         description="Breakdown of data services along the memory hierarchy",
         rows=rows,
         summary=summary,
-        paper={
-            "mean_dram_traffic_reduction": 0.266,
-            "mean_l1_service_reduction": 0.281,
-            "mean_l2_service_reduction": 0.192,
-        },
     )
 
 
@@ -313,7 +304,6 @@ def figure12(
         description="Performance impact of set-associative LHBs",
         rows=rows,
         summary=summary,
-        paper={"eight_way_advantage": 0.036},
     )
 
 
@@ -358,7 +348,6 @@ def figure13(
         description="Performance implications of variable-sized batches",
         rows=rows,
         summary=summary,
-        paper={"batch32_degradation": 0.082},
     )
 
 
@@ -414,10 +403,6 @@ def figure14(
         description="Network-level execution time (inference and training)",
         rows=rows,
         summary=summary,
-        paper={
-            "gmean_inference_reduction": 0.227,
-            "gmean_training_reduction": 0.083,
-        },
     )
 
 
@@ -500,7 +485,6 @@ def table2() -> Experiment:
         description="Duplo workflow example (LHB miss/bypass/hit/replace)",
         rows=rows,
         summary={"hits": hits},
-        paper={"hits": 1},
     )
 
 
@@ -548,7 +532,6 @@ def energy_area(
         description="On-chip energy reduction and area overhead (Sec V-H)",
         rows=rows,
         summary=summary,
-        paper={"on_chip_energy_reduction": 0.341, "area_overhead": 0.0077},
     )
 
 
@@ -630,3 +613,53 @@ def arch_zoo(
         rows=rows,
         summary=summary,
     )
+
+
+# ----------------------------------------------------------------------
+# The registry
+# ----------------------------------------------------------------------
+
+#: Every experiment by name, as a builder ``(layers, options, executor)
+#: -> Experiment``; ``layers=None`` runs the experiment's default layer
+#: set.  A builder ignores what its experiment does not take: Figures
+#: 2/3 are analytic, Figure 14 runs whole networks, the multi-kernel
+#: study replays without an executor, and Table II is a fixed example.
+REGISTRY: Dict[str, Callable[..., Experiment]] = {
+    "figure2": lambda layers, options, executor: figure2(layers=layers),
+    "figure3": lambda layers, options, executor: figure3(layers=layers),
+    "table2": lambda layers, options, executor: table2(),
+    "figure9": lambda layers, options, executor: figure9(
+        layers=layers, options=options, executor=executor
+    ),
+    "figure10": lambda layers, options, executor: figure10(
+        layers=layers, options=options, executor=executor
+    ),
+    "figure11": lambda layers, options, executor: figure11(
+        layers=layers, options=options, executor=executor
+    ),
+    "figure12": lambda layers, options, executor: figure12(
+        layers=layers, options=options, executor=executor
+    ),
+    "figure13": lambda layers, options, executor: figure13(
+        layers=layers, options=options, executor=executor
+    ),
+    "figure14": lambda layers, options, executor: figure14(
+        options=options, executor=executor
+    ),
+    "energy_area": lambda layers, options, executor: energy_area(
+        layers=layers, options=options, executor=executor
+    ),
+    "multikernel": lambda layers, options, executor: multikernel_sharing(
+        layers=layers, options=options
+    ),
+    "arch_zoo": lambda layers, options, executor: arch_zoo(
+        layers=layers, options=options, executor=executor
+    ),
+}
+
+#: The paper's evaluation, in the order ``results/experiments.txt``
+#: records it.
+PAPER_EVALUATION = (
+    "figure2", "figure3", "table2", "figure9", "figure10", "figure11",
+    "figure12", "figure13", "figure14", "energy_area",
+)

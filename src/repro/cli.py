@@ -7,8 +7,8 @@ Commands
 ``simulate NETWORK LAYER``
     Simulate one layer (baseline vs. Duplo) and print the comparison.
 ``experiment NAME``
-    Regenerate one paper figure/table (``figure2`` .. ``figure14``,
-    ``table2``, ``multikernel``, ``energy_area``, ``arch_zoo``).
+    Regenerate one experiment of
+    :data:`repro.analysis.experiments.REGISTRY`.
     ``--jobs N`` fans the sweep's layers across up to N worker
     threads; results persist under ``results/cache/`` unless
     ``--no-cache`` is given.
@@ -32,26 +32,10 @@ from typing import List, Optional
 
 from repro import obs
 from repro.analysis import experiments as exp_mod
-from repro.analysis.report import format_experiment, format_table
+from repro.analysis.report import comparison_lines, format_experiment, format_table
 from repro.conv.workloads import WORKLOADS, get_layer, networks
 from repro.gpu.config import SimulationOptions, arch_names, get_arch
 from repro.gpu.simulator import EliminationMode, simulate_layer
-
-EXPERIMENTS = {
-    "figure2": lambda a, ex: exp_mod.figure2(),
-    "figure3": lambda a, ex: exp_mod.figure3(),
-    "figure9": lambda a, ex: exp_mod.figure9(options=a, executor=ex),
-    "figure10": lambda a, ex: exp_mod.figure10(options=a, executor=ex),
-    "figure11": lambda a, ex: exp_mod.figure11(options=a, executor=ex),
-    "figure12": lambda a, ex: exp_mod.figure12(options=a, executor=ex),
-    "figure13": lambda a, ex: exp_mod.figure13(options=a, executor=ex),
-    "figure14": lambda a, ex: exp_mod.figure14(options=a, executor=ex),
-    "table2": lambda a, ex: exp_mod.table2(),
-    "multikernel": lambda a, ex: exp_mod.multikernel_sharing(options=a),
-    "energy_area": lambda a, ex: exp_mod.energy_area(options=a, executor=ex),
-    "arch_zoo": lambda a, ex: exp_mod.arch_zoo(options=a, executor=ex),
-}
-
 
 def _make_executor(args: argparse.Namespace):
     """Build the sweep executor the experiment/calibration commands use."""
@@ -201,16 +185,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     try:
-        runner = EXPERIMENTS[args.name]
+        build = exp_mod.REGISTRY[args.name]
     except KeyError:
         print(
             f"unknown experiment {args.name!r}; "
-            f"choose from {sorted(EXPERIMENTS)}",
+            f"choose from {sorted(exp_mod.REGISTRY)}",
             file=sys.stderr,
         )
         return 2
-    options = _options(args)
-    exp = runner(options, _make_executor(args))
+    exp = build(None, _options(args), _make_executor(args))
     if args.chart:
         from repro.analysis.charts import summary_chart
 
@@ -284,10 +267,8 @@ def _cmd_calibration(args: argparse.Namespace) -> int:
     options = _options(args)
     executor = _make_executor(args)
     for name in ("figure9", "figure10", "figure11", "energy_area"):
-        exp = EXPERIMENTS[name](options, executor)
-        for key, ref in exp.paper.items():
-            measured = exp.summary.get(key)
-            print(f"{name:12s} {key:32s} paper={ref:<8} measured={measured:.3f}")
+        exp = exp_mod.REGISTRY[name](None, options, executor)
+        print("\n".join(comparison_lines(exp)))
     return 0
 
 
@@ -349,8 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_flag(sim)
 
     exp = sub.add_parser("experiment", help="regenerate a paper figure")
-    exp.add_argument("name", help="figure2..figure14, table2, energy_area, "
-                     "arch_zoo")
+    exp.add_argument("name", help=", ".join(exp_mod.REGISTRY))
     exp.add_argument("--max-ctas", type=int, default=4)
     exp.add_argument("--max-rows", type=int, default=30)
     exp.add_argument("--chart", action="store_true",

@@ -93,14 +93,16 @@ class TestRuntimeFlags:
          "figure14", "energy_area", "arch_zoo"],
     )
     def test_sweep_experiments_receive_the_executor(self, monkeypatch, name):
-        from repro import cli
+        """The registry builder ``experiment`` runs hands the command's
+        executor through to the sweep-backed experiment."""
+        from repro.analysis import experiments as exp_mod
 
         seen = {}
         monkeypatch.setattr(
-            cli.exp_mod, name, lambda **kwargs: seen.update(kwargs)
+            exp_mod, name, lambda **kwargs: seen.update(kwargs)
         )
         executor = object()
-        cli.EXPERIMENTS[name]("options", executor)
+        exp_mod.REGISTRY[name](None, "options", executor)
         assert seen["executor"] is executor
 
     def test_cache_stats_and_clear(self, tmp_path, capsys):
