@@ -40,8 +40,11 @@ The check applies three rules, strictest first:
    and ``parallel_efficiency``, the ``jobs=4`` thread sweep's speedup
    over the serial one per usable worker) must stay within ``--tolerance`` (default 25%) of the
    baseline, because ratios cancel host speed and are comparable
-   across machines (``parallel_efficiency``, ``serve_warm_qps`` and
-   ``trace_gen_events_per_s`` are host-shaped rates instead);
+   across machines — except the host-shaped rates
+   (``parallel_efficiency``, ``serve_warm_qps`` and
+   ``trace_gen_events_per_s``), which are compared only against a
+   baseline recorded with this host's ``cpu_count`` and otherwise
+   printed as not comparable;
 3. **absolute medians** must stay under ``baseline * --time-tolerance``
    (default 3.0x) — a loose catastrophic-regression backstop, since CI
    runners and developer machines differ widely in absolute speed.
@@ -103,6 +106,12 @@ SERVE_WARM_PASSES = 25
 #: reference host (interpreter + NumPy import dominate); the cap is a
 #: regression tripwire for unbounded buffering, not a tight budget.
 COLD_SWEEP_RSS_CAP_BYTES = 512 * 2**20
+#: Derived rates shaped by the host rather than cancelling it (worker
+#: count, socket stack, interpreter speed): a baseline recorded with a
+#: different ``host.cpu_count`` says nothing about them.
+HOST_SHAPED_RATES = (
+    "parallel_efficiency", "serve_warm_qps", "trace_gen_events_per_s",
+)
 
 #: Child body for the cold_sweep benchmark: a full-network large-batch
 #: cold sweep *through the SweepExecutor* in its own interpreter so the
@@ -754,9 +763,17 @@ def check_against(
                 f"> {limit:.4f}s ({time_tolerance:.1f}x baseline "
                 f"{ref['median_s']:.4f}s)"
             )
+    cores = report["host"].get("cpu_count")
+    base_cores = baseline.get("host", {}).get("cpu_count")
     for name, expected in baseline.get("derived", {}).items():
         got = report["derived"].get(name)
         if got is None:
+            continue
+        if name in HOST_SHAPED_RATES and cores != base_cores:
+            print(
+                f"  {name} = {got}: not comparable (baseline recorded "
+                f"with cpu_count {base_cores}, this host has {cores})"
+            )
             continue
         floor = expected * (1.0 - tolerance)
         if got < floor:

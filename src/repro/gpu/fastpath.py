@@ -31,9 +31,10 @@ exact closed forms:
   same-line re-references collapse first (they are hits at any
   associativity and provably do not disturb other distances), windows
   shorter than the associativity short-circuit to hits, and the
-  residual distances come from a divide-and-conquer dominance count
-  (:func:`dominance_counts`) built entirely from radix sorts and
-  ``searchsorted`` — no per-event state machine.
+  residual distances come from a windowed count over a merge-sort tree
+  (:func:`window_counts`) whose depth is bounded by the longest
+  window, built entirely from sorts and ``searchsorted`` — no
+  per-event state machine.
 
 * **Serve-order identity** — a load is served by exactly one of
   LHB / shared memory / L1 / L2 / DRAM, so the hierarchy's streams are
@@ -83,22 +84,28 @@ from repro.gpu.stats import LayerStats, MemoryBreakdown
 def stable_order(values: np.ndarray) -> np.ndarray:
     """Stable argsort tuned for int keys.
 
-    NumPy's ``kind="stable"`` argsort (timsort for ints) runs ~4x
-    slower than introsort, so when the value range permits we fold the
-    position into a composite key — ``(value - min) * n + position`` —
-    whose uniqueness makes the default sort's order stable by
-    construction.  Extreme ranges (strict-mode element IDs) fall back
-    to the stable kind — kept deliberately, and counted under
-    ``fastpath.stable_sort_fallback`` so the slow tier is observable.
+    A span that fits 16 bits (L1/L2 set indices, direct-mapped LHB
+    sets) shifts to a ``uint16`` key, whose ``kind="stable"`` argsort
+    is NumPy's radix sort — the fastest tier.  Wider int keys sort
+    stably with timsort, ~4x slower than introsort, so when the value
+    range permits we fold the position into a composite key —
+    ``(value - min) * n + position`` — whose uniqueness makes the
+    default sort's order stable by construction.  Extreme ranges
+    (strict-mode element IDs) fall back to the stable kind — kept
+    deliberately, and counted under ``fastpath.stable_sort_fallback``
+    so the slow tier is observable.
     """
     n = len(values)
     if n < 2:
         return np.arange(n, dtype=np.int64)
     lo = int(values.min())
     span = int(values.max()) - lo + 1
+    if span <= (1 << 16):
+        key = (values - np.int64(lo)).astype(np.uint16)
+        return np.argsort(key, kind="stable")
     if span * n < (1 << 31):
-        # Narrow ranges (set indices, cache sets) fit an int32 key,
-        # which introsorts another ~30% faster than int64.
+        # Moderate ranges fit an int32 key, which introsorts another
+        # ~30% faster than int64.
         key = (values - np.int64(lo)).astype(np.int32) * np.int32(n)
         key += np.arange(n, dtype=np.int32)
         return np.argsort(key)
@@ -139,72 +146,80 @@ def prev_in_group(group: np.ndarray) -> np.ndarray:
     return prev
 
 
-def dominance_counts(
-    values: np.ndarray, query_x: np.ndarray, query_t: np.ndarray
+def window_counts(
+    values: np.ndarray, lo: np.ndarray, hi: np.ndarray, thr: np.ndarray
 ) -> np.ndarray:
-    """``counts[k] = #{j <= query_x[k] : values[j] < query_t[k]}``.
+    """``counts[k] = #{lo[k] <= j <= hi[k] : values[j] < thr[k]}``.
 
-    Contract: ``values`` lie in ``[-1, m]`` and ``query_t`` in
-    ``[-1, m)`` where ``m = len(values)`` — previous-occurrence
-    indices (with ``m`` admitted as a "no next occurrence" sentinel:
-    it shifts to ``m + 1``, ties the internal query marker, and is
-    never counted because every threshold stays at most ``m``).
-    ``query_x`` may include ``-1`` (an empty prefix, counting zero).
+    Contract: ``values`` and ``thr`` lie in ``[-1, m]`` where
+    ``m = len(values)`` — previous- or next-occurrence indices, with
+    ``m`` admitted as a "no next occurrence" sentinel.  Windows lie in
+    ``[0, m)``; an empty or inverted one (``lo > hi``) counts zero.
 
-    Offline 2D dominance counting over a bottom-up merge-sort tree:
-    the point array is sorted in place level by level (block size
-    doubling each round), and each query prefix ``[0, x]`` decomposes
-    into its binary aligned blocks — one block per set bit of
-    ``x + 1``, resolved at the level whose block size matches that bit
-    with one global ``searchsorted`` (the per-block sorted values are
-    made globally monotone by adding ``block_index * offset``).  Every
-    (point, query) pair lands in exactly one block of the
-    decomposition.  All passes are sorts of presorted halves or binary
-    searches; nothing is per-event, and queries never occupy slots, so
-    the hot per-level arrays stay at the point count.
+    Offline 2D counting over a bottom-up merge-sort tree: the value
+    array is sorted in place level by level (block size doubling each
+    round), and each window splits into aligned blocks, taking at most
+    one block from each end per level — exactly the iterative
+    segment-tree walk.  A taken block resolves with one global
+    ``searchsorted`` (the per-block sorted values are made globally
+    monotone by adding ``block_index * offset``).  A window closes once
+    its ends meet, and the merging stops when no window is still open,
+    so the depth is bounded by the longest window, not the stream
+    length.  Every pass is a sort of presorted halves or a binary
+    search; nothing is per-event.
     """
     m = len(values)
-    q = len(query_x)
-    counts = np.zeros(q, dtype=np.int64)
-    if q == 0 or m == 0:
+    counts = np.zeros(len(lo), dtype=np.int64)
+    # Half-open block bounds [a, b) at the current level, open windows
+    # only; ``who`` maps them back to their query.
+    a = np.asarray(lo, dtype=np.int64)
+    b = np.asarray(hi, dtype=np.int64) + 1
+    who = np.nonzero(a < b)[0]
+    if len(who) == 0:
         return counts
+    a, b = a[who], b[who]
+    t = np.asarray(thr, dtype=np.int64)[who] + 1  # values shift by +1
 
-    padded = 1 << max(0, (m - 1).bit_length())
-    big = np.int32(m + 1)  # sentinel: never counted by any threshold
-    off = np.int64(m + 2)
-
-    # Point values shift to [0, m+1] so they stay int32 — the per-level
-    # sorts are the hot loop, and int32 halves their memory traffic.
-    vals = np.full(padded, big, dtype=np.int32)
+    # A window still open at level s holds a whole 2^s block, so the
+    # top level is the longest window's highest bit; padding the array
+    # to a multiple of that block lets every level reshape.  Padding
+    # slots are never inside a window, so their value is immaterial.
+    top = int((b - a).max()).bit_length() - 1
+    size = -(-m >> top) << top
+    # Values shift to [0, m+1] so they stay int32 — the per-level sorts
+    # are the hot loop, and int32 halves their memory traffic.
+    vals = np.full(size, m + 1, dtype=np.int32)
     vals[:m] = values + 1
-
-    prefix = query_x.astype(np.int64) + 1  # prefix length per query
-    qthr = query_t.astype(np.int64) + 1  # "< t" -> "< t+1"
-
-    slot_idx = np.arange(padded, dtype=np.int64)
-    blk = np.empty(padded, dtype=np.int64)
-    aug = np.empty(padded, dtype=np.int64)
-    maxp = int(prefix.max())
-    span, shift = 1, 0
+    off = np.int64(m + 2)
+    slot_idx = np.arange(size, dtype=np.int64)
+    aug = np.empty(size, dtype=np.int64)
+    shift = 0
     while True:
-        pair = 2 * span
-        take = (prefix & span) != 0  # this bit's aligned block, if set
-        if take.any():
-            left_start = prefix[take] & ~np.int64(pair - 1)
-            # Per-span-block offsets make the concatenation of all
-            # sorted blocks globally monotone for one searchsorted.
-            np.right_shift(slot_idx, shift, out=blk)
-            np.multiply(blk, off, out=aug)
-            aug += vals
-            keys = qthr[take] + (left_start >> shift) * off
-            hits = np.searchsorted(aug, keys, side="left") - left_start
-            counts[take] += hits
-        if span >= padded or pair > maxp:
-            return counts  # no prefix has a higher bit set
-        # Each block is two sorted halves; the stable sort's run
-        # detection turns the pass into a linear merge.
-        vals.reshape(padded // pair, pair).sort(axis=1, kind="stable")
-        span, shift = pair, shift + 1
+        left = (a & 1) != 0  # block a, then a moves right
+        right = (b & 1) != 0  # block b - 1, then b moves left
+        blocks = np.concatenate([a[left], b[right] - 1])
+        # Per-block offsets make the concatenation of all sorted
+        # blocks globally monotone for one searchsorted.
+        np.right_shift(slot_idx, shift, out=aug)
+        aug *= off
+        aug += vals
+        found = np.searchsorted(
+            aug, np.concatenate([t[left], t[right]]) + blocks * off,
+            side="left",
+        ) - (blocks << shift)
+        n_left = int(np.count_nonzero(left))
+        counts[who[left]] += found[:n_left]
+        counts[who[right]] += found[n_left:]
+        a = (a + 1) >> 1
+        b >>= 1
+        still = a < b
+        if not still.any():
+            return counts
+        a, b, t, who = a[still], b[still], t[still], who[still]
+        # Each next-level block is two sorted halves; the stable
+        # sort's run detection turns the pass into a linear merge.
+        shift += 1
+        vals.reshape(size >> shift, 1 << shift).sort(axis=1, kind="stable")
 
 
 def lru_hit_mask(lines: np.ndarray, set_mask: int, assoc: int) -> np.ndarray:
@@ -213,7 +228,7 @@ def lru_hit_mask(lines: np.ndarray, set_mask: int, assoc: int) -> np.ndarray:
     Implements the stack-distance characterisation: group the stream by
     set, collapse immediate same-line re-references (always hits, no
     state disturbance), short-circuit windows shorter than ``assoc``,
-    and resolve the rest with an offline dominance count of
+    and resolve the rest with one :func:`window_counts` pass over
     ``SD(i) = #{j in (p_i, i) : p_j < p_i}`` — the number of
     first-in-window references between an access and its previous
     same-line occurrence ``p_i``.
@@ -226,13 +241,13 @@ def lru_hit_mask(lines: np.ndarray, set_mask: int, assoc: int) -> np.ndarray:
     sets = lines & np.int64(set_mask)
 
     order = stable_order(sets)
-    s_sets = sets[order]
     s_lines = lines[order]
 
     # Immediate re-reference of the set's MRU line: hit at any assoc,
     # and removing it leaves every other stack distance unchanged.
+    # Equal lines share a set, so equal neighbours are in one segment.
     collapse = np.zeros(n, dtype=bool)
-    collapse[1:] = (s_sets[1:] == s_sets[:-1]) & (s_lines[1:] == s_lines[:-1])
+    collapse[1:] = s_lines[1:] == s_lines[:-1]
     hits[order[collapse]] = True
 
     keep = ~collapse
@@ -256,16 +271,12 @@ def lru_hit_mask(lines: np.ndarray, set_mask: int, assoc: int) -> np.ndarray:
         qt = prev[residual]
         # First-ever occurrences inside the window are distinct lines
         # for free: an O(1) lower bound that settles most queries
-        # without touching the dominance machinery.
+        # without touching the window count.
         csum = np.cumsum(prev < 0)
         alive = (csum[qi - 1] - csum[qt]) < assoc
         qi, qt = qi[alive], qt[alive]
         if len(qi):
-            # The window's lower end is closed-form: every prev pointer
-            # is strictly below its own index, so
-            # #{j <= qt : prev[j] < qt} == qt + 1 exactly.
-            counts = dominance_counts(prev, qi - 1, qt)
-            sd = counts - (qt + 1)
+            sd = window_counts(prev, qt + 1, qi - 1, qt)
             hits[r_orig[qi[sd < assoc]]] = True
     return hits
 
@@ -299,11 +310,8 @@ def windowed_distinct_counts(
     prev_s = prev_in_group(s_tag)  # same tag => same group => same block
     ip = np.nonzero(prev_s >= 0)[0]
     if len(ip):
-        # #{j <= qt : prev_s[j] < qt} == qt + 1 (prev pointers sit
-        # strictly below their own index), so the prefix count minus
-        # that closed form is exactly the in-window distinct count.
-        counts = dominance_counts(prev_s, ip - 1, prev_s[ip])
-        out[order[ip]] = counts - (prev_s[ip] + 1)
+        qt = prev_s[ip]
+        out[order[ip]] = window_counts(prev_s, qt + 1, ip - 1, qt)
     return out
 
 
@@ -412,7 +420,7 @@ def _set_associative_lhb_stream(
 
     * **resident** — previous access to the tag exists and fewer than
       ``assoc`` distinct tags touched the set in between (LRU
-      inclusion; counted by the same dominance pass as
+      inclusion; counted by the same :func:`window_counts` pass as
       :func:`lru_hit_mask`);
     * **hit** — resident and the previous access is within the
       retirement window (stream positions — the LHB sequence number
@@ -424,8 +432,8 @@ def _set_associative_lhb_stream(
       victim is still live.  The victim is the ``assoc``-th most
       recently used distinct tag, so it is live iff at least ``assoc``
       distinct tags had their latest access inside the window — a
-      windowed last-occurrence count, answered by one more dominance
-      pass over next-occurrence indices.
+      windowed last-occurrence count, answered by one more
+      :func:`window_counts` pass over next-occurrence indices.
 
     Compulsory misses are the distinct tags: the buffer starts empty.
     """
@@ -447,7 +455,7 @@ def _set_associative_lhb_stream(
     # Residency: windows shorter than assoc short-circuit; first-ever
     # occurrences inside the window are distinct tags for free (an
     # O(1) stack-distance lower bound that settles most of the rest);
-    # only the survivors pay for the dominance count of lru_hit_mask.
+    # only the survivors pay for the window count of lru_hit_mask.
     window = pos - prev_s - 1  # same-set accesses strictly in between
     resident = has_prev & (window < assoc)
     residual = has_prev & ~resident
@@ -457,11 +465,7 @@ def _set_associative_lhb_stream(
         alive = (csum[qi - 1] - csum[qt]) < assoc
         qi, qt = qi[alive], qt[alive]
         if len(qi):
-            # The lower end of the window is closed-form: prev pointers
-            # sit strictly below their own index, so
-            # #{j <= qt : prev_s[j] < qt} == qt + 1 exactly.
-            counts = dominance_counts(prev_s, qi - 1, qt)
-            sd = counts - (qt + 1)
+            sd = window_counts(prev_s, qt + 1, qi - 1, qt)
             resident[qi[sd < assoc]] = True
 
     # Retirement window: gaps are stream positions (the LHB sequence
@@ -511,7 +515,7 @@ def _set_associative_lhb_stream(
             # the previous set's block; the block start is the floor.
             first_in_window = np.maximum(first_in_window, bstart[ei])
             # Windows with fewer than assoc slots cannot hold assoc
-            # live members — drop them before the dominance pass.
+            # live members — drop them before the counting pass.
             wide = (ei - first_in_window) >= assoc
             ei, first_in_window = ei[wide], first_in_window[wide]
             if len(ei):
@@ -519,13 +523,7 @@ def _set_associative_lhb_stream(
                 # before the miss sits inside the window: slots j in
                 # [first_in_window, ei) with no later same-tag slot
                 # < ei.
-                k = len(ei)
-                counts = dominance_counts(
-                    nxt,
-                    np.concatenate([ei - 1, first_in_window - 1]),
-                    np.concatenate([ei, ei]),
-                )
-                reappearing = counts[:k] - counts[k:]
+                reappearing = window_counts(nxt, first_in_window, ei - 1, ei)
                 live_members = (ei - first_in_window) - reappearing
                 stats.conflict_replacements += int(
                     (live_members >= assoc).sum()

@@ -1,8 +1,9 @@
 """Vectorised replay building blocks vs. the event-level models.
 
 Every closed form in :mod:`repro.gpu.fastpath` is checked against the
-stateful reference it replaces: the dominance counter against a brute
-force double loop, the LRU mask against :class:`SetAssociativeCache`,
+stateful reference it replaces: the window counter against a brute
+force loop over every window, the LRU mask against
+:class:`SetAssociativeCache`,
 and the LHB recurrence against :class:`LoadHistoryBuffer` — hit masks
 *and* every statistics counter, across hashed/plain indexing, lifetime
 windows, and the oracle configuration.
@@ -19,12 +20,12 @@ from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.config import BASELINE_KERNEL, SimulationOptions, TITAN_V
 from repro.gpu.fastpath import (
     distinct_count,
-    dominance_counts,
     lru_hit_mask,
     prev_in_group,
     replay_trace_fast,
     simulate_lhb_stream,
     stable_order,
+    window_counts,
 )
 from repro.gpu.kernel import generate_sm_trace
 from repro.gpu.ldst import EliminationMode, replay_trace
@@ -36,13 +37,32 @@ class TestStableOrder:
     @pytest.mark.parametrize(
         "spread",
         [
-            5,  # int32 composite-key tier
+            5,  # uint16 radix tier (span <= 2^16)
+            1 << 17,  # int32 composite-key tier (span * n < 2^31)
             1 << 24,  # int64 composite-key tier (span * n >= 2^31)
             1 << 61,  # timsort fallback tier
         ],
     )
     def test_matches_stable_argsort(self, rng, spread):
         values = rng.integers(-spread, spread, size=4097, dtype=np.int64)
+        np.testing.assert_array_equal(
+            stable_order(values), np.argsort(values, kind="stable")
+        )
+
+    @pytest.mark.parametrize(
+        "span",
+        [
+            1 << 16,  # widest span of the radix tier
+            (1 << 16) + 1,  # narrowest span past it
+        ],
+    )
+    def test_radix_tier_edges(self, rng, span):
+        """Both ends of the span are present, and the minimum is
+        negative, so the key shift is exercised at its extremes."""
+        low = -12345
+        values = rng.integers(low, low + span, size=4097, dtype=np.int64)
+        values[:2] = [low + span - 1, low]
+        values[-2:] = [low, low + span - 1]
         np.testing.assert_array_equal(
             stable_order(values), np.argsort(values, kind="stable")
         )
@@ -82,29 +102,81 @@ class TestPrevInGroup:
             last[g] = i
 
 
-class TestDominanceCounts:
-    @pytest.mark.parametrize("m", [1, 2, 3, 7, 64, 65, 300])
+def _brute_window_counts(values, lo, hi, thr):
+    return np.array(
+        [
+            np.count_nonzero(values[l : h + 1] < t) if l <= h else 0
+            for l, h, t in zip(lo.tolist(), hi.tolist(), thr.tolist())
+        ],
+        dtype=np.int64,
+    )
+
+
+class TestWindowCounts:
+    @pytest.mark.parametrize(
+        "m", [1, 2, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65, 300, 1023, 1024, 1025]
+    )
     def test_matches_brute_force(self, rng, m):
-        """Contract inputs: values and thresholds are previous-occurrence
-        indices in [-1, m)."""
+        """Contract inputs: values and thresholds in [-1, m], ``m``
+        being the "no next occurrence" sentinel; windows anywhere in
+        [0, m), empty and inverted ones included, a quarter pinned to
+        index 0 and a quarter to ``m - 1``."""
         for _ in range(5):
-            values = rng.integers(-1, m, size=m, dtype=np.int64)
+            values = rng.integers(-1, m + 1, size=m, dtype=np.int64)
             q = int(rng.integers(1, 2 * m + 1))
-            qx = rng.integers(0, m, size=q, dtype=np.int64)
-            qt = rng.integers(-1, m, size=q, dtype=np.int64)
-            counts = dominance_counts(values, qx, qt)
-            for k in range(q):
-                expected = int(
-                    np.count_nonzero(values[: qx[k] + 1] < qt[k])
-                )
-                assert counts[k] == expected, (m, k)
+            lo = rng.integers(0, m + 1, size=q, dtype=np.int64)
+            hi = rng.integers(-1, m, size=q, dtype=np.int64)
+            thr = rng.integers(-1, m + 1, size=q, dtype=np.int64)
+            lo[: q // 4] = 0
+            hi[q // 4 : q // 2] = m - 1
+            np.testing.assert_array_equal(
+                window_counts(values, lo, hi, thr),
+                _brute_window_counts(values, lo, hi, thr),
+                err_msg=str(m),
+            )
+
+    @pytest.mark.parametrize("m", [16, 17, 33])
+    def test_every_window(self, rng, m):
+        """Exhaustive: every (lo, hi) pair, inverted ones included, so
+        every aligned block boundary is straddled at every level."""
+        values = rng.integers(-1, m + 1, size=m, dtype=np.int64)
+        lo, hi = np.meshgrid(np.arange(m + 1), np.arange(-1, m))
+        lo, hi = lo.ravel(), hi.ravel()
+        thr = rng.integers(-1, m + 1, size=lo.size, dtype=np.int64)
+        np.testing.assert_array_equal(
+            window_counts(values, lo, hi, thr),
+            _brute_window_counts(values, lo, hi, thr),
+        )
+
+    def test_windows_straddling_high_blocks(self, rng):
+        """Long windows centred on aligned boundaries of every level:
+        the decomposition takes blocks from both ends up to 2^11."""
+        m = 5000
+        values = rng.integers(-1, m + 1, size=m, dtype=np.int64)
+        lo, hi = [], []
+        for level in range(13):
+            for boundary in range(1 << level, m, 1 << level):
+                for left, right in ((1, 0), (3, 2), (1 << level, 5)):
+                    lo.append(max(0, boundary - left))
+                    hi.append(min(m - 1, boundary + right))
+        lo = np.array(lo, dtype=np.int64)
+        hi = np.array(hi, dtype=np.int64)
+        thr = rng.integers(-1, m + 1, size=lo.size, dtype=np.int64)
+        np.testing.assert_array_equal(
+            window_counts(values, lo, hi, thr),
+            _brute_window_counts(values, lo, hi, thr),
+        )
 
     def test_empty(self):
         empty = np.array([], dtype=np.int64)
-        assert dominance_counts(empty, empty, empty).size == 0
-        assert (
-            dominance_counts(np.array([0]), empty, empty).size == 0
-        )
+        assert window_counts(empty, empty, empty, empty).size == 0
+        assert window_counts(np.array([0]), empty, empty, empty).size == 0
+        # Only empty or inverted windows: nothing is counted.
+        values = np.array([-1, -1, -1], dtype=np.int64)
+        lo = np.array([0, 2, 3], dtype=np.int64)
+        hi = np.array([-1, 0, 2], dtype=np.int64)
+        thr = np.array([3, 3, 3], dtype=np.int64)
+        np.testing.assert_array_equal(window_counts(values, lo, hi, thr), 0)
 
 
 class TestLruHitMask:

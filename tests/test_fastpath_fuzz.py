@@ -28,7 +28,12 @@ from repro.gpu.config import (
     GPUConfig,
     SimulationOptions,
 )
-from repro.gpu.fastpath import replay_trace_fast, simulate_lhb_stream
+from repro.gpu.cache import SetAssociativeCache
+from repro.gpu.fastpath import (
+    lru_hit_mask,
+    replay_trace_fast,
+    simulate_lhb_stream,
+)
 from repro.gpu.kernel import generate_sm_trace
 from repro.gpu.ldst import EliminationMode, replay_trace
 from repro.gpu.multikernel import _interleave
@@ -163,6 +168,54 @@ def replay_cases(draw):
     return spec, gpu, options, mode, entries, assoc
 
 
+@st.composite
+def long_window_streams(draw):
+    """(lines, num_sets) for a few-set, 24-way (L2-shaped) LRU cache
+    whose reuse windows span more than 2^10 same-set accesses.
+
+    Each set draws random traffic from a hot pool of about the
+    associativity, and ``anchors`` lines return exactly every ``gap``
+    same-set accesses, so their stack distances sit near the
+    associativity at the far end of windows long enough to reach the
+    high merge levels of the window count.  Sets interleave at random,
+    each keeping its own order.
+    """
+    num_sets = draw(st.sampled_from([1, 2, 4]))
+    hot = draw(st.sampled_from([8, 20, 23, 24, 25, 40]))
+    anchors = draw(st.integers(1, 4))
+    gap = draw(st.integers(1300, 2100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    per_set = 2 * gap + 50
+    owner = rng.permutation(np.repeat(np.arange(num_sets), per_set))
+    lines = np.empty(num_sets * per_set, dtype=np.int64)
+    for s in range(num_sets):
+        local = rng.integers(0, hot, size=per_set)
+        for k in range(anchors):
+            local[k::gap] = hot + k
+        lines[owner == s] = local * num_sets + s
+    return lines, num_sets
+
+
+@st.composite
+def set_associative_lhb_cases(draw):
+    """A 2+-way LHB with a finite lifetime and a stream long enough to
+    fill its sets, so evictions of live and dead victims both occur."""
+    assoc = draw(st.sampled_from([2, 4, 8]))
+    entries = assoc * draw(st.sampled_from([1, 2, 4]))
+    config = dict(
+        num_entries=entries,
+        assoc=assoc,
+        lifetime=draw(st.sampled_from([2, 5, 17, 64, 700])),
+        hashed_index=draw(st.booleans()),
+    )
+    n = draw(st.integers(200, 3000))
+    hi = entries * draw(st.sampled_from([1, 2, 4, 40]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    element = rng.integers(-2, hi, size=n, dtype=np.int64)
+    batch = rng.integers(0, 2, size=n, dtype=np.int64)
+    return config, element, batch
+
+
 # ----------------------------------------------------------------------
 # Reference implementations (plain event loops)
 # ----------------------------------------------------------------------
@@ -280,6 +333,32 @@ def test_full_replay_matches_event_path(case):
     assert dataclasses.asdict(event) == dataclasses.asdict(fast), (
         spec, gpu, options, mode, entries, assoc
     )
+
+
+@settings(max_examples=MAX_EXAMPLES, deadline=None)
+@given(stream=long_window_streams())
+def test_lru_long_windows_match_reference_cache(stream):
+    """L2 geometry (24-way) with reuse windows past 2^10 accesses."""
+    lines, num_sets = stream
+    cache = SetAssociativeCache(num_sets * 24 * 128, 24, 128)
+    assert cache.num_sets == num_sets
+    expected = np.array([cache.access(int(line)) for line in lines])
+    got = lru_hit_mask(lines, cache.set_mask, cache.assoc)
+    np.testing.assert_array_equal(got, expected)
+
+
+@settings(max_examples=MAX_EXAMPLES, deadline=None)
+@given(case=set_associative_lhb_cases())
+def test_set_associative_finite_lifetime_matches_event_path(case):
+    """Residency, expiry and live-victim conflict counters of a 2+-way
+    buffer with a retirement window, on every counter."""
+    config, element, batch = case
+    pid = np.zeros(len(element), dtype=np.int64)
+    ref, expected = _event_stream(config, element, batch, pid)
+    fast = LoadHistoryBuffer(**config)
+    got = simulate_lhb_stream(element, batch, fast)
+    np.testing.assert_array_equal(got, expected, err_msg=str(config))
+    _assert_stats_equal(fast, ref, config)
 
 
 # ----------------------------------------------------------------------
