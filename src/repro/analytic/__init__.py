@@ -1,13 +1,15 @@
-"""``repro.analytic`` — closed-form layer predictors, no trace needed.
+"""``repro.analytic`` — closed-form layer predictors over one profile.
 
 The analytic engine tier answers a (layer, mode, LHB geometry) query
-from a once-per-layer reuse profile instead of generating and
-replaying a memory trace:
+from a once-per-layer reuse profile instead of replaying the memory
+trace for every geometry:
 
 * :func:`layer_profile` builds (and caches) the
-  :class:`LayerProfile` — the scheduled load stream reduced to a
-  geometry-independent reuse table, exact traffic anchors, and
-  closed-form stream counters (:mod:`repro.analytic.profile`);
+  :class:`LayerProfile` — the exact tier's fed load stream for the
+  layer and mode (the same trace slot and fold the fast replay uses)
+  reduced to a geometry-independent reuse table, exact traffic
+  anchors, and the stream's exact counters
+  (:mod:`repro.analytic.profile`);
 * :func:`predict_stats` assembles a full :class:`~repro.gpu.stats
   .LayerStats` from the profile for any covered LHB geometry — exact
   LHB/elimination counters, bounded-error cache traffic
@@ -26,7 +28,6 @@ from repro.analytic.engine import (
     ENGINE_ENV,
     analytic_fallback_reason,
     resolve_engine,
-    supports_analytic,
 )
 from repro.analytic.model import AnalyticUnsupported, predict_stats
 from repro.analytic.profile import (
@@ -63,6 +64,5 @@ __all__ = [
     "prediction_rows",
     "relative_error",
     "resolve_engine",
-    "supports_analytic",
     "validate",
 ]

@@ -31,7 +31,6 @@ import os
 from typing import Optional
 
 from repro import obs
-from repro.core.lhb import LoadHistoryBuffer
 from repro.gpu.config import KernelConfig, SimulationOptions
 from repro.gpu.ldst import EliminationMode
 
@@ -40,6 +39,11 @@ from repro.gpu.ldst import EliminationMode
 #: options objects (the CI engine lane uses exactly this); any other
 #: value is ignored.
 ENGINE_ENV = "REPRO_ENGINE"
+
+
+class AnalyticUnsupported(ValueError):
+    """Raised when a profile or a prediction is requested outside
+    analytic coverage; the message is the coverage rule's reason."""
 
 
 def resolve_engine(options: SimulationOptions) -> str:
@@ -58,9 +62,16 @@ def analytic_fallback_reason(
     kernel: KernelConfig,
     options: SimulationOptions,
     mode: EliminationMode,
-    lhb: Optional[LoadHistoryBuffer],
+    lhb_entries: Optional[int],
+    lhb_assoc: int,
 ) -> Optional[str]:
     """Why this configuration needs an exact tier (``None`` = covered).
+
+    The one coverage rule: :func:`~repro.gpu.simulator.simulate_layer`
+    routes by it, :func:`analytic_resolves` screens sweep points with
+    it, and :class:`~repro.analytic.profile.LayerProfile` and
+    :func:`~repro.analytic.model.predict_stats` refuse what it rejects.
+    ``lhb_entries=None`` is the oracle buffer.
 
     Coverage is the explicit-GEMM fragment-granularity stream with an
     LHB whose set count is a power of two (or the oracle) —
@@ -79,20 +90,11 @@ def analytic_fallback_reason(
         return "implicit-kernel"
     if options.lhb_granularity != "fragment":
         return "instruction-granularity"
-    if mode is not EliminationMode.BASELINE and lhb is not None:
-        if not lhb.is_oracle and lhb.num_sets & (lhb.num_sets - 1):
+    if mode is not EliminationMode.BASELINE and lhb_entries is not None:
+        num_sets = lhb_entries // max(lhb_assoc, 1)
+        if num_sets < 1 or num_sets & (num_sets - 1):
             return "npo2-sets"
     return None
-
-
-def supports_analytic(
-    kernel: KernelConfig,
-    options: SimulationOptions,
-    mode: EliminationMode,
-    lhb: Optional[LoadHistoryBuffer],
-) -> bool:
-    """True when the analytic model covers this configuration."""
-    return analytic_fallback_reason(kernel, options, mode, lhb) is None
 
 
 def analytic_resolves(
@@ -109,18 +111,11 @@ def analytic_resolves(
     cache: analytic answers are approximate, so they must neither be
     persisted under a key an exact tier would later read, nor be
     served from exact results cached earlier — an analytic sweep
-    always recomputes from the (cheap) profile.  Mirrors
-    :func:`analytic_fallback_reason` for the fresh LHB
-    ``simulate_layer`` builds from ``(lhb_entries, lhb_assoc)``.
+    always recomputes from the (cheap) profile.
     """
-    if resolve_engine(options) != "analytic":
-        return False
-    if kernel.implicit or options.lhb_granularity != "fragment":
-        return False
-    if mode is EliminationMode.BASELINE or lhb_entries is None:
-        return True
-    num_sets = lhb_entries // max(lhb_assoc, 1)
-    return num_sets > 0 and not (num_sets & (num_sets - 1))
+    return resolve_engine(options) == "analytic" and analytic_fallback_reason(
+        kernel, options, mode, lhb_entries, lhb_assoc
+    ) is None
 
 
 def count_fallback(reason: str) -> None:

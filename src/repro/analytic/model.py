@@ -23,8 +23,10 @@ without the replay.  Exactness splits per counter family:
   exact end to end.
 
 * **Stream counters** (load mix, stores, instructions, unique IDs,
-  MMA ops, write bytes) are closed-form identities of the tiling and
-  exact by construction.
+  MMA ops, write bytes) are the replay's own: the profile keeps the
+  fed streams' scalar half and the trace's meta, and both tiers
+  assemble ``LayerStats`` through
+  :meth:`~repro.gpu.fastpath.StreamTotals.layer_stats`.
 
 All identities :meth:`LayerStats.scaled` preserves on replay output
 (load-mix sum, hits ≤ lookups, access chaining, byte multiples,
@@ -40,40 +42,32 @@ import numpy as np
 
 from repro.core.lhb import LoadHistoryBuffer
 from repro.gpu.ldst import EliminationMode
-from repro.gpu.stats import LayerStats, MemoryBreakdown
+from repro.gpu.stats import LayerStats
 
+from repro.analytic.engine import AnalyticUnsupported, analytic_fallback_reason
 from repro.analytic.profile import LayerProfile
-
-
-class AnalyticUnsupported(ValueError):
-    """Raised when a prediction is requested outside analytic coverage.
-
-    :func:`repro.analytic.engine.analytic_fallback_reason` routes
-    uncovered configurations to the exact tier *before* reaching the
-    model.  A warm caller-supplied LHB is the one case it does not
-    screen (:func:`~repro.gpu.simulator.simulate_layer` always builds
-    a fresh buffer), so :func:`predict_stats` rejects it here.
-    """
 
 
 def _predicted_hits(
     profile: LayerProfile, lhb: LoadHistoryBuffer
 ) -> int:
-    """Exact LHB hit count for one geometry, from the reuse table."""
+    """Exact LHB hit count for one covered geometry, from the reuse table."""
     if lhb.is_oracle:
         return profile.oracle_hits(lhb.lifetime)
-    num_sets = lhb.num_sets
-    k = num_sets.bit_length() - 1
-    if (1 << k) != num_sets:
-        raise AnalyticUnsupported(
-            f"analytic LHB model needs a power-of-two set count, got "
-            f"{num_sets} ({lhb.num_entries} entries / {lhb.assoc}-way)"
-        )
+    k = lhb.num_sets.bit_length() - 1
     gaps, sds, counts = profile.level(lhb.hashed_index, k)
     mask = sds < lhb.assoc
     if lhb.lifetime is not None:
         mask = mask & (gaps < lhb.lifetime)
     return int(counts[mask].sum())
+
+
+def _interpolated(
+    eliminated: int, anchors: np.ndarray, ys: np.ndarray, ceiling: int
+) -> int:
+    """``ys`` interpolated at ``eliminated``, rounded into ``[0, ceiling]``."""
+    y = np.interp(eliminated, anchors.astype(float), ys.astype(float))
+    return max(0, min(int(round(float(y))), ceiling))
 
 
 def predict_stats(
@@ -90,12 +84,20 @@ def predict_stats(
     taxonomy (compulsory / expired / conflict) is not modelled here —
     those counters stay zero and callers needing them use an exact
     tier.  ``mode=BASELINE`` profiles ignore ``lhb``.
+
+    Raises :class:`AnalyticUnsupported` for a geometry the coverage
+    rule rejects, and for a used buffer, which the rule does not
+    screen (:func:`~repro.gpu.simulator.simulate_layer` always builds
+    a fresh one).
     """
-    c = profile.counters
-    baseline = profile.mode is EliminationMode.BASELINE or lhb is None
-    if baseline:
-        lookups = hits = 0
-    else:
+    lookups = hits = 0
+    if profile.mode is not EliminationMode.BASELINE and lhb is not None:
+        reason = analytic_fallback_reason(
+            profile.kernel, profile.options, profile.mode,
+            lhb.num_entries, lhb.assoc,
+        )
+        if reason is not None:
+            raise AnalyticUnsupported(reason)
         if not lhb.is_fresh():
             raise AnalyticUnsupported(
                 "analytic predictions assume a fresh LHB; replay warm "
@@ -108,60 +110,21 @@ def predict_stats(
         lhb.stats.hits += hits
         lhb.stats.misses += lookups - hits
 
-    eliminated = hits
-    l1_accesses = c.loads_total - eliminated
     anchors = profile.anchors
-    l1_hits = int(
-        round(
-            float(
-                np.interp(
-                    eliminated,
-                    anchors.eliminated.astype(float),
-                    anchors.l1_hits.astype(float),
-                )
-            )
-        )
+    l1_accesses = profile.totals.loads - hits
+    l1_hits = _interpolated(
+        hits, anchors.eliminated, anchors.l1_hits, l1_accesses
     )
-    l1_hits = max(0, min(l1_hits, l1_accesses))
-    l2_accesses = l1_accesses - l1_hits
-    l2_hits = int(
-        round(
-            float(
-                np.interp(
-                    eliminated,
-                    anchors.eliminated.astype(float),
-                    anchors.l2_hits.astype(float),
-                )
-            )
-        )
+    l2_hits = _interpolated(
+        hits, anchors.eliminated, anchors.l2_hits, l1_accesses - l1_hits
     )
-    l2_hits = max(0, min(l2_hits, l2_accesses))
-    dram_served = l2_accesses - l2_hits
-    line_bytes = profile.gpu.l1_line_bytes
-
-    return LayerStats(
-        loads_total=c.loads_total,
-        loads_workspace=c.loads_workspace,
-        loads_filter=c.loads_filter,
-        loads_input=0,
-        stores=c.stores,
-        workspace_instructions=c.workspace_instructions,
-        lhb_lookups=lookups,
-        lhb_hits=hits,
-        eliminated_fragments=eliminated,
-        unique_workspace_ids=c.unique_workspace_ids,
+    return profile.totals.layer_stats(
+        profile.meta.mma_ops,
+        lookups=lookups,
+        hits=hits,
+        eliminated=hits,
         l1_accesses=l1_accesses,
         l1_hits=l1_hits,
-        l2_accesses=l2_accesses,
         l2_hits=l2_hits,
-        dram_read_bytes=dram_served * line_bytes,
-        dram_write_bytes=c.stores * profile.gpu.store_frag_bytes,
-        mma_ops=c.mma_ops,
-        breakdown=MemoryBreakdown(
-            lhb=eliminated,
-            l1=l1_hits,
-            l2=l2_hits,
-            dram=dram_served,
-            shared=0,
-        ),
+        shared=0,
     )

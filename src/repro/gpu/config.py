@@ -461,8 +461,8 @@ class SimulationOptions:
     #: the vectorised fast replay unless ``REPRO_ENGINE=analytic``
     #: overrides it.  "analytic" answers covered configurations from
     #: the closed-form profile of :mod:`repro.analytic` — approximate
-    #: traffic counters, exact LHB counters, no trace — and falls back
-    #: to the fast replay where uncovered (counted under
+    #: traffic counters, exact LHB counters, no replay per geometry —
+    #: and falls back to the fast replay where uncovered (counted under
     #: ``analytic.fallback``).  The field is normalised out of cache
     #: keys; the analytic tier is approximate and therefore never
     #: touches the result cache.

@@ -53,7 +53,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -319,9 +319,23 @@ def windowed_distinct_counts(
 # LHB recurrence
 # ----------------------------------------------------------------------
 
-def _lhb_set_indices(element: np.ndarray, lhb: LoadHistoryBuffer) -> np.ndarray:
-    """Vectorised twin of :meth:`LoadHistoryBuffer._index`."""
-    return vector_set_indices(element, lhb.num_sets, lhb.hashed_index)
+def lhb_tags(
+    element: np.ndarray, batch: np.ndarray, pid: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Injective ``(element, batch[, pid])`` -> int64 LHB tag key.
+
+    Batches and PIDs are small non-negative ints; elements may be
+    negative (merged padding).
+    """
+    element = np.asarray(element, dtype=np.int64)
+    if len(element) == 0:
+        return element
+    batch = np.asarray(batch, dtype=np.int64)
+    tag = element * np.int64(int(batch.max()) + 1) + batch
+    if pid is not None:
+        pid = np.asarray(pid, dtype=np.int64)
+        tag = tag * np.int64(int(pid.max()) + 1) + pid
+    return tag
 
 
 def simulate_lhb_stream(
@@ -352,15 +366,7 @@ def simulate_lhb_stream(
     if n == 0:
         return np.zeros(0, dtype=bool)
     element = np.asarray(element, dtype=np.int64)
-    batch = np.asarray(batch, dtype=np.int64)
-
-    # Injective (element, batch[, pid]) -> int64 key: batches and PIDs
-    # are small non-negative ints, elements may be negative (merged
-    # padding).
-    tag = element * np.int64(int(batch.max()) + 1) + batch
-    if pid is not None:
-        pid = np.asarray(pid, dtype=np.int64)
-        tag = tag * np.int64(int(pid.max()) + 1) + pid
+    tag = lhb_tags(element, batch, pid)
 
     if not lhb.is_oracle and lhb.assoc > 1:
         return _set_associative_lhb_stream(element, tag, lhb)
@@ -369,7 +375,10 @@ def simulate_lhb_stream(
     # every lookup's predecessor-in-set is then simply the previous
     # sorted neighbour, so the whole recurrence reduces to adjacent
     # pair comparisons in sorted space.
-    group = tag if lhb.is_oracle else _lhb_set_indices(element, lhb)
+    group = (
+        tag if lhb.is_oracle
+        else vector_set_indices(element, lhb.num_sets, lhb.hashed_index)
+    )
     order = stable_order(group)
     adjacent = group[order[1:]] == group[order[:-1]]  # has a predecessor
     if lhb.is_oracle:
@@ -440,7 +449,7 @@ def _set_associative_lhb_stream(
     n = len(tag)
     stats = lhb.stats
     assoc = lhb.assoc
-    sets = _lhb_set_indices(element, lhb)
+    sets = vector_set_indices(element, lhb.num_sets, lhb.hashed_index)
 
     order = stable_order(sets)  # set-grouped, stream order within
     s_tag = tag[order]
@@ -548,6 +557,66 @@ def _cat(parts, dtype):
 
 
 @dataclass(frozen=True)
+class StreamTotals:
+    """The scalar half of the fed streams: one trace's load mix, stores
+    and workspace IDs under one mode.
+
+    :meth:`layer_stats` is the one assembly of :class:`LayerStats`: the
+    replay fills it from its recurrences, the analytic tier from its
+    closed forms.
+    """
+
+    gpu: GPUConfig
+    loads: int
+    loads_a: int
+    loads_input: int
+    stores: int
+    workspace_instructions: int
+    unique_workspace_ids: int
+
+    def layer_stats(
+        self,
+        mma_ops: int,
+        lookups: int,
+        hits: int,
+        eliminated: int,
+        l1_accesses: int,
+        l1_hits: int,
+        l2_hits: int,
+        shared: int,
+    ) -> LayerStats:
+        """The traced prefix's stats, given what each level served."""
+        l2_accesses = l1_accesses - l1_hits
+        served_dram = l2_accesses - l2_hits
+        return LayerStats(
+            loads_total=self.loads,
+            loads_workspace=self.loads_a,
+            loads_filter=self.loads - self.loads_a - self.loads_input,
+            loads_input=self.loads_input,
+            stores=self.stores,
+            workspace_instructions=self.workspace_instructions,
+            lhb_lookups=lookups,
+            lhb_hits=hits,
+            eliminated_fragments=eliminated,
+            unique_workspace_ids=self.unique_workspace_ids,
+            l1_accesses=l1_accesses,
+            l1_hits=l1_hits,
+            l2_accesses=l2_accesses,
+            l2_hits=l2_hits,
+            dram_read_bytes=served_dram * self.gpu.l1_line_bytes,
+            dram_write_bytes=self.stores * self.gpu.store_frag_bytes,
+            mma_ops=mma_ops,
+            breakdown=MemoryBreakdown(
+                lhb=eliminated,
+                l1=l1_hits,
+                l2=l2_hits,
+                dram=served_dram,
+                shared=shared,
+            ),
+        )
+
+
+@dataclass(frozen=True)
 class _FedStreams:
     """The folded per-load streams of one trace under one mode.
 
@@ -559,32 +628,31 @@ class _FedStreams:
     between concurrent replays.
     """
 
-    gpu: GPUConfig
+    totals: StreamTotals
     l1_set_mask: int
     l1_assoc: int
     l2_set_mask: int
     l2_assoc: int
-    stores: int
-    loads: int
-    loads_a: int
-    loads_input: int
     consult: np.ndarray  # bool, per load (empty without lookups)
     shared: np.ndarray  # bool, per load
     lines: np.ndarray  # int64 L1 line IDs, per non-shared load
     element: np.ndarray  # int64, per lookup-candidate position
     batch: np.ndarray
     first: Optional[np.ndarray]  # bool, per load (instruction granularity)
-    ws_shortcut: bool
-    ws_keys: np.ndarray  # int64 translated workspace keys
-    ws_not_ok: int
-    ws_instrs: int
+
+    def hierarchy(self, eliminated: np.ndarray) -> Tuple[int, int, int]:
+        """``(l1_accesses, l1_hits, l2_hits)`` of the L1→L2 LRU pass over
+        the global loads that the per-load mask ``eliminated`` leaves."""
+        lines = self.lines[~eliminated[~self.shared]]
+        l1_hit = lru_hit_mask(lines, self.l1_set_mask, self.l1_assoc)
+        l2_hit = lru_hit_mask(lines[~l1_hit], self.l2_set_mask, self.l2_assoc)
+        return len(lines), int(l1_hit.sum()), int(l2_hit.sum())
 
     def finish(
         self, lhb: Optional[LoadHistoryBuffer], mma_ops: int
     ) -> LayerStats:
         """Run the global recurrences (LHB, LRU stack distances)."""
-        n = self.loads
-        eliminated = np.zeros(n, dtype=bool)
+        eliminated = np.zeros(self.totals.loads, dtype=bool)
         if lhb is not None:
             consults = self.consult
             if self.first is not None:
@@ -601,60 +669,16 @@ class _FedStreams:
                 eliminated[idx] = simulate_lhb_stream(
                     self.element, self.batch, lhb
                 )
-
-        is_shared = self.shared
-        served_shared = int((is_shared & ~eliminated).sum())
-        lines = self.lines[~eliminated[~is_shared]]
-
-        l1_hit_mask = lru_hit_mask(lines, self.l1_set_mask, self.l1_assoc)
-        l2_lines = lines[~l1_hit_mask]
-        l2_hit_mask = lru_hit_mask(l2_lines, self.l2_set_mask, self.l2_assoc)
-
-        served_lhb = int(eliminated.sum())
-        l1_accesses = int(lines.size)
-        l1_hits = int(l1_hit_mask.sum())
-        l2_accesses = int(l2_lines.size)
-        l2_hits = int(l2_hit_mask.sum())
-        served_dram = l2_accesses - l2_hits
-        dram_read_bytes = served_dram * self.gpu.l1_line_bytes
-
-        loads_a = self.loads_a
-        loads_input = self.loads_input
-        loads_b = n - loads_a - loads_input
-        if self.ws_shortcut:
-            keys = self.ws_keys
-            ws_instrs = loads_a
-            unique_ids = distinct_count(keys) + loads_a - len(keys)
-        elif self.ws_instrs == 0:
-            ws_instrs, unique_ids = 0, 0
-        else:
-            ws_instrs = self.ws_instrs
-            unique_ids = int(np.unique(self.ws_keys).size) + self.ws_not_ok
-        return LayerStats(
-            loads_total=n,
-            loads_workspace=loads_a,
-            loads_filter=loads_b,
-            loads_input=loads_input,
-            stores=self.stores,
-            workspace_instructions=ws_instrs,
-            lhb_lookups=lhb.stats.lookups if lhb is not None else 0,
-            lhb_hits=lhb.stats.hits if lhb is not None else 0,
-            eliminated_fragments=served_lhb,
-            unique_workspace_ids=unique_ids,
+        l1_accesses, l1_hits, l2_hits = self.hierarchy(eliminated)
+        return self.totals.layer_stats(
+            mma_ops,
+            lookups=lhb.stats.lookups if lhb is not None else 0,
+            hits=lhb.stats.hits if lhb is not None else 0,
+            eliminated=int(eliminated.sum()),
             l1_accesses=l1_accesses,
             l1_hits=l1_hits,
-            l2_accesses=l2_accesses,
             l2_hits=l2_hits,
-            dram_read_bytes=dram_read_bytes,
-            dram_write_bytes=self.stores * self.gpu.store_frag_bytes,
-            mma_ops=mma_ops,
-            breakdown=MemoryBreakdown(
-                lhb=served_lhb,
-                l1=l1_hits,
-                l2=l2_hits,
-                dram=served_dram,
-                shared=served_shared,
-            ),
+            shared=int((self.shared & ~eliminated).sum()),
         )
 
 
@@ -743,7 +767,7 @@ class _StreamAccumulator:
         self._first: list = []  # bool, per load (instruction granularity)
         self._prev_instr: Optional[int] = None
         self._ws_keys: list = []  # int64 translated workspace keys
-        self._ws_not_ok = 0
+        self._ws_untranslated = 0
         self._ws_instrs = 0
         self._prev_a_instr: Optional[int] = None
 
@@ -792,6 +816,7 @@ class _StreamAccumulator:
             self._ws_keys.append(
                 batch[translated] * (1 << 44) + element[translated]
             )
+            self._ws_untranslated += int((is_a & ~consults).sum())
             self._ws_instrs += int(is_a.sum())
         else:
             a_addr = load_addr[is_a]
@@ -809,31 +834,38 @@ class _StreamAccumulator:
             if len(bases_addr):
                 ok, b, e = self._ws_idgen.generate_for_addresses(bases_addr)
                 self._ws_keys.append(b[ok] * (1 << 44) + e[ok])
-                self._ws_not_ok += int((~ok).sum())
+                self._ws_untranslated += int((~ok).sum())
                 self._ws_instrs += len(bases_addr)
 
     def streams(self) -> _FedStreams:
-        """Assemble the fed blocks into read-only streams."""
-        return _FedStreams(
+        """Assemble the fed blocks into read-only streams.
+
+        Every untranslated workspace load counts as its own unique ID.
+        """
+        totals = StreamTotals(
             gpu=self._gpu,
+            loads=self._loads,
+            loads_a=self._loads_a,
+            loads_input=self._loads_input,
+            stores=self._stores,
+            workspace_instructions=self._ws_instrs,
+            unique_workspace_ids=(
+                distinct_count(_cat(self._ws_keys, np.int64))
+                + self._ws_untranslated
+            ),
+        )
+        return _FedStreams(
+            totals=totals,
             l1_set_mask=self.l1.set_mask,
             l1_assoc=self.l1.assoc,
             l2_set_mask=self.l2.set_mask,
             l2_assoc=self.l2.assoc,
-            stores=self._stores,
-            loads=self._loads,
-            loads_a=self._loads_a,
-            loads_input=self._loads_input,
             consult=_cat(self._consult, bool),
             shared=_cat(self._shared, bool),
             lines=_cat(self._lines, np.int64),
             element=_cat(self._element, np.int64),
             batch=_cat(self._batch, np.int64),
             first=_cat(self._first, bool) if self._instruction else None,
-            ws_shortcut=self._ws_shortcut,
-            ws_keys=_cat(self._ws_keys, np.int64),
-            ws_not_ok=self._ws_not_ok,
-            ws_instrs=self._ws_instrs,
         )
 
 
@@ -895,13 +927,32 @@ def held_trace(trace_key, synthesize) -> KernelTrace:
     return trace
 
 
-def _fed_streams(trace, trace_key, mode, feed) -> _FedStreams:
-    """``feed()``'s streams, memoised in the thread's slot.
+def fed_streams(
+    trace: KernelTrace,
+    spec: ConvLayerSpec,
+    gpu: GPUConfig,
+    options: SimulationOptions,
+    mode: EliminationMode,
+    trace_key=None,
+) -> _FedStreams:
+    """``trace``'s streams folded under ``mode``, memoised in the slot.
 
-    ``trace_key=None`` bypasses the slot.  A fed stream set replaces
-    the previous one, and a trace the slot does not hold replaces the
-    slot's trace.
+    ``trace_key`` is a hashable identity of ``trace`` together with
+    ``spec``, ``gpu`` and ``options`` (the simulator passes its trace
+    key): the slot keeps the trace and its streams under ``(trace_key,
+    mode)``.  A fed stream set replaces the previous one, and a trace
+    the slot does not hold replaces the slot's trace.
+    ``trace_key=None`` bypasses the slot.  The baseline keeps no
+    lookup IDs.
     """
+    def feed() -> _FedStreams:
+        acc = _StreamAccumulator(
+            spec, trace.lda, gpu, options, mode,
+            mode is not EliminationMode.BASELINE,
+        )
+        acc.feed(trace.kind, trace.address, trace.instr)
+        return acc.streams()
+
     if trace_key is None:
         return feed()
     entry = _slot_entry(trace_key)
@@ -964,26 +1015,13 @@ def replay_trace_fast(
     Covers every configuration the event path does.  A caller-supplied
     ``lhb`` must be fresh: a used buffer raises ``ValueError``.
 
-    ``trace_key`` is a hashable identity of ``trace`` together with
-    the ``spec``, ``gpu`` and ``options`` it is replayed under — the
-    simulator passes its trace key, and builds an LHB exactly when
-    ``mode`` is not the baseline.  With one, the trace and its fed
-    streams stay in the calling thread's slot under ``(trace_key,
-    mode)``, so consecutive replays of one trace and mode — an LHB
-    size or associativity sweep — feed it once.
+    ``trace_key`` keys the calling thread's slot (:func:`fed_streams`),
+    so consecutive replays of one trace and mode — an LHB size or
+    associativity sweep — feed it once.
     """
     if mode is not EliminationMode.BASELINE and lhb is None:
         lhb = LoadHistoryBuffer(lifetime=options.lhb_lifetime)
     obs.add("fastpath.replays")
     obs.add("fastpath.events", int(trace.kind.size))
-
-    def feed() -> _FedStreams:
-        acc = _StreamAccumulator(
-            spec, trace.lda, gpu, options, mode, lhb is not None
-        )
-        acc.feed(trace.kind, trace.address, trace.instr)
-        return acc.streams()
-
-    return _fed_streams(trace, trace_key, mode, feed).finish(
-        lhb, trace.mma_ops
-    )
+    streams = fed_streams(trace, spec, gpu, options, mode, trace_key)
+    return streams.finish(lhb, trace.mma_ops)

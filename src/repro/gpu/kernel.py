@@ -562,9 +562,8 @@ class TracePlan:
     """Closed-form description of one SM's trace, ready to synthesize.
 
     Built once by :func:`plan_sm_trace`; every downstream consumer —
-    the vectorised generator, :meth:`iter_blocks`, the analytic
-    profiler's consult-stream mirror — derives from this object, so
-    the schedule is defined in exactly one place.
+    the vectorised generator and :meth:`iter_blocks` — derives from
+    this object, so the schedule is defined in exactly one place.
     """
 
     spec: ConvLayerSpec

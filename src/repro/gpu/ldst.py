@@ -79,10 +79,9 @@ def load_ids_for(
     """Trace-free twin of :func:`_load_ids`.
 
     Takes the load stream as plain arrays plus the workspace pitch so
-    callers that never materialise a :class:`KernelTrace` — the
-    analytic profiler — share the exact consult semantics of both
-    replay paths (which ID generator, which loads consult, which
-    fall through untranslated).  ``gpu`` supplies the fragment
+    the fast replay's blockwise fold shares the exact consult
+    semantics of the event replay (which ID generator, which loads
+    consult, which fall through untranslated).  ``gpu`` supplies the fragment
     geometry: the WIR element shift and the workspace element width.
     """
     is_a = (load_kind == LOAD_A) | (load_kind == LOAD_A_SHARED)

@@ -124,8 +124,8 @@ def _record_layer_metrics(
     exactly; ``lhb.raw.*`` are the buffer's own (unscaled, traced
     prefix) counters published by :meth:`~repro.core.lhb.LHBStats`.
     ``events`` is the traced event count — measured off the trace on
-    the replay tiers, closed-form on the analytic tier (identical for
-    the explicit kernel, so the counter is engine-invariant).
+    both tiers (the analytic profile keeps its trace's count, so the
+    counter is engine-invariant).
     """
     obs.add("sim.layers_simulated")
     obs.add("sim.events_replayed", events)
@@ -168,11 +168,13 @@ def simulate_layer(
     arguments.
 
     The ``options.engine`` tier (with its ``$REPRO_ENGINE`` override)
-    picks how the request is answered: the trace-free analytic model
-    where covered, else the vectorised fast replay.  The tier that
-    actually served is published as ``engine.selected.<tier>``;
-    analytic coverage misses are counted under ``analytic.fallback`` —
-    see :mod:`repro.analytic.engine`.
+    picks how the request is answered: the analytic model where
+    covered, else the vectorised fast replay.  Both take the trace
+    from this thread's slot; the analytic model takes it once per
+    layer profile, and answers every further geometry from the
+    profile alone.  The tier that actually served is published as
+    ``engine.selected.<tier>``; analytic coverage misses are counted
+    under ``analytic.fallback`` — see :mod:`repro.analytic.engine`.
     """
     from repro.analytic.engine import (
         analytic_fallback_reason,
@@ -194,7 +196,9 @@ def simulate_layer(
         tier = resolve_engine(options)
         sm_traced = None
         if tier == "analytic":
-            reason = analytic_fallback_reason(kernel, options, mode, lhb)
+            reason = analytic_fallback_reason(
+                kernel, options, mode, lhb_entries, lhb_assoc
+            )
             if reason is None:
                 from repro.analytic.model import predict_stats
                 from repro.analytic.profile import layer_profile
@@ -205,7 +209,7 @@ def simulate_layer(
                     profile = layer_profile(spec, mode, gpu, kernel, options)
                     sm_traced = predict_stats(profile, lhb)
                 meta = profile.meta
-                events = profile.counters.events
+                events = profile.events
                 selected = "analytic"
             else:
                 count_fallback(reason)
@@ -245,8 +249,8 @@ def _assemble_result(
     Extrapolates the traced prefix to the SM's full CTA assignment,
     then to the whole grid.  ``meta`` is anything exposing the scaling
     fields (``scale_factor`` / ``grid_ctas`` / ``traced_ctas`` /
-    ``concurrent_warps``): the trace on the replay tier, the
-    closed-form scalars on the analytic tier.
+    ``concurrent_warps``): the trace on the replay tier, the profile's
+    column-free copy of it on the analytic tier.
     """
     sm_stats = sm_traced.scaled(meta.scale_factor)
     if timing is None:

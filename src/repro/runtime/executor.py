@@ -280,6 +280,10 @@ class SweepExecutor:
                 pending.append((ci, missing))
             elif chunk:
                 skipped += 1
+        if analytic_hits:
+            # A profile build takes its trace through this thread's
+            # slot, and no chunk end releases the prefilter's.
+            release_fed_memo()
         obs.add("executor.chunks", len(chunks))
         obs.add("executor.points", sum(len(c) for c in chunks))
         obs.add("executor.duplicate_points", len(duplicates))

@@ -8,13 +8,16 @@ into :func:`repro.gpu.simulator.simulate_layer`:
 * ``engine.selected.*`` / ``analytic.fallback.*`` counters asserted
   *exactly* (whole counter families compared at once, so an
   unexpected fallback fails);
-* the analytic tier answers covered queries with **no trace
-  generation** — the acceptance property that makes it O(1);
+* once a layer's profile is built, covered analytic queries at other
+  geometries **request no trace** — the property that makes each
+  further geometry O(1);
 * analytic answers bypass the persistent result cache in both
   directions (never served from exact results, never persisted where
   an exact tier would read them);
 * the analytic predictor takes fresh LHBs only.
 """
+
+import dataclasses
 
 import pytest
 
@@ -22,10 +25,10 @@ from repro import obs
 from repro.analytic import (
     AnalyticUnsupported,
     analytic_fallback_reason,
+    clear_profile_cache,
     layer_profile,
     predict_stats,
     resolve_engine,
-    supports_analytic,
 )
 from repro.analytic.engine import analytic_resolves
 from repro.conv.workloads import get_layer
@@ -35,7 +38,6 @@ from repro.gpu.config import (
     BASELINE_KERNEL,
     IMPLICIT_KERNEL,
     SimulationOptions,
-    TITAN_V,
 )
 from repro.gpu.ldst import EliminationMode
 from repro.gpu.multikernel import simulate_shared_lhb
@@ -116,19 +118,32 @@ class TestSelectionMatrix:
         assert obs.counters_with_prefix("analytic.fallback") == {}
 
 
+def _resolves(kernel, options, mode, entries, assoc):
+    return analytic_resolves(
+        kernel, dataclasses.replace(options, engine="analytic"), mode,
+        entries, assoc,
+    )
+
+
 class TestAnalyticCoverage:
     def test_covered_configurations(self):
         for mode in EliminationMode:
-            for lhb in (
-                None if mode is EliminationMode.BASELINE
-                else LoadHistoryBuffer(num_entries=1024),
-                LoadHistoryBuffer(num_entries=96 * 2, assoc=2, lifetime=7)
-                if mode is EliminationMode.BASELINE  # npo2 ok: no LHB use
-                else LoadHistoryBuffer(
-                    num_entries=64, assoc=8, hashed_index=False
-                ),
+            # A non-power-of-two set count is covered when no LHB is used.
+            npo2_ok = mode is EliminationMode.BASELINE
+            for entries, assoc in (
+                (1024, 1),
+                (None, 1),  # the oracle
+                (64, 8),
+                (96 * 2, 2) if npo2_ok else (2048, 4),
             ):
-                assert supports_analytic(BASELINE_KERNEL, OPTS, mode, lhb)
+                assert analytic_fallback_reason(
+                    BASELINE_KERNEL, OPTS, mode, entries, assoc
+                ) is None
+                assert _resolves(BASELINE_KERNEL, OPTS, mode, entries, assoc)
+                # Covered, but only the analytic tier resolves it.
+                assert not analytic_resolves(
+                    BASELINE_KERNEL, OPTS, mode, entries, assoc
+                )
 
     @pytest.mark.parametrize(
         "kernel,options,entries,assoc,reason",
@@ -148,13 +163,24 @@ class TestAnalyticCoverage:
     def test_fallback_reasons_and_counters(
         self, kernel, options, entries, assoc, reason
     ):
-        lhb = LoadHistoryBuffer(num_entries=entries, assoc=assoc)
         assert (
             analytic_fallback_reason(
-                kernel, options, EliminationMode.DUPLO, lhb
+                kernel, options, EliminationMode.DUPLO, entries, assoc
             )
             == reason
         )
+        assert not _resolves(
+            kernel, options, EliminationMode.DUPLO, entries, assoc
+        )
+        # The profile (for its kernel and options) or the predictor
+        # (for the LHB) refuses what the rule rejects, for its reason.
+        with pytest.raises(AnalyticUnsupported, match=reason):
+            profile = layer_profile(
+                SPEC, EliminationMode.DUPLO, kernel=kernel, options=options
+            )
+            predict_stats(
+                profile, LoadHistoryBuffer(num_entries=entries, assoc=assoc)
+            )
         obs.enable()
         obs.reset()
         tier = _selected(
@@ -206,23 +232,37 @@ class TestAnalyticCoverage:
 
 
 class TestNoTraceGeneration:
-    def test_analytic_tier_never_touches_the_trace_path(self, monkeypatch):
-        """The acceptance property: a covered analytic query builds no
-        trace — not from the generator, not from the cache."""
+    def test_built_profile_requests_no_further_trace(self, monkeypatch):
+        """The O(1)-per-geometry property: the profile build takes the
+        layer's trace once, and every further covered analytic query
+        at another geometry requests none — not from the generator,
+        not from the slot."""
         simulator.clear_trace_cache()
+        clear_profile_cache()
+        requests = []
+        get_trace = simulator._get_trace
+
+        def counting(*args, **kwargs):
+            requests.append(args[0])
+            return get_trace(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "_get_trace", counting)
+        analytic = SimulationOptions(max_ctas=1, engine="analytic")
+        built = simulate_layer(SPEC, options=analytic)
+        assert requests == [SPEC]
 
         def boom(*args, **kwargs):
             raise AssertionError("analytic tier requested a trace")
 
         monkeypatch.setattr(simulator, "_get_trace", boom)
         monkeypatch.setattr(simulator, "generate_sm_trace", boom)
-        result = simulate_layer(
-            SPEC,
-            options=SimulationOptions(max_ctas=1, engine="analytic"),
-        )
-        assert result.stats.loads_total > 0
-        assert result.cycles > 0
-        # ... and the exact tiers still do.
+        for entries, assoc in ((1024, 1), (64, 1), (256, 4), (None, 1)):
+            result = simulate_layer(
+                SPEC, lhb_entries=entries, lhb_assoc=assoc, options=analytic
+            )
+            assert result.stats.loads_total == built.stats.loads_total > 0
+            assert result.cycles > 0
+        # ... and the exact tier still does.
         with pytest.raises(AssertionError, match="requested a trace"):
             simulate_layer(SPEC, options=OPTS)
 

@@ -110,40 +110,14 @@ def test_missing_metric_is_itself_a_failure():
 
 def test_baseline_mode_is_exact():
     """BASELINE carries no elimination, sits on the first traffic
-    anchor, and must therefore match the replay bit for bit."""
+    anchor, and must therefore match the replay bit for bit — on a
+    Table I layer, a rectangular one and a non-default GTO runahead.
+    The profile's scalar meta and event count are the trace's."""
     from repro.analytic import layer_profile
     from repro.gpu.config import SimulationOptions, TITAN_V, BASELINE_KERNEL
     from repro.gpu.fastpath import replay_trace_fast
     from repro.gpu.kernel import generate_sm_trace
     from repro.gpu.ldst import EliminationMode
-
-    spec = get_layer("resnet", "C2")
-    options = SimulationOptions(max_ctas=2)
-    trace = generate_sm_trace(spec, TITAN_V, BASELINE_KERNEL, options)
-    exact = replay_trace_fast(
-        trace, spec, TITAN_V, options, EliminationMode.BASELINE, None
-    )
-    profile = layer_profile(
-        spec, EliminationMode.BASELINE, TITAN_V, BASELINE_KERNEL, options
-    )
-    predicted = predict_stats(profile, None)
-    assert dataclasses.asdict(predicted) == dataclasses.asdict(exact)
-
-
-def test_profile_stream_is_bit_exact_against_the_generator():
-    """``_build_load_stream`` consumes the generator's own planner
-    (``plan_sm_trace``) — this pins the remaining restated part, the
-    load *ordering*, bit-exact against the synthesized trace."""
-    import numpy as np
-
-    from repro.analytic.profile import _build_load_stream
-    from repro.gpu.config import (
-        BASELINE_KERNEL,
-        SimulationOptions,
-        TITAN_V,
-    )
-    from repro.gpu.isa import LOAD_A, STORE_D
-    from repro.gpu.kernel import generate_sm_trace
 
     from tests.conftest import make_spec
 
@@ -158,16 +132,14 @@ def test_profile_stream_is_bit_exact_against_the_generator():
     ]
     for spec, kernel, options in cases:
         trace = generate_sm_trace(spec, TITAN_V, kernel, options)
-        is_load = trace.kind != STORE_D
-        is_a, load_addr, geom, stores, mma_ops, meta = _build_load_stream(
-            spec, TITAN_V, kernel, options
+        exact = replay_trace_fast(
+            trace, spec, TITAN_V, options, EliminationMode.BASELINE, None
         )
-        assert np.array_equal(load_addr, trace.address[is_load])
-        assert np.array_equal(is_a, trace.kind[is_load] == LOAD_A)
-        assert stores == int((~is_load).sum())
-        assert mma_ops == trace.mma_ops
-        assert geom.lda == trace.lda
-        assert meta.traced_ctas == trace.traced_ctas
-        assert meta.total_ctas == trace.total_ctas
-        assert meta.grid_ctas == trace.grid_ctas
-        assert meta.concurrent_warps == trace.concurrent_warps
+        profile = layer_profile(
+            spec, EliminationMode.BASELINE, TITAN_V, kernel, options
+        )
+        predicted = predict_stats(profile, None)
+        assert dataclasses.asdict(predicted) == dataclasses.asdict(exact)
+        assert profile.meta.meta() == trace.meta()
+        assert profile.meta.scale_factor == trace.scale_factor
+        assert profile.events == len(trace)

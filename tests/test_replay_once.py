@@ -7,7 +7,9 @@ Three layers of reuse are pinned here:
 * the fast replay memoises, per thread, the streams it last fed from a
   trace under one mode, so an LHB size or associativity sweep over one
   trace feeds it once — and a memo hit is bit-identical to a fresh
-  feed, even with several threads replaying the same layer;
+  feed, even with several threads replaying the same layer.  The
+  analytic profile takes its streams from the same memo, so a profile
+  build and an exact replay of one layer and mode feed once;
 * Figure 14 submits its forward, data-gradient and weight-gradient
   points as one sweep, so it simulates three points per layer.
 """
@@ -20,6 +22,7 @@ from tests.conftest import make_spec
 from repro import obs
 from repro.analysis.experiments import figure14
 from repro.analysis.network import NON_CONV_EPSILON
+from repro.analytic import clear_profile_cache
 from repro.conv.gradients import data_gradient_spec
 from repro.conv.workloads import TABLE_I
 from repro.gpu import fastpath, simulator
@@ -282,6 +285,48 @@ def test_chunk_end_empties_the_memo():
     assert getattr(fastpath._fed_memo, "entry", None) is None
 
 
+def test_analytic_sweep_empties_the_memo():
+    """The prefilter answers analytic points in the calling thread,
+    where no chunk ends: it empties the slot the profile builds used."""
+    clear_profile_cache()
+    analytic = dataclasses.replace(OPTIONS, engine="analytic")
+    chunks = [
+        [SimPoint(SPEC, lhb_entries=entries, options=analytic)
+         for entries in (256, 1024)],
+        [SimPoint(OTHER, EliminationMode.WIR, options=analytic)],
+    ]
+    obs.enable()
+    obs.reset()
+    SweepExecutor(jobs=1).run_chunks(chunks)
+    assert _counters()["executor.analytic_prefilter"] == 3
+    assert _counters()["analytic.profile.built"] == 2
+    assert getattr(fastpath._fed_memo, "entry", None) is None
+
+
+def test_analytic_build_then_exact_replay_feeds_once(monkeypatch):
+    """A profile build and an exact replay of one layer and mode share
+    one synthesis and one fold."""
+    clear_profile_cache()
+    synths = []
+    generate = simulator.generate_sm_trace
+
+    def counting_generate(*args, **kwargs):
+        synths.append(args[0])
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "generate_sm_trace", counting_generate)
+    obs.enable()
+    obs.reset()
+    analytic = simulate_layer(
+        SPEC, options=dataclasses.replace(OPTIONS, engine="analytic")
+    )
+    exact = simulate_layer(SPEC, options=OPTIONS)
+    assert _counters()["engine.selected.analytic"] == 1
+    assert _counters()["fastpath.fed_reuses"] == 1
+    assert synths == [SPEC]
+    assert analytic.stats.lhb_hits == exact.stats.lhb_hits
+
+
 def test_fed_streams_are_read_only():
     trace = simulator._get_trace(SPEC, TITAN_V, BASELINE_KERNEL, OPTIONS)
     acc = fastpath._StreamAccumulator(
@@ -289,11 +334,10 @@ def test_fed_streams_are_read_only():
     )
     acc.feed(trace.kind, trace.address, trace.instr)
     streams = acc.streams()
-    for name in ("consult", "shared", "lines", "element", "batch",
-                 "ws_keys"):
+    for name in ("consult", "shared", "lines", "element", "batch"):
         assert not getattr(streams, name).flags.writeable, name
     with pytest.raises(dataclasses.FrozenInstanceError):
-        streams.loads = 0
+        streams.totals.loads = 0
 
 
 # ----------------------------------------------------------------------

@@ -375,6 +375,9 @@ def test_sweep_job_results_match_direct(service):
 def test_sweep_job_worker_holds_no_trace(service, monkeypatch):
     """Each layer of a sweep job synthesizes its trace once on the job
     worker, which empties its trace slot when the layer's chunk ends."""
+    # Chunks run only on the exact tier: under the analytic lane's
+    # override the prefilter answers every point.
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
     import repro.runtime.executor as executor_mod
     from repro.gpu import fastpath
 
