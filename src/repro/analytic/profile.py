@@ -3,11 +3,11 @@
 A :class:`LayerProfile` captures the structure of one layer's scheduled
 load stream under one elimination mode.  It takes that stream from the
 exact tier: the calling thread's trace (:func:`repro.gpu.simulator
-._get_trace`) and the streams the fast replay folds from it under the
-mode (:func:`repro.gpu.fastpath.fed_streams`), memoised in the same
-per-thread slot under the same ``(trace key, mode)`` — so an analytic
-build and an exact replay of one layer and mode share one synthesis
-and one fold.  The streams are then compressed into three
+._get_trace`) and the mode's view of the one fold the fast replay
+keeps of it (:func:`repro.gpu.fastpath.fed_streams`), in the same
+per-thread slot under the same trace key — so an analytic build and
+an exact replay of one layer, in any modes, share one synthesis and
+one fold.  The streams are then compressed into three
 geometry-independent artifacts:
 
 * the **reuse table** — per consulted lookup, the global gap to its

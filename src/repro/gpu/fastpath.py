@@ -52,15 +52,13 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.conv.layer import ConvLayerSpec
-from repro.core.compiler import build_convolution_info
-from repro.core.idgen import IDGenerator
 from repro.core.lhb import LoadHistoryBuffer, vector_set_indices
 from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.config import GPUConfig, SimulationOptions, TITAN_V
@@ -71,9 +69,8 @@ from repro.gpu.isa import (
     LOAD_B_SHARED,
     LOAD_INPUT,
     STORE_D,
-    WORKSPACE_BASE,
 )
-from repro.gpu.ldst import EliminationMode, load_ids_for
+from repro.gpu.ldst import EliminationMode, default_lhb, load_ids_for
 from repro.gpu.stats import LayerStats, MemoryBreakdown
 
 
@@ -559,7 +556,7 @@ def _cat(parts, dtype):
 @dataclass(frozen=True)
 class StreamTotals:
     """The scalar half of the fed streams: one trace's load mix, stores
-    and workspace IDs under one mode.
+    and workspace IDs, the same under every mode.
 
     :meth:`layer_stats` is the one assembly of :class:`LayerStats`: the
     replay fills it from its recurrences, the analytic tier from its
@@ -618,14 +615,16 @@ class StreamTotals:
 
 @dataclass(frozen=True)
 class _FedStreams:
-    """The folded per-load streams of one trace under one mode.
+    """The folded per-load streams of one trace, viewed under one mode.
 
     Everything the global recurrences read, as read-only arrays and
-    scalars.  Nothing here depends on the LHB's geometry or state, so
-    one instance serves every LHB configuration replayed on the same
-    trace and mode — :meth:`finish` takes the buffer as an argument and
-    never writes to the streams, which makes an instance safe to share
-    between concurrent replays.
+    scalars.  A trace is folded once, whatever the mode
+    (:class:`_StreamAccumulator`), into DUPLO's view; :meth:`for_mode`
+    derives the others from it.  Nothing here depends on the LHB's
+    geometry or state, so one fold serves every mode and LHB
+    configuration replayed on the same trace — :meth:`finish` takes
+    the buffer as an argument and never writes to the streams, which
+    makes an instance safe to share between concurrent replays.
     """
 
     totals: StreamTotals
@@ -636,9 +635,39 @@ class _FedStreams:
     consult: np.ndarray  # bool, per load (empty without lookups)
     shared: np.ndarray  # bool, per load
     lines: np.ndarray  # int64 L1 line IDs, per non-shared load
-    element: np.ndarray  # int64, per lookup-candidate position
+    element: np.ndarray  # int64, per LHB lookup
     batch: np.ndarray
     first: Optional[np.ndarray]  # bool, per load (instruction granularity)
+
+    def for_mode(
+        self, mode: EliminationMode, fragment: Optional[np.ndarray] = None
+    ) -> "_FedStreams":
+        """This fold's view under ``mode``.
+
+        BASELINE looks nothing up and DUPLO is the fold itself.  WIR
+        looks up every load by its fragment index, ``fragment``
+        (:func:`_fragments`), which the fold does not hold: it is
+        derived on demand, so a fold that never serves WIR never
+        holds it.
+        """
+        if mode is EliminationMode.DUPLO:
+            return self
+        if mode is EliminationMode.BASELINE:
+            none = _cat([], np.int64)
+            return replace(
+                self, consult=_cat([], bool), element=none, batch=none,
+                first=None,
+            )
+        element = fragment if self.first is None else fragment[self.first]
+        element.flags.writeable = False
+        # Every load consults, all in batch 0: read-only broadcasts, so
+        # the view adds only ``element`` to the fold's memory.
+        return replace(
+            self,
+            consult=np.broadcast_to(True, self.totals.loads),
+            element=element,
+            batch=np.broadcast_to(np.int64(0), len(element)),
+        )
 
     def hierarchy(self, eliminated: np.ndarray) -> Tuple[int, int, int]:
         """``(l1_accesses, l1_hits, l2_hits)`` of the L1→L2 LRU pass over
@@ -654,21 +683,14 @@ class _FedStreams:
         """Run the global recurrences (LHB, LRU stack distances)."""
         eliminated = np.zeros(self.totals.loads, dtype=bool)
         if lhb is not None:
-            consults = self.consult
+            hit = simulate_lhb_stream(self.element, self.batch, lhb)
             if self.first is not None:
-                group = np.cumsum(self.first) - 1
-                looked_up = consults[self.first]
-                hit = simulate_lhb_stream(
-                    self.element[looked_up], self.batch[looked_up], lhb
-                )
-                group_hit = np.zeros(len(self.element), dtype=bool)
-                group_hit[looked_up] = hit
-                eliminated = group_hit[group]
+                # A looked-up instruction start decides its instruction.
+                group_hit = np.zeros(np.count_nonzero(self.first), dtype=bool)
+                group_hit[self.consult[self.first]] = hit
+                eliminated = group_hit[np.cumsum(self.first) - 1]
             else:
-                idx = np.nonzero(consults)[0]
-                eliminated[idx] = simulate_lhb_stream(
-                    self.element, self.batch, lhb
-                )
+                eliminated[self.consult] = hit
         l1_accesses, l1_hits, l2_hits = self.hierarchy(eliminated)
         return self.totals.layer_stats(
             mma_ops,
@@ -682,15 +704,29 @@ class _FedStreams:
         )
 
 
+def _fragments(kind: np.ndarray, address: np.ndarray, gpu: GPUConfig):
+    """WIR's lookup IDs: every load's fragment index, as
+    :func:`~repro.gpu.ldst.load_ids_for` derives them."""
+    return address[kind != STORE_D] >> gpu.frag_shift
+
+
 class _StreamAccumulator:
-    """Folds trace blocks into the compact streams the replay consumes.
+    """Folds a trace, block by block, into the streams every mode replays.
 
     The closed-form replay needs only a few *derived* per-load streams
     — consult flags, (element, batch) lookup IDs, L1 line IDs,
-    workspace-unique keys — each a fraction of the full four trace
+    instruction starts — each a fraction of the full four trace
     columns.  Feeding the trace block by block keeps peak memory at
     (derived streams + one block) instead of (full columns + derived
     streams): blocks are dropped as soon as their slice is folded.
+
+    The fold is mode-free.  The ID generator maps a workspace address
+    to the same ID whatever unit sits in front of memory, so one
+    DUPLO translation of the A loads (:func:`load_ids_for`) gives
+    DUPLO's lookups and, at the options' granularity, the workspace
+    instruction count and unique workspace IDs of every mode.
+    :meth:`fold` returns DUPLO's view; :meth:`_FedStreams.for_mode`
+    derives the BASELINE and WIR views from it.
 
     Bit-identity with :func:`replay_trace_fast` on a materialised
     trace is by construction: every per-block pass is elementwise (or
@@ -698,11 +734,8 @@ class _StreamAccumulator:
     — across blocks), so concatenating per-block outputs equals the
     whole-column computation, and :meth:`_FedStreams.finish` then runs
     the very same global recurrences (LHB, LRU stack distances) on the
-    assembled streams.  ``replay_trace_fast`` itself feeds the full
-    trace as a single block through this class.
-
-    ``lookups`` says whether an LHB will consult the streams; without
-    one, no lookup IDs are kept.
+    assembled streams.  ``replay_trace_fast`` itself feeds its trace
+    through this class in blocks of ``_FOLD_BLOCK`` events.
     """
 
     def __init__(
@@ -711,14 +744,10 @@ class _StreamAccumulator:
         lda: int,
         gpu: GPUConfig,
         options: SimulationOptions,
-        mode: EliminationMode,
-        lookups: bool,
     ):
         self.spec = spec
         self.lda = lda
         self.options = options
-        self.mode = mode
-        self.lookups = lookups
 
         self.l1 = SetAssociativeCache(
             gpu.l1_bytes, gpu.l1_assoc, gpu.l1_line_bytes,
@@ -728,48 +757,21 @@ class _StreamAccumulator:
             gpu.l2_bytes, gpu.l2_assoc, gpu.l2_line_bytes
         )
         self._gpu = gpu
-
-        self._instruction = (
-            lookups and options.lhb_granularity != "fragment"
-        )
-        # The DUPLO+fragment replay reuses its own translated IDs for
-        # the workspace-unique accounting; every other configuration
-        # translates the A-load bases with a dedicated generator,
-        # exactly as ldst.workspace_unique_ids.
-        self._ws_shortcut = (
-            mode is EliminationMode.DUPLO
-            and options.lhb_granularity == "fragment"
-        )
-        if not self._ws_shortcut:
-            info = build_convolution_info(
-                spec, WORKSPACE_BASE, lda=lda, pid=options.pid
-            )
-            self._ws_idgen = IDGenerator(
-                spec=spec,
-                workspace_base=info.workspace_base,
-                lda=info.lda,
-                element_bytes=gpu.element_bytes,
-                mode=options.id_mode,
-                merge_padding=options.merge_padding,
-                row_align=gpu.tile_m,
-            )
+        self._instruction = options.lhb_granularity != "fragment"
 
         self.events = 0
         self._stores = 0
         self._loads = 0
         self._loads_a = 0
         self._loads_input = 0
+        self._ws_instrs = 0
         self._consult: list = []  # bool, per load
         self._shared: list = []  # bool, per load
         self._lines: list = []  # int64 L1 line IDs, per non-shared load
-        self._element: list = []  # int64, per lookup-candidate position
+        self._element: list = []  # int64, per DUPLO lookup
         self._batch: list = []
         self._first: list = []  # bool, per load (instruction granularity)
         self._prev_instr: Optional[int] = None
-        self._ws_keys: list = []  # int64 translated workspace keys
-        self._ws_untranslated = 0
-        self._ws_instrs = 0
-        self._prev_a_instr: Optional[int] = None
 
     def feed(
         self, kind: np.ndarray, address: np.ndarray, instr: np.ndarray
@@ -786,62 +788,41 @@ class _StreamAccumulator:
         self._loads_a += int(is_a.sum())
         self._loads_input += int((load_kind == LOAD_INPUT).sum())
 
-        consults, batch, element = load_ids_for(
-            self.spec, self.options, self.mode, load_kind, load_addr,
-            self.lda, self._gpu,
-        )
         is_shared = (load_kind == LOAD_A_SHARED) | (load_kind == LOAD_B_SHARED)
         self._shared.append(is_shared)
         self._lines.append(load_addr[~is_shared] >> self.l1.line_shift)
 
-        if self.lookups:
-            self._consult.append(consults)
-            if self._instruction:
-                load_instr = instr[is_load]
-                first = np.ones(n, dtype=bool)
-                if n:
-                    first[1:] = load_instr[1:] != load_instr[:-1]
-                    if self._prev_instr is not None:
-                        first[0] = load_instr[0] != self._prev_instr
-                    self._prev_instr = int(load_instr[-1])
-                self._first.append(first)
-                self._element.append(element[first])
-                self._batch.append(batch[first])
-            else:
-                self._element.append(element[consults])
-                self._batch.append(batch[consults])
+        consults, batch, element = load_ids_for(
+            self.spec, self.options, EliminationMode.DUPLO, load_kind,
+            load_addr, self.lda, self._gpu,
+        )
+        self._consult.append(consults)
+        # The workspace instructions are the A loads at the options'
+        # granularity; the translated ones are DUPLO's lookups.
+        looked_up, bases = consults, is_a
+        if self._instruction:
+            # One lookup per warp-level instruction, at its first load.
+            load_instr = instr[is_load]
+            first = np.ones(n, dtype=bool)
+            if n:
+                first[1:] = load_instr[1:] != load_instr[:-1]
+                if self._prev_instr is not None:
+                    first[0] = load_instr[0] != self._prev_instr
+                self._prev_instr = int(load_instr[-1])
+            self._first.append(first)
+            looked_up, bases = consults & first, is_a & first
+        self._element.append(element[looked_up])
+        self._batch.append(batch[looked_up])
+        self._ws_instrs += int(bases.sum())
 
-        if self._ws_shortcut:
-            translated = is_a & consults
-            self._ws_keys.append(
-                batch[translated] * (1 << 44) + element[translated]
-            )
-            self._ws_untranslated += int((is_a & ~consults).sum())
-            self._ws_instrs += int(is_a.sum())
-        else:
-            a_addr = load_addr[is_a]
-            if self.options.lhb_granularity == "fragment":
-                bases_addr = a_addr
-            else:
-                a_instr = instr[is_load][is_a]
-                first_a = np.ones(len(a_addr), dtype=bool)
-                if len(a_addr):
-                    first_a[1:] = a_instr[1:] != a_instr[:-1]
-                    if self._prev_a_instr is not None:
-                        first_a[0] = a_instr[0] != self._prev_a_instr
-                    self._prev_a_instr = int(a_instr[-1])
-                bases_addr = a_addr[first_a]
-            if len(bases_addr):
-                ok, b, e = self._ws_idgen.generate_for_addresses(bases_addr)
-                self._ws_keys.append(b[ok] * (1 << 44) + e[ok])
-                self._ws_untranslated += int((~ok).sum())
-                self._ws_instrs += len(bases_addr)
+    def fold(self) -> _FedStreams:
+        """The fed blocks as DUPLO's read-only streams.
 
-    def streams(self) -> _FedStreams:
-        """Assemble the fed blocks into read-only streams.
-
-        Every untranslated workspace load counts as its own unique ID.
+        Every untranslated workspace instruction counts as its own
+        unique ID.
         """
+        element = _cat(self._element, np.int64)
+        batch = _cat(self._batch, np.int64)
         totals = StreamTotals(
             gpu=self._gpu,
             loads=self._loads,
@@ -850,8 +831,8 @@ class _StreamAccumulator:
             stores=self._stores,
             workspace_instructions=self._ws_instrs,
             unique_workspace_ids=(
-                distinct_count(_cat(self._ws_keys, np.int64))
-                + self._ws_untranslated
+                distinct_count(batch * (1 << 44) + element)
+                + self._ws_instrs - len(element)
             ),
         )
         return _FedStreams(
@@ -863,8 +844,8 @@ class _StreamAccumulator:
             consult=_cat(self._consult, bool),
             shared=_cat(self._shared, bool),
             lines=_cat(self._lines, np.int64),
-            element=_cat(self._element, np.int64),
-            batch=_cat(self._batch, np.int64),
+            element=element,
+            batch=batch,
             first=_cat(self._first, bool) if self._instruction else None,
         )
 
@@ -874,11 +855,16 @@ class _StreamAccumulator:
 # ----------------------------------------------------------------------
 
 #: Each thread's slot, ``_fed_memo.entry = [epoch, trace_key, trace,
-#: fed]``: the trace it last replayed, under the simulator's trace key,
-#: and ``fed = (mode, streams)``, the streams last folded from it.  One
-#: slot per thread bounds residency to one trace and one fed stream
-#: set per worker, and thread-local storage makes it lock-free.
+#: fold]``: the trace it last replayed, under the simulator's trace key,
+#: and the one fold of it that every mode's streams derive from.  One
+#: slot per thread bounds residency to one trace and one fold per
+#: worker, and thread-local storage makes it lock-free.
 _fed_memo = threading.local()
+#: Events per block when a held trace is folded, so the A-load
+#: translation's int64 temporaries scale with the block instead of the
+#: trace (folded whole, a 5M-event data-gradient trace peaked 650 MB
+#: above its columns).
+_FOLD_BLOCK = 1 << 18
 #: Bumped by :func:`clear_fed_memo`, so a clear reaches every thread's
 #: slot (a slot from an older epoch never hits).
 _fed_epochs = itertools.count()
@@ -935,38 +921,43 @@ def fed_streams(
     mode: EliminationMode,
     trace_key=None,
 ) -> _FedStreams:
-    """``trace``'s streams folded under ``mode``, memoised in the slot.
+    """``trace``'s streams under ``mode``, from its fold in the slot.
 
     ``trace_key`` is a hashable identity of ``trace`` together with
     ``spec``, ``gpu`` and ``options`` (the simulator passes its trace
-    key): the slot keeps the trace and its streams under ``(trace_key,
-    mode)``.  A fed stream set replaces the previous one, and a trace
-    the slot does not hold replaces the slot's trace.
-    ``trace_key=None`` bypasses the slot.  The baseline keeps no
-    lookup IDs.
+    key): the slot keeps the trace and its one fold under it, and
+    every mode derives its view from that fold
+    (:meth:`_FedStreams.for_mode`), so a BASELINE, DUPLO and WIR
+    replay of one trace fold it once.  A trace the slot does not hold
+    replaces the slot's trace and fold.  ``trace_key=None`` bypasses
+    the slot.
     """
-    def feed() -> _FedStreams:
-        acc = _StreamAccumulator(
-            spec, trace.lda, gpu, options, mode,
-            mode is not EliminationMode.BASELINE,
-        )
-        acc.feed(trace.kind, trace.address, trace.instr)
-        return acc.streams()
+    def fold() -> _FedStreams:
+        acc = _StreamAccumulator(spec, trace.lda, gpu, options)
+        for lo in range(0, len(trace), _FOLD_BLOCK):
+            hi = lo + _FOLD_BLOCK
+            acc.feed(
+                trace.kind[lo:hi], trace.address[lo:hi], trace.instr[lo:hi]
+            )
+        return acc.fold()
 
     if trace_key is None:
-        return feed()
-    entry = _slot_entry(trace_key)
-    if entry is None:
-        _fed_memo.entry = None
-        entry = [_fed_epoch, trace_key, trace, None]
-    elif entry[3] is not None and entry[3][0] == mode:
-        obs.add("fastpath.fed_reuses")
-        return entry[3][1]
-    entry[3] = None
-    streams = feed()
-    entry[3] = (mode, streams)
-    _fed_memo.entry = entry
-    return streams
+        folded = fold()
+    else:
+        entry = _slot_entry(trace_key)
+        if entry is not None and entry[3] is not None:
+            obs.add("fastpath.fed_reuses")
+        else:
+            if entry is None:
+                _fed_memo.entry = None
+                entry = [_fed_epoch, trace_key, trace, None]
+            entry[3] = fold()
+            _fed_memo.entry = entry
+        folded = entry[3]
+    fragment = None
+    if mode is EliminationMode.WIR:
+        fragment = _fragments(trace.kind, trace.address, gpu)
+    return folded.for_mode(mode, fragment)
 
 
 def replay_blocks_fast(
@@ -987,18 +978,18 @@ def replay_blocks_fast(
     in-memory replay whatever the block size.
     """
     if mode is not EliminationMode.BASELINE and lhb is None:
-        lhb = LoadHistoryBuffer(lifetime=options.lhb_lifetime)
-    acc = _StreamAccumulator(
-        spec, int(meta["lda"]), gpu, options, mode, lhb is not None
-    )
+        lhb = default_lhb(options)
+    acc = _StreamAccumulator(spec, int(meta["lda"]), gpu, options)
+    fragments = []  # WIR's lookup IDs, per block
     for block in blocks:
-        acc.feed(
-            np.asarray(block.kind), np.asarray(block.address),
-            np.asarray(block.instr),
-        )
+        kind, address = np.asarray(block.kind), np.asarray(block.address)
+        acc.feed(kind, address, np.asarray(block.instr))
+        if mode is EliminationMode.WIR:
+            fragments.append(_fragments(kind, address, gpu))
     obs.add("fastpath.replays")
     obs.add("fastpath.events", acc.events)
-    return acc.streams().finish(lhb, int(meta["mma_ops"]))
+    streams = acc.fold().for_mode(mode, _cat(fragments, np.int64))
+    return streams.finish(lhb, int(meta["mma_ops"]))
 
 
 def replay_trace_fast(
@@ -1016,11 +1007,11 @@ def replay_trace_fast(
     ``lhb`` must be fresh: a used buffer raises ``ValueError``.
 
     ``trace_key`` keys the calling thread's slot (:func:`fed_streams`),
-    so consecutive replays of one trace and mode — an LHB size or
-    associativity sweep — feed it once.
+    so consecutive replays of one trace — an LHB size or associativity
+    sweep, or its BASELINE, DUPLO and WIR points — fold it once.
     """
     if mode is not EliminationMode.BASELINE and lhb is None:
-        lhb = LoadHistoryBuffer(lifetime=options.lhb_lifetime)
+        lhb = default_lhb(options)
     obs.add("fastpath.replays")
     obs.add("fastpath.events", int(trace.kind.size))
     streams = fed_streams(trace, spec, gpu, options, mode, trace_key)

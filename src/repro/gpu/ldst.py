@@ -52,6 +52,15 @@ class EliminationMode(enum.Enum):
     WIR = "wir"
 
 
+def default_lhb(options: SimulationOptions) -> LoadHistoryBuffer:
+    """The buffer a replay builds when given none: the default
+    1024-entry direct-mapped LHB, under ``options``' retirement window
+    and set index function."""
+    return LoadHistoryBuffer(
+        lifetime=options.lhb_lifetime, hashed_index=options.lhb_hashed_index
+    )
+
+
 def _load_ids(
     trace: KernelTrace,
     spec: ConvLayerSpec,
@@ -213,7 +222,7 @@ def replay_trace(
     bit; tests and benchmarks call it directly.
     """
     if mode is not EliminationMode.BASELINE and lhb is None:
-        lhb = LoadHistoryBuffer(lifetime=options.lhb_lifetime)
+        lhb = default_lhb(options)
     # Hits within a fill latency of the line's miss are MSHR merges
     # (Figure 8's MSHR; same traffic, different latency attribution).
     l1 = SetAssociativeCache(

@@ -14,15 +14,17 @@ import pytest
 
 from repro import obs
 from repro.conv.workloads import get_layer
+from repro.core.idgen import IDMode
+from repro.core.lhb import LoadHistoryBuffer
 from repro.gpu.config import (
     BASELINE_KERNEL,
     IMPLICIT_KERNEL,
     SimulationOptions,
     TITAN_V,
 )
-from repro.gpu.fastpath import replay_trace_fast
-from repro.gpu.kernel import generate_sm_trace
-from repro.gpu.ldst import EliminationMode, replay_trace
+from repro.gpu.fastpath import replay_blocks_fast, replay_trace_fast
+from repro.gpu.kernel import generate_sm_trace, plan_sm_trace
+from repro.gpu.ldst import EliminationMode, replay_trace, workspace_unique_ids
 from repro.gpu.multikernel import (
     _interleave,
     _workspace_stream,
@@ -32,7 +34,7 @@ from repro.gpu.simulator import make_lhb, simulate_layer
 from repro.runtime.cachekey import result_key
 from repro.runtime.executor import SimPoint, _resolves_analytic
 
-from tests.conftest import event_oracle
+from tests.conftest import event_oracle, make_spec
 
 
 @pytest.fixture(autouse=True)
@@ -339,3 +341,61 @@ class TestCacheKeyNormalisation:
             dataclasses.replace(OPTIONS, max_ctas=2), "duplo", 1024, 1,
         )
         assert a != b
+
+
+class TestModeFreeAccounting:
+    def test_default_lhb_honours_the_options(self):
+        """Regression: a replay given no buffer built a hashed-index
+        LHB whatever ``options.lhb_hashed_index`` said (resnet C2 read
+        a hit rate of 0.855 instead of 0.488).  The fast, blockwise and
+        event paths now build the options' buffer, as
+        :func:`simulate_layer` does."""
+        spec = get_layer("resnet", "C2")
+        options = SimulationOptions(max_ctas=2, lhb_hashed_index=False)
+        trace = generate_sm_trace(spec, TITAN_V, BASELINE_KERNEL, options)
+        plan = plan_sm_trace(spec, TITAN_V, BASELINE_KERNEL, options)
+
+        def replay(hashed_index):
+            return replay_trace_fast(
+                trace, spec, TITAN_V, options,
+                lhb=LoadHistoryBuffer(
+                    lifetime=options.lhb_lifetime, hashed_index=hashed_index
+                ),
+            )
+
+        expected = replay(False)
+        assert replay(True).lhb_hits != expected.lhb_hits
+        defaults = [
+            replay_trace_fast(trace, spec, TITAN_V, options),
+            replay_blocks_fast(
+                plan.iter_blocks(4096), plan.meta(), spec, TITAN_V, options
+            ),
+            replay_trace(trace, spec, TITAN_V, options),
+        ]
+        for got in defaults:
+            assert dataclasses.asdict(got) == dataclasses.asdict(expected)
+        assert simulate_layer(spec, options=options).lhb_hit_rate == (
+            pytest.approx(expected.lhb_hit_rate)
+        )
+
+    @pytest.mark.parametrize("merge_padding", [False, True])
+    @pytest.mark.parametrize("id_mode", list(IDMode))
+    @pytest.mark.parametrize("granularity", ["fragment", "instruction"])
+    def test_workspace_accounting_is_mode_free(
+        self, granularity, id_mode, merge_padding
+    ):
+        """Workspace instructions and unique workspace IDs come from the
+        one translation every mode shares: they are equal under every
+        mode and equal to the event path's oracle."""
+        spec = make_spec(name="ws", h=9, w=7, c=4, filters=8)
+        options = SimulationOptions(
+            max_ctas=1, lhb_granularity=granularity, id_mode=id_mode,
+            merge_padding=merge_padding,
+        )
+        trace = generate_sm_trace(spec, TITAN_V, BASELINE_KERNEL, options)
+        oracle = workspace_unique_ids(trace, spec, options, TITAN_V)
+        assert oracle[0] > 0
+        for mode in EliminationMode:
+            stats = replay_trace_fast(trace, spec, TITAN_V, options, mode)
+            got = (stats.workspace_instructions, stats.unique_workspace_ids)
+            assert got == oracle, mode

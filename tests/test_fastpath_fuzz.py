@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.conv.attention import gemm_layer
+from repro.core.idgen import IDMode
 from repro.core.lhb import LoadHistoryBuffer
 from repro.gpu.config import (
     BASELINE_KERNEL,
@@ -30,6 +31,7 @@ from repro.gpu.config import (
 )
 from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.fastpath import (
+    clear_fed_memo,
     lru_hit_mask,
     replay_trace_fast,
     simulate_lhb_stream,
@@ -333,6 +335,45 @@ def test_full_replay_matches_event_path(case):
     assert dataclasses.asdict(event) == dataclasses.asdict(fast), (
         spec, gpu, options, mode, entries, assoc
     )
+
+
+@settings(max_examples=MAX_EXAMPLES, deadline=None)
+@given(
+    case=replay_cases(),
+    id_mode=st.sampled_from(list(IDMode)),
+    order=st.permutations(list(EliminationMode)),
+)
+def test_one_slot_serves_every_mode(case, id_mode, order):
+    """The three modes, replayed in any order through one slot — one
+    fold of the trace — each equal the event path."""
+    spec, gpu, options, _, entries, assoc = case
+    options = dataclasses.replace(options, id_mode=id_mode)
+    trace = generate_sm_trace(spec, gpu, BASELINE_KERNEL, options)
+
+    def fresh_lhb(mode):
+        if mode is EliminationMode.BASELINE:
+            return None
+        return LoadHistoryBuffer(
+            num_entries=entries,
+            assoc=assoc,
+            lifetime=options.lhb_lifetime,
+            hashed_index=options.lhb_hashed_index,
+        )
+
+    clear_fed_memo()
+    try:
+        for mode in order:
+            event = replay_trace(trace, spec, gpu, options, mode,
+                                 fresh_lhb(mode))
+            fast = replay_trace_fast(
+                trace, spec, gpu, options, mode, fresh_lhb(mode),
+                trace_key=(spec, gpu, options),
+            )
+            assert dataclasses.asdict(event) == dataclasses.asdict(fast), (
+                spec, gpu, options, order, mode, entries, assoc
+            )
+    finally:
+        clear_fed_memo()
 
 
 @settings(max_examples=MAX_EXAMPLES, deadline=None)

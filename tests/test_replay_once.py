@@ -4,12 +4,13 @@ Three layers of reuse are pinned here:
 
 * the sweep executor runs equal points of one submission once and
   hands every repeat the first occurrence's result object;
-* the fast replay memoises, per thread, the streams it last fed from a
-  trace under one mode, so an LHB size or associativity sweep over one
-  trace feeds it once — and a memo hit is bit-identical to a fresh
+* the fast replay keeps, per thread, one fold of the trace it last
+  replayed, whatever the mode, so an LHB size or associativity sweep
+  and the BASELINE, DUPLO and WIR points of one trace fold it once —
+  one A-load translation — and a memo hit is bit-identical to a fresh
   feed, even with several threads replaying the same layer.  The
   analytic profile takes its streams from the same memo, so a profile
-  build and an exact replay of one layer and mode feed once;
+  build and an exact replay of one layer feed once;
 * Figure 14 submits its forward, data-gradient and weight-gradient
   points as one sweep, so it simulates three points per layer.
 """
@@ -25,9 +26,15 @@ from repro.analysis.network import NON_CONV_EPSILON
 from repro.analytic import clear_profile_cache
 from repro.conv.gradients import data_gradient_spec
 from repro.conv.workloads import TABLE_I
+from repro.core.idgen import IDGenerator
 from repro.gpu import fastpath, simulator
 from repro.gpu.config import BASELINE_KERNEL, SimulationOptions, TITAN_V
-from repro.gpu.fastpath import clear_fed_memo
+from repro.gpu.fastpath import (
+    clear_fed_memo,
+    replay_blocks_fast,
+    replay_trace_fast,
+)
+from repro.gpu.kernel import generate_sm_trace, plan_sm_trace
 from repro.gpu.ldst import EliminationMode
 from repro.gpu.simulator import clear_trace_cache, simulate_layer
 from repro.gpu.stats import geometric_mean
@@ -212,7 +219,7 @@ def test_one_feed_per_trace_and_mode(monkeypatch):
     feed = fastpath._StreamAccumulator.feed
 
     def counting_feed(self, *args):
-        feeds.append(self.mode)
+        feeds.append(self.options)
         return feed(self, *args)
 
     monkeypatch.setattr(fastpath._StreamAccumulator, "feed", counting_feed)
@@ -223,14 +230,16 @@ def test_one_feed_per_trace_and_mode(monkeypatch):
     for entries, assoc in sweep:
         simulate_layer(SPEC, lhb_entries=entries, lhb_assoc=assoc,
                        options=OPTIONS)
-    assert feeds == [EliminationMode.DUPLO]
+    assert feeds == [OPTIONS]
     assert _counters()["fastpath.fed_reuses"] == len(sweep) - 1
 
 
 @pytest.mark.parametrize("change", ["gpu", "options", "mode"])
 def test_memo_never_shares_across_configurations(change):
-    """Points that differ only in the GPU, the options or the mode
-    never reuse each other's fed streams."""
+    """Points that differ only in the GPU or the options never reuse
+    each other's fold.  A point that differs only in the mode replays
+    the same trace, so it reuses the fold, with the result of a fresh
+    one."""
     first = SimPoint(SPEC, options=OPTIONS)
     second = {
         "gpu": dataclasses.replace(first, gpu=dataclasses.replace(
@@ -243,12 +252,94 @@ def test_memo_never_shares_across_configurations(change):
     expected = simulate_layer(
         second.spec, second.mode, gpu=second.gpu, options=second.options
     )
+    clear_fed_memo()
     obs.enable()
     obs.reset()
     for p in (first, second):
         got = simulate_layer(p.spec, p.mode, gpu=p.gpu, options=p.options)
-    assert "fastpath.fed_reuses" not in _counters()
+    if change == "mode":
+        assert _counters()["fastpath.fed_reuses"] == 1
+    else:
+        assert "fastpath.fed_reuses" not in _counters()
     assert _rows([got]) == _rows([expected])
+
+
+MODES = list(EliminationMode)
+
+
+def _lhb(mode, options):
+    """A fresh 2-way buffer under ``options``; none for the baseline."""
+    if mode is EliminationMode.BASELINE:
+        return None
+    return simulator.make_lhb(
+        256, 2, options.lhb_lifetime, options.lhb_hashed_index
+    )
+
+
+@pytest.mark.parametrize("granularity", ["fragment", "instruction"])
+@pytest.mark.parametrize(
+    "order", [MODES, MODES[::-1]], ids=["forward", "reverse"]
+)
+def test_one_fold_for_every_mode(monkeypatch, order, granularity):
+    """BASELINE, DUPLO and WIR replays of one trace in one slot fold it
+    once — one A-load translation — and each equals a fresh-slot replay
+    and the blockwise replay at two block sizes."""
+    options = dataclasses.replace(OPTIONS, lhb_granularity=granularity)
+    trace = generate_sm_trace(SPEC, TITAN_V, BASELINE_KERNEL, options)
+    plan = plan_sm_trace(SPEC, TITAN_V, BASELINE_KERNEL, options)
+
+    def replay(mode):
+        return dataclasses.asdict(replay_trace_fast(
+            trace, SPEC, TITAN_V, options, mode, _lhb(mode, options),
+            trace_key="one-slot",
+        ))
+
+    expected = {}
+    for mode in order:
+        clear_fed_memo()
+        expected[mode] = replay(mode)
+        for block in (64, 4096):
+            blockwise = replay_blocks_fast(
+                plan.iter_blocks(block), plan.meta(), SPEC, TITAN_V,
+                options, mode, _lhb(mode, options),
+            )
+            assert dataclasses.asdict(blockwise) == expected[mode], block
+
+    translations = []
+    generate = IDGenerator.generate_for_addresses
+
+    def counting(self, addresses):
+        translations.append(len(addresses))
+        return generate(self, addresses)
+
+    clear_fed_memo()
+    monkeypatch.setattr(IDGenerator, "generate_for_addresses", counting)
+    obs.enable()
+    obs.reset()
+    assert {mode: replay(mode) for mode in order} == expected
+    assert len(translations) == 1
+    assert _counters()["fastpath.fed_reuses"] == len(order) - 1
+
+
+@pytest.mark.parametrize("granularity", ["fragment", "instruction"])
+def test_fold_block_size_is_invisible(monkeypatch, granularity):
+    """Folding a held trace in blocks (with carries across their
+    boundaries) gives every mode the streams of a one-block fold."""
+    options = dataclasses.replace(OPTIONS, lhb_granularity=granularity)
+    trace = generate_sm_trace(SPEC, TITAN_V, BASELINE_KERNEL, options)
+
+    def replays():
+        return [
+            dataclasses.asdict(replay_trace_fast(
+                trace, SPEC, TITAN_V, options, mode, _lhb(mode, options)
+            ))
+            for mode in MODES
+        ]
+
+    monkeypatch.setattr(fastpath, "_FOLD_BLOCK", len(trace))
+    whole = replays()
+    monkeypatch.setattr(fastpath, "_FOLD_BLOCK", 97)
+    assert replays() == whole
 
 
 def _layer_chunks(count):
@@ -329,11 +420,9 @@ def test_analytic_build_then_exact_replay_feeds_once(monkeypatch):
 
 def test_fed_streams_are_read_only():
     trace = simulator._get_trace(SPEC, TITAN_V, BASELINE_KERNEL, OPTIONS)
-    acc = fastpath._StreamAccumulator(
-        SPEC, trace.lda, TITAN_V, OPTIONS, EliminationMode.DUPLO, True
-    )
+    acc = fastpath._StreamAccumulator(SPEC, trace.lda, TITAN_V, OPTIONS)
     acc.feed(trace.kind, trace.address, trace.instr)
-    streams = acc.streams()
+    streams = acc.fold()
     for name in ("consult", "shared", "lines", "element", "batch"):
         assert not getattr(streams, name).flags.writeable, name
     with pytest.raises(dataclasses.FrozenInstanceError):

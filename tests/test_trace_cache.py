@@ -164,10 +164,10 @@ class TestSlotBookkeeping:
         opts = SimulationOptions(max_ctas=1)
         simulate_layer(spec, options=opts)
         entry = fastpath._fed_memo.entry
-        assert entry[3] is not None  # the DUPLO streams of that trace
+        assert entry[3] is not None  # the fold of that trace
         simulate_layer(make_spec(name="other", h=7), options=opts)
         assert fastpath._fed_memo.entry[1] != entry[1]
-        assert fastpath._fed_memo.entry[3][1] is not entry[3][1]
+        assert fastpath._fed_memo.entry[3] is not entry[3]
 
     def test_clear_reaches_other_threads(self, count_generation):
         """``clear_trace_cache`` in one thread invalidates a slot
