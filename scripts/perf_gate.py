@@ -102,9 +102,10 @@ COLD_SWEEP_BATCH = 64
 #: long enough for a stable median through the socket stack.
 SERVE_WARM_PASSES = 25
 #: Committed peak-RSS cap for the cold_sweep child process, read from
-#: its obs run manifest (``ru_maxrss``).  Measured ~211 MB on the
-#: reference host (interpreter + NumPy import dominate); the cap is a
-#: regression tripwire for unbounded buffering, not a tight budget.
+#: its obs run manifest (``VmHWM``: the child's own peak, not the
+#: gate's).  Measured ~211 MB on the reference host (interpreter +
+#: NumPy import dominate); the cap is a regression tripwire for
+#: unbounded buffering, not a tight budget.
 COLD_SWEEP_RSS_CAP_BYTES = 512 * 2**20
 #: Derived rates shaped by the host rather than cancelling it (worker
 #: count, socket stack, interpreter speed): a baseline recorded with a
@@ -115,10 +116,10 @@ HOST_SHAPED_RATES = (
 
 #: Child body for the cold_sweep benchmark: a full-network large-batch
 #: cold sweep *through the SweepExecutor* in its own interpreter so the
-#: manifest's ``peak_rss_bytes`` (ru_maxrss — a high-water mark, never
-#: resettable in-process) measures exactly this workload and nothing
-#: else.  Driving the executor locks its trace residency: each worker
-#: holds one trace at a time and none after its chunk.
+#: manifest's ``peak_rss_bytes`` (a high-water mark, never resettable
+#: in-process) measures exactly this workload and nothing else.
+#: Driving the executor locks its trace residency: each worker holds
+#: one trace at a time and none after its chunk.
 _COLD_SWEEP_CHILD = """\
 import dataclasses
 import json

@@ -27,14 +27,18 @@ exact closed forms:
 * **LRU inclusion property** — an access to a set-associative LRU cache
   hits iff its *stack distance* (distinct lines referenced in the same
   set since the previous reference to this line) is below the
-  associativity.  Stack distances are computed offline: immediate
+  associativity.  Stack distances are decided offline: immediate
   same-line re-references collapse first (they are hits at any
   associativity and provably do not disturb other distances), windows
-  shorter than the associativity short-circuit to hits, and the
-  residual distances come from a windowed count over a merge-sort tree
-  (:func:`window_counts`) whose depth is bounded by the longest
-  window, built entirely from sorts and ``searchsorted`` — no
-  per-event state machine.
+  shorter than the associativity short-circuit to hits, and each
+  residual window is walked back from its end over next-occurrence
+  links (:func:`stack_depths`) until ``assoc`` distinct lines are
+  seen — the walk descends the set's LRU stack, so a stream's walks
+  read O(assoc) slots per access in all, in doubling vectorised
+  strides with no per-event state machine.  Associativities above ``WALK_MAX_CAP`` take the
+  exact windowed count of a merge-sort tree (:func:`window_counts`)
+  instead, which also serves the analytic tier's raw distances
+  (:func:`windowed_distinct_counts`).
 
 * **Serve-order identity** — a load is served by exactly one of
   LHB / shared memory / L1 / L2 / DRAM, so the hierarchy's streams are
@@ -138,7 +142,8 @@ def prev_in_group(group: np.ndarray) -> np.ndarray:
     if n < 2:
         return prev
     order = stable_order(group)
-    same = group[order[1:]] == group[order[:-1]]
+    grouped = group[order]
+    same = grouped[1:] == grouped[:-1]
     prev[order[1:][same]] = order[:-1][same]
     return prev
 
@@ -219,62 +224,130 @@ def window_counts(
         vals.reshape(size >> shift, 1 << shift).sort(axis=1, kind="stable")
 
 
+#: Caps above this resolve on the merge-sort tree (:func:`window_counts`)
+#: instead of :func:`stack_depths`: the walk reads O(m * cap) slots and
+#: the tree O(m log w).  Over L1 line streams and Zipf streams in 64
+#: sets, the walk won at every cap up to 32 and lost from 48 or 64 on,
+#: so the L2's 24-way stays on the walk.
+WALK_MAX_CAP = 32
+#: Slots one vectorised walk step gathers at most (windows x stride),
+#: so a step's temporaries stay a few MB whatever the query count.
+_WALK_STEP_SLOTS = 1 << 18
+
+
+def next_in_group(prev: np.ndarray) -> np.ndarray:
+    """``nxt[j]``: the next position carrying slot ``j``'s value
+    (``len(prev)`` if none), from :func:`prev_in_group`'s links."""
+    m = len(prev)
+    nxt = np.full(m, m, dtype=np.int64)
+    linked = np.nonzero(prev >= 0)[0]
+    nxt[prev[linked]] = linked
+    return nxt
+
+
+def stack_depths(
+    nxt: np.ndarray, lo: np.ndarray, hi: np.ndarray, cap: int
+) -> np.ndarray:
+    """``min(#distinct values in slots [lo[k], hi[k]], cap)`` per window.
+
+    ``nxt[j]`` is the next slot holding slot ``j``'s value
+    (``len(nxt)`` if none), so slot ``j`` is its value's last
+    occurrence in the window — one distinct value — iff
+    ``nxt[j] > hi``.  Each window is walked back from ``hi``, which
+    visits those last occurrences in LRU-stack order, and leaves once
+    it has seen ``cap`` values or reached ``lo``; an empty or inverted
+    window (``lo > hi``) counts zero.  Strides double from 8, so a
+    window reads fewer than twice the slots a one-by-one walk would,
+    plus 8, and each vectorised step gathers at most
+    ``_WALK_STEP_SLOTS`` slots.  The slots gathered add to the
+    ``fastpath.walk_slots`` counter.
+
+    On the windows the replay asks about, the walks stay linear in
+    the stream.  Each window ends just before a query access, and
+    either opens after the query value's previous occurrence
+    (residency) or belongs to a query that is not resident (conflict).
+    Either way the walks that read one slot belong to queries with
+    distinct values, all inside the span the last of them walked, so
+    at most ``cap`` walks read a slot: ``Q`` windows over ``m`` slots
+    gather at most ``2 * cap * m + 8 * Q`` slots.
+    """
+    lo = np.asarray(lo, dtype=np.int64)
+    hi = np.asarray(hi, dtype=np.int64)
+    depth = np.zeros(len(lo), dtype=np.int64)
+    active = np.nonzero(lo <= hi)[0]
+    end = hi + 1  # exclusive: the walk reads down from end - 1
+    stride = 8
+    read = 0
+    while len(active):
+        back = np.arange(1, stride + 1, dtype=np.int64)
+        rows = _WALK_STEP_SLOTS // stride
+        for c in range(0, len(active), rows):
+            w = active[c:c + rows]
+            idx = end[w, None] - back
+            seen = np.take(nxt, idx, mode="clip") > hi[w, None]
+            seen &= idx >= lo[w, None]
+            depth[w] += np.count_nonzero(seen, axis=1)
+            read += idx.size
+        end[active] -= stride
+        active = active[(depth[active] < cap) & (end[active] > lo[active])]
+        stride = min(2 * stride, _WALK_STEP_SLOTS)
+    obs.add("fastpath.walk_slots", read)
+    return np.minimum(depth, cap)
+
+
+def _holds_at_least(
+    nxt: np.ndarray, lo: np.ndarray, hi: np.ndarray, cap: int
+) -> np.ndarray:
+    """Whether each window ``[lo, hi]`` holds at least ``cap`` distinct
+    values: :func:`stack_depths` up to ``WALK_MAX_CAP``, the exact
+    count of the merge-sort tree above it (windows non-empty)."""
+    if cap <= WALK_MAX_CAP:
+        return stack_depths(nxt, lo, hi, cap) >= cap
+    reappearing = window_counts(nxt, lo, hi, hi + 1)
+    return (hi - lo + 1) - reappearing >= cap
+
+
 def lru_hit_mask(lines: np.ndarray, set_mask: int, assoc: int) -> np.ndarray:
     """Exact per-access hit mask of an LRU set-associative cache.
 
     Implements the stack-distance characterisation: group the stream by
     set, collapse immediate same-line re-references (always hits, no
     state disturbance), short-circuit windows shorter than ``assoc``,
-    and resolve the rest with one :func:`window_counts` pass over
-    ``SD(i) = #{j in (p_i, i) : p_j < p_i}`` — the number of
-    first-in-window references between an access and its previous
-    same-line occurrence ``p_i``.
+    and decide the rest by whether the window between an access and
+    its previous same-line occurrence holds ``assoc`` distinct lines
+    (:func:`stack_depths`, capped at ``assoc``).
     """
     n = len(lines)
-    hits = np.zeros(n, dtype=bool)
+    hits = np.empty(n, dtype=bool)
     if n == 0:
         return hits
     lines = np.asarray(lines, dtype=np.int64)
-    sets = lines & np.int64(set_mask)
-
-    order = stable_order(sets)
+    order = stable_order(lines & np.int64(set_mask))
     s_lines = lines[order]
 
     # Immediate re-reference of the set's MRU line: hit at any assoc,
     # and removing it leaves every other stack distance unchanged.
     # Equal lines share a set, so equal neighbours are in one segment.
-    collapse = np.zeros(n, dtype=bool)
-    collapse[1:] = s_lines[1:] == s_lines[:-1]
-    hits[order[collapse]] = True
+    # Verdicts stay in set order until the one scatter at the end.
+    s_hits = np.zeros(n, dtype=bool)
+    s_hits[1:] = s_lines[1:] == s_lines[:-1]
+    kept = np.flatnonzero(~s_hits)
 
-    keep = ~collapse
-    r_lines = s_lines[keep]
-    r_orig = order[keep]
-    m = len(r_lines)
-    if m == 0:
-        return hits
-
-    prev = prev_in_group(r_lines)  # same line => same set => same segment
+    prev = prev_in_group(s_lines[kept])  # same line => same segment
     has_prev = prev >= 0
-    position = np.arange(m, dtype=np.int64)
+    position = np.arange(len(kept), dtype=np.int64)
     window = position - prev - 1
 
-    quick = has_prev & (window < assoc)  # SD <= window length
-    hits[r_orig[quick]] = True
-
-    residual = has_prev & ~quick
+    hit = has_prev & (window < assoc)  # SD <= window length
+    residual = has_prev & ~hit
     if assoc > 1 and residual.any():
         qi = position[residual]
-        qt = prev[residual]
-        # First-ever occurrences inside the window are distinct lines
-        # for free: an O(1) lower bound that settles most queries
-        # without touching the window count.
-        csum = np.cumsum(prev < 0)
-        alive = (csum[qi - 1] - csum[qt]) < assoc
-        qi, qt = qi[alive], qt[alive]
-        if len(qi):
-            sd = window_counts(prev, qt + 1, qi - 1, qt)
-            hits[r_orig[qi[sd < assoc]]] = True
+        full = _holds_at_least(
+            next_in_group(prev), prev[residual] + 1, qi - 1, assoc
+        )
+        hit[qi[~full]] = True
+    s_hits[kept] = hit
+    hits[order] = s_hits
     return hits
 
 
@@ -426,7 +499,7 @@ def _set_associative_lhb_stream(
 
     * **resident** — previous access to the tag exists and fewer than
       ``assoc`` distinct tags touched the set in between (LRU
-      inclusion; counted by the same :func:`window_counts` pass as
+      inclusion; decided by the same capped walk as
       :func:`lru_hit_mask`);
     * **hit** — resident and the previous access is within the
       retirement window (stream positions — the LHB sequence number
@@ -438,8 +511,10 @@ def _set_associative_lhb_stream(
       victim is still live.  The victim is the ``assoc``-th most
       recently used distinct tag, so it is live iff at least ``assoc``
       distinct tags had their latest access inside the window — a
-      windowed last-occurrence count, answered by one more
-      :func:`window_counts` pass over next-occurrence indices.
+      windowed last-occurrence count, which is exactly what
+      :func:`stack_depths` walks.
+
+    Both passes read one next-occurrence array.
 
     Compulsory misses are the distinct tags: the buffer starts empty.
     """
@@ -453,26 +528,21 @@ def _set_associative_lhb_stream(
     pos = np.arange(n, dtype=np.int64)
     prev_s = prev_in_group(s_tag)  # same tag => same set => same block
     has_prev = prev_s >= 0
+    nxt = next_in_group(prev_s)
 
     first = ~has_prev  # first-ever occurrence of the tag (== in-set)
     csum = np.cumsum(first)
     stats.compulsory_misses += int(csum[-1])
 
-    # Residency: windows shorter than assoc short-circuit; first-ever
-    # occurrences inside the window are distinct tags for free (an
-    # O(1) stack-distance lower bound that settles most of the rest);
-    # only the survivors pay for the window count of lru_hit_mask.
+    # Residency: windows shorter than assoc short-circuit; the rest
+    # walk the window for assoc distinct tags, as lru_hit_mask does.
     window = pos - prev_s - 1  # same-set accesses strictly in between
     resident = has_prev & (window < assoc)
     residual = has_prev & ~resident
     if residual.any():
         qi = pos[residual]
-        qt = prev_s[residual]
-        alive = (csum[qi - 1] - csum[qt]) < assoc
-        qi, qt = qi[alive], qt[alive]
-        if len(qi):
-            sd = window_counts(prev_s, qt + 1, qi - 1, qt)
-            resident[qi[sd < assoc]] = True
+        full = _holds_at_least(nxt, prev_s[residual] + 1, qi - 1, assoc)
+        resident[qi[~full]] = True
 
     # Retirement window: gaps are stream positions (the LHB sequence
     # number counts every lookup, whichever set it lands in).
@@ -504,9 +574,6 @@ def _set_associative_lhb_stream(
             stats.conflict_replacements += int(evict.sum())
         else:
             ei = pos[evict]
-            # Next same-tag occurrence per sorted slot (n = none).
-            nxt = np.full(n, n, dtype=np.int64)
-            nxt[prev_s[ip]] = ip
             # First in-window slot of each evicting miss's set block:
             # per-block offsets keep the (block, stream position) key
             # monotone for one global searchsorted.  Positions ascend
@@ -529,11 +596,8 @@ def _set_associative_lhb_stream(
                 # before the miss sits inside the window: slots j in
                 # [first_in_window, ei) with no later same-tag slot
                 # < ei.
-                reappearing = window_counts(nxt, first_in_window, ei - 1, ei)
-                live_members = (ei - first_in_window) - reappearing
-                stats.conflict_replacements += int(
-                    (live_members >= assoc).sum()
-                )
+                live = _holds_at_least(nxt, first_in_window, ei - 1, assoc)
+                stats.conflict_replacements += int(live.sum())
     return hit
 
 

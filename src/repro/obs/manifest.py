@@ -86,9 +86,21 @@ def host_fingerprint() -> Dict[str, Any]:
 def peak_rss_bytes() -> Optional[int]:
     """Peak resident set size of this process, in bytes.
 
-    Uses ``resource.getrusage``; ``ru_maxrss`` is KiB on Linux and
-    bytes on macOS.  Returns ``None`` where unavailable (Windows).
+    Reads ``VmHWM`` from ``/proc/self/status`` where it exists (Linux).
+    ``ru_maxrss`` is no substitute there: it keeps the high-water mark
+    of the process that spawned this one across fork and exec, so a
+    small child of a large parent reports the parent's peak.
+    Elsewhere it falls back to ``resource.getrusage`` (``ru_maxrss``
+    is KiB on Linux and bytes on macOS), and returns ``None`` where
+    neither exists (Windows).
     """
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024  # reported in kB
+    except OSError:
+        pass
     try:
         import resource
     except ImportError:  # pragma: no cover - POSIX-only module

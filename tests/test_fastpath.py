@@ -13,18 +13,23 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.conv.workloads import get_layer
 from repro.core.lhb import LoadHistoryBuffer
 from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.config import BASELINE_KERNEL, SimulationOptions, TITAN_V
+from repro.gpu import fastpath
 from repro.gpu.fastpath import (
     distinct_count,
     lru_hit_mask,
+    next_in_group,
     prev_in_group,
     replay_trace_fast,
     simulate_lhb_stream,
     stable_order,
+    stack_depths,
     window_counts,
 )
 from repro.gpu.kernel import generate_sm_trace
@@ -177,6 +182,135 @@ class TestWindowCounts:
         hi = np.array([-1, 0, 2], dtype=np.int64)
         thr = np.array([3, 3, 3], dtype=np.int64)
         np.testing.assert_array_equal(window_counts(values, lo, hi, thr), 0)
+
+
+def _brute_next(values):
+    """Next slot holding each slot's value (``len(values)`` if none)."""
+    m = len(values)
+    return np.array(
+        [next((k for k in range(j + 1, m) if values[k] == values[j]), m)
+         for j in range(m)],
+        dtype=np.int64,
+    )
+
+
+@st.composite
+def walk_cases(draw):
+    """A value stream and windows over it: empty, inverted, one-slot,
+    whole-stream and random ones, over alphabets both narrower and
+    wider than the cap."""
+    m = draw(st.integers(0, 700))
+    alphabet = draw(st.sampled_from([1, 2, 5, 24, 40, 300]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(0, alphabet, size=m, dtype=np.int64)
+    q = draw(st.integers(1, 40))
+    lo = rng.integers(0, m + 1, size=q, dtype=np.int64)
+    hi = rng.integers(-1, m, size=q, dtype=np.int64)
+    if m:
+        one = rng.integers(0, m, size=2, dtype=np.int64)
+        lo = np.concatenate([lo, [0, m, 3], one])
+        hi = np.concatenate([hi, [m - 1, m - 1, 2], one])
+    return values, lo, hi, draw(st.integers(1, 33))
+
+
+class TestStackDepths:
+    @settings(max_examples=60, deadline=None)
+    @given(case=walk_cases(), step_slots=st.sampled_from([8, 64, 1 << 18]))
+    def test_matches_brute_force(self, case, step_slots):
+        """``min(#distinct in [lo, hi], cap)`` whatever the step size
+        (small steps force chunked rows and a capped stride)."""
+        values, lo, hi, cap = case
+        expected = [
+            min(len(set(values[l:h + 1].tolist())), cap) if l <= h else 0
+            for l, h in zip(lo.tolist(), hi.tolist())
+        ]
+        saved = fastpath._WALK_STEP_SLOTS
+        fastpath._WALK_STEP_SLOTS = step_slots
+        try:
+            got = stack_depths(_brute_next(values), lo, hi, cap)
+        finally:
+            fastpath._WALK_STEP_SLOTS = saved
+        np.testing.assert_array_equal(got, expected)
+
+    def test_next_in_group_links(self, rng):
+        values = rng.integers(0, 9, size=200, dtype=np.int64)
+        np.testing.assert_array_equal(
+            next_in_group(prev_in_group(values)), _brute_next(values)
+        )
+
+    def test_empty(self):
+        empty = np.array([], dtype=np.int64)
+        assert stack_depths(empty, empty, empty, 4).size == 0
+        nxt = np.array([3, 3, 3], dtype=np.int64)
+        lo = np.array([0, 2, 3], dtype=np.int64)
+        hi = np.array([-1, 0, 2], dtype=np.int64)
+        np.testing.assert_array_equal(stack_depths(nxt, lo, hi, 4), 0)
+
+
+def _cyclic_one_set(assoc, sets, n):
+    """``8 * assoc + 1`` lines cycling through set 0: every access
+    misses, and only the cap keeps a walk from reading its whole
+    window of ``8 * assoc`` distinct lines."""
+    return (np.arange(n, dtype=np.int64) % (8 * assoc + 1)) * sets
+
+
+def _anchored_hot_set(assoc, sets, n, gap=400):
+    """Set 0 cycles through ``assoc - 2`` hot lines while two anchors
+    return every ``gap`` accesses: each anchor's window is long and
+    holds ``assoc - 1`` distinct lines, so its walk reads all of it."""
+    hot = np.arange(n, dtype=np.int64) % (assoc - 2)
+    hot[::gap] = assoc  # anchor X
+    hot[gap // 2::gap] = assoc + 1  # anchor Y
+    return hot * sets
+
+
+class TestWalkSlots:
+    """The walk's read bound, ``2 * (cap + 1) * m + 8 * Q`` slots for
+    ``Q`` windows over ``m`` slots, on streams built against it."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """Every walk's ``(m, Q)``, with the counter recording."""
+        seen = []
+        walk = fastpath.stack_depths
+
+        def spy(nxt, lo, hi, cap):
+            seen.append((len(nxt), int(np.count_nonzero(lo <= hi))))
+            return walk(nxt, lo, hi, cap)
+
+        monkeypatch.setattr(fastpath, "stack_depths", spy)
+        obs.reset()
+        obs.enable()
+        yield seen
+        obs.disable()
+        obs.reset()
+
+    def _assert_bound(self, walks, cap):
+        assert walks, "the stream never reached the walk"
+        bound = sum(2 * (cap + 1) * m + 8 * q for m, q in walks)
+        read = obs.counters_with_prefix("fastpath.walk_slots")
+        assert 0 < read["fastpath.walk_slots"] <= bound
+
+    @pytest.mark.parametrize("assoc", [4, 24, 32])
+    @pytest.mark.parametrize("stream", [_cyclic_one_set, _anchored_hot_set])
+    def test_lru_streams(self, walks, rng, assoc, stream):
+        sets = 64
+        lines = stream(assoc, sets, 20000)
+        # Other sets draw random traffic around them.
+        noise = rng.integers(0, 4 * assoc * sets, size=len(lines))
+        lines = np.where(rng.random(len(lines)) < 0.3, noise, lines)
+        cache = SetAssociativeCache(sets * assoc * 128, assoc, 128)
+        lru_hit_mask(lines, cache.set_mask, assoc)
+        self._assert_bound(walks, assoc)
+
+    @pytest.mark.parametrize("assoc", [2, 8, 32])
+    @pytest.mark.parametrize("stream", [_cyclic_one_set, _anchored_hot_set])
+    def test_lhb_streams(self, walks, assoc, stream):
+        """Residency and live-victim passes of a one-set LHB."""
+        element = stream(max(assoc, 3), 1, 6000)
+        lhb = LoadHistoryBuffer(num_entries=assoc, assoc=assoc, lifetime=700)
+        simulate_lhb_stream(element, np.zeros_like(element), lhb)
+        self._assert_bound(walks, assoc)
 
 
 class TestLruHitMask:

@@ -133,7 +133,9 @@ def replay_cases(draw):
         )
     line = draw(st.sampled_from([32, 128]))
     l1_assoc = draw(st.sampled_from([1, 2, 4]))
-    l2_assoc = draw(st.sampled_from([2, 8]))
+    # 48 ways exceed WALK_MAX_CAP: the L2 then resolves on the
+    # merge-sort tree instead of the capped walk.
+    l2_assoc = draw(st.sampled_from([2, 8, 48]))
     # Fragment geometry: every edge must divide the 32x32 warp tile
     # and tile_k the 64-deep stage; all pow2 draws satisfy both.
     gpu = GPUConfig(
@@ -172,18 +174,21 @@ def replay_cases(draw):
 
 @st.composite
 def long_window_streams(draw):
-    """(lines, num_sets) for a few-set, 24-way (L2-shaped) LRU cache
-    whose reuse windows span more than 2^10 same-set accesses.
+    """(lines, num_sets, assoc) for a few-set LRU cache, L2-shaped
+    (24-way) or wider than ``WALK_MAX_CAP`` (48-way), whose reuse
+    windows span more than 2^10 same-set accesses.
 
     Each set draws random traffic from a hot pool of about the
     associativity, and ``anchors`` lines return exactly every ``gap``
     same-set accesses, so their stack distances sit near the
-    associativity at the far end of windows long enough to reach the
-    high merge levels of the window count.  Sets interleave at random,
-    each keeping its own order.
+    associativity at the far end of windows long enough to take the
+    walk through its widest strides, or the window count through its
+    high merge levels.  Sets interleave at random, each keeping its
+    own order.
     """
     num_sets = draw(st.sampled_from([1, 2, 4]))
-    hot = draw(st.sampled_from([8, 20, 23, 24, 25, 40]))
+    assoc = draw(st.sampled_from([24, 48]))
+    hot = assoc + draw(st.sampled_from([-16, -4, -1, 0, 1, 16]))
     anchors = draw(st.integers(1, 4))
     gap = draw(st.integers(1300, 2100))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -195,14 +200,16 @@ def long_window_streams(draw):
         for k in range(anchors):
             local[k::gap] = hot + k
         lines[owner == s] = local * num_sets + s
-    return lines, num_sets
+    return lines, num_sets, assoc
 
 
 @st.composite
 def set_associative_lhb_cases(draw):
     """A 2+-way LHB with a finite lifetime and a stream long enough to
-    fill its sets, so evictions of live and dead victims both occur."""
-    assoc = draw(st.sampled_from([2, 4, 8]))
+    fill its sets, so evictions of live and dead victims both occur.
+    The 64-way draw exceeds WALK_MAX_CAP, so both passes take the
+    merge-sort tree instead of the capped walk."""
+    assoc = draw(st.sampled_from([2, 4, 8, 64]))
     entries = assoc * draw(st.sampled_from([1, 2, 4]))
     config = dict(
         num_entries=entries,
@@ -379,9 +386,10 @@ def test_one_slot_serves_every_mode(case, id_mode, order):
 @settings(max_examples=MAX_EXAMPLES, deadline=None)
 @given(stream=long_window_streams())
 def test_lru_long_windows_match_reference_cache(stream):
-    """L2 geometry (24-way) with reuse windows past 2^10 accesses."""
-    lines, num_sets = stream
-    cache = SetAssociativeCache(num_sets * 24 * 128, 24, 128)
+    """L2 geometries (24- and 48-way) with reuse windows past 2^10
+    accesses."""
+    lines, num_sets, assoc = stream
+    cache = SetAssociativeCache(num_sets * assoc * 128, assoc, 128)
     assert cache.num_sets == num_sets
     expected = np.array([cache.access(int(line)) for line in lines])
     got = lru_hit_mask(lines, cache.set_mask, cache.assoc)

@@ -1,8 +1,12 @@
 """The observability layer: spans, metrics, manifests, CLI wiring."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -10,6 +14,10 @@ from repro.cli import main
 from repro.conv.workloads import get_layer
 from repro.gpu.config import SimulationOptions
 from repro.gpu.simulator import EliminationMode, simulate_layer
+
+SRC_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+)
 
 
 @pytest.fixture(autouse=True)
@@ -192,6 +200,29 @@ class TestManifest:
         assert manifest.peak_rss_bytes is None or (
             manifest.peak_rss_bytes > 1024 * 1024
         )
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"),
+        reason="reads VmHWM from procfs",
+    )
+    def test_child_peak_rss_is_its_own(self):
+        """A small child of a large caller reports its own peak:
+        ``ru_maxrss`` would carry the caller's high-water mark across
+        fork and exec."""
+        ballast = np.ones(320 * 2**20 // 8)  # written, so resident
+        caller_peak = obs.peak_rss_bytes()
+        assert caller_peak >= 300 * 2**20
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (SRC_DIR, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from repro import obs; print(obs.peak_rss_bytes())"],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        del ballast
+        assert int(proc.stdout) < caller_peak
 
     def test_embeds_cache_stats(self, tmp_path):
         from repro.runtime import DiskCache
