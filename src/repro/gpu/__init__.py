@@ -8,7 +8,7 @@ running the tensor-core GEMM kernel of lowered convolutions:
 * :mod:`repro.gpu.kernel` — the cudaTensorCoreGemm-style trace
   generator (CTA/warp/octet tiling, dual octet loads);
 * :mod:`repro.gpu.scheduler` — greedy-then-oldest warp interleaving;
-* :mod:`repro.gpu.cache` / :mod:`repro.gpu.dram` — memory hierarchy;
+* :mod:`repro.gpu.cache` — the L1/L2 caches of the memory hierarchy;
 * :mod:`repro.gpu.ldst` — the load path with the Duplo detection unit
   (or a WIR same-address filter) attached;
 * :mod:`repro.gpu.timing` — the analytic cycle model;

@@ -72,16 +72,11 @@ class GPUConfig:
 
     # LDST path: a tensor-core load moves a 512-byte tile through a
     # 128 B/cycle pipe; an LHB-eliminated load spends one issue slot.
-    ldst_units_per_sm: int = 4
     bytes_per_ldst_cycle: int = 128
     eliminated_load_cycles: int = 1
 
     # L2 bandwidth share per SM (Titan V-class ~2.1 TB/s aggregate).
     l2_bandwidth_bytes_per_cycle: float = 1750.0
-
-    # Duplo detection unit (Section IV-A: two-cycle ID-gen + LHB, in
-    # parallel with L1; three cycles costs ~0.9% — an ablation).
-    detection_latency: int = 2
 
     # WMMA fragment geometry (Snippet 3's per-generation table).  A
     # warp MMA instruction computes tile_m x tile_n x tile_k;
@@ -175,24 +170,20 @@ class KernelConfig:
     a 4x2 grid each own a 32x32 output patch (2x2 wmma tiles on
     Volta); per ``tile_k``-deep k-step a warp issues its A/B fragment
     loads *twice* — once per octet — reproducing the dual-load
-    behaviour of Section II-B.
+    behaviour of Section II-B (``repro.gpu.kernel.OCTET_DUPLICATION``).
+
+    The MMA tile shape is the GPU's (``GPUConfig.tile_m/tile_n/
+    tile_k``): a warp tile of ``warp_tile_m x warp_tile_n`` holds
+    ``warp_tile_m//tile_m`` x ``warp_tile_n//tile_n`` MMA tiles, each
+    stepping ``tile_k`` deep per k-step.  :func:`validate_arch`, which
+    trace planning calls, checks that a (GPU, kernel) pairing divides
+    evenly.
     """
 
-    #: Legacy square-tile edge retained for the Volta-era divisibility
-    #: checks below.  The tile is *not* always square: trace planning
-    #: and replay take their m/n/k decomposition from
-    #: ``GPUConfig.tile_m/tile_n/tile_k`` (a warp tile of
-    #: ``warp_tile_m x warp_tile_n`` holds ``warp_tile_m//tile_m`` x
-    #: ``warp_tile_n//tile_n`` MMA tiles, each stepping ``tile_k`` deep
-    #: per k-step).  Use :func:`validate_arch` to check a
-    #: (GPU, kernel) pairing; this field only anchors the default
-    #: Volta 16x16x16 shape.
-    tile: int = 16
     cta_tile_m: int = 128
     cta_tile_n: int = 64
     warp_tile_m: int = 32
     warp_tile_n: int = 32
-    octet_duplication: int = 2
     #: Which operands are staged in shared memory: subset of "abc".
     shared_operands: str = "c"
     #: cuDNN-style implicit GEMM (Section II-C): the workspace is
@@ -214,28 +205,16 @@ class KernelConfig:
     def __post_init__(self) -> None:
         if self.cta_tile_m % self.warp_tile_m or self.cta_tile_n % self.warp_tile_n:
             raise ValueError("warp tile must divide CTA tile")
-        if self.warp_tile_m % self.tile or self.warp_tile_n % self.tile:
-            raise ValueError("wmma tile must divide warp tile")
         if set(self.shared_operands) - set("abc"):
             raise ValueError(f"bad shared_operands {self.shared_operands!r}")
         if self.implicit and not {"a", "b"} <= set(self.shared_operands):
             raise ValueError("implicit GEMM stages A and B in shared memory")
-        if self.stage_k % self.tile:
-            raise ValueError("stage_k must be a multiple of the wmma tile")
 
     @property
     def warps_per_cta(self) -> int:
         return (self.cta_tile_m // self.warp_tile_m) * (
             self.cta_tile_n // self.warp_tile_n
         )
-
-    @property
-    def warp_tiles_m(self) -> int:
-        return self.warp_tile_m // self.tile
-
-    @property
-    def warp_tiles_n(self) -> int:
-        return self.warp_tile_n // self.tile
 
     def shared_mem_per_cta(self, gpu: Optional[GPUConfig] = None) -> int:
         """Shared-memory bytes one CTA occupies (Section II-C cases).
@@ -439,8 +418,12 @@ class SimulationOptions:
 
     ``max_ctas`` caps how many of the representative SM's CTAs are
     traced; rates from the traced prefix extrapolate to the full
-    layer.  ``id_mode`` selects the identification formula; ``pid``
-    feeds the LHB tag's process ID field.
+    layer.  ``id_mode`` selects the identification formula.
+    ``detection_latency`` is the detection unit's cycles (Section IV-A:
+    ID generation plus LHB lookup in two, in parallel with the L1);
+    the timing model charges each cycle beyond two on every lookup.
+    A single-kernel replay tags every lookup with PID 0;
+    :mod:`repro.gpu.multikernel` assigns PIDs to co-resident kernels.
     """
 
     max_ctas: Optional[int] = None
@@ -455,7 +438,6 @@ class SimulationOptions:
     #: (one lookup per Table II row) — the coarser ablation.
     lhb_granularity: str = "fragment"
     detection_latency: int = 2
-    pid: int = 0
     representative_sm: int = 0
     #: Simulation engine tier — the one replay selector.  "auto" runs
     #: the vectorised fast replay unless ``REPRO_ENGINE=analytic``

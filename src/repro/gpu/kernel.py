@@ -60,6 +60,12 @@ from repro.gpu.isa import (
 )
 from repro.gpu.scheduler import waves
 
+#: Copies of each A/B fragment a warp loads per k-step: one per octet
+#: (Section II-B's dual load).  Synthesis emits each fragment this many
+#: times back to back; :mod:`repro.gpu.regfile` prices the registers
+#: the copies hold.
+OCTET_DUPLICATION = 2
+
 
 def _align(x: int, a: int) -> int:
     return -(-x // a) * a
@@ -176,14 +182,14 @@ class _CtaTemplates:
                 tile * np.arange(valid, dtype=np.int64)[:, None]
                 + np.arange(tile, dtype=np.int64)
             )
-            values = np.repeat(rows, 2, axis=0).reshape(-1)
+            values = np.repeat(rows, OCTET_DUPLICATION, axis=0).reshape(-1)
             groups = np.repeat(
-                np.arange(2 * valid, dtype=np.int64), tile
+                np.arange(OCTET_DUPLICATION * valid, dtype=np.int64), tile
             )
             cached = (values * pitch, groups)
             self._frag[key] = cached
         rel_addr, groups = cached
-        return origin * pitch + rel_addr, groups, 2 * valid, valid
+        return origin * pitch + rel_addr, groups, OCTET_DUPLICATION * valid, valid
 
     def stores(self, m0: int, n0: int, ta: int, tb: int) -> np.ndarray:
         """Store addresses for ``ta`` row-tiles x ``tb`` col-tiles.

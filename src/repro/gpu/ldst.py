@@ -26,7 +26,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.conv.layer import ConvLayerSpec
-from repro.core.compiler import build_convolution_info
 from repro.core.idgen import IDGenerator
 from repro.core.lhb import LoadHistoryBuffer
 from repro.gpu.cache import SetAssociativeCache
@@ -35,7 +34,6 @@ from repro.gpu.isa import (
     KernelTrace,
     LOAD_A,
     LOAD_A_SHARED,
-    LOAD_B,
     LOAD_B_SHARED,
     LOAD_INPUT,
     STORE_D,
@@ -61,18 +59,28 @@ def default_lhb(options: SimulationOptions) -> LoadHistoryBuffer:
     )
 
 
-def _load_ids(
-    trace: KernelTrace,
+def _workspace_idgen(
     spec: ConvLayerSpec,
     options: SimulationOptions,
-    mode: EliminationMode,
-    load_kind: np.ndarray,
-    load_addr: np.ndarray,
+    lda: int,
     gpu: GPUConfig = TITAN_V,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-load ``(consults_lhb, batch_id, element_id)`` arrays."""
-    return load_ids_for(
-        spec, options, mode, load_kind, load_addr, trace.lda, gpu
+) -> IDGenerator:
+    """The detection unit's workspace translator for one kernel.
+
+    The one place the replay builds an :class:`IDGenerator`: the
+    workspace sits at ``WORKSPACE_BASE`` with row pitch ``lda``, its
+    elements are ``gpu.element_bytes`` wide and its rows pad to the
+    fragment tile ``gpu.tile_m``; ``options`` picks the ID formula and
+    padding merge.
+    """
+    return IDGenerator(
+        spec=spec,
+        workspace_base=WORKSPACE_BASE,
+        lda=lda,
+        element_bytes=gpu.element_bytes,
+        mode=options.id_mode,
+        merge_padding=options.merge_padding,
+        row_align=gpu.tile_m,
     )
 
 
@@ -85,12 +93,12 @@ def load_ids_for(
     lda: int,
     gpu: GPUConfig = TITAN_V,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Trace-free twin of :func:`_load_ids`.
+    """Per-load ``(consults_lhb, batch_id, element_id)`` arrays.
 
-    Takes the load stream as plain arrays plus the workspace pitch so
-    the fast replay's blockwise fold shares the exact consult
-    semantics of the event replay (which ID generator, which loads
-    consult, which fall through untranslated).  ``gpu`` supplies the fragment
+    Takes the load stream as plain arrays plus the workspace pitch, so
+    the event replay and the fast replay's blockwise fold share one
+    consult semantics (which ID generator, which loads consult, which
+    fall through untranslated).  ``gpu`` supplies the fragment
     geometry: the WIR element shift and the workspace element width.
     """
     is_a = (load_kind == LOAD_A) | (load_kind == LOAD_A_SHARED)
@@ -105,16 +113,7 @@ def load_ids_for(
         zeros = np.zeros(len(load_addr), dtype=np.int64)
         return np.zeros(len(load_addr), dtype=bool), zeros, zeros
 
-    info = build_convolution_info(spec, WORKSPACE_BASE, lda=lda, pid=options.pid)
-    idgen = IDGenerator(
-        spec=spec,
-        workspace_base=info.workspace_base,
-        lda=info.lda,
-        element_bytes=gpu.element_bytes,
-        mode=options.id_mode,
-        merge_padding=options.merge_padding,
-        row_align=gpu.tile_m,
-    )
+    idgen = _workspace_idgen(spec, options, lda, gpu)
     consults = np.zeros(len(load_addr), dtype=bool)
     batch = np.zeros(len(load_addr), dtype=np.int64)
     element = np.zeros(len(load_addr), dtype=np.int64)
@@ -161,16 +160,7 @@ def workspace_unique_ids(
         bases = instruction_bases(trace)
     if bases.size == 0:
         return 0, 0
-    info = build_convolution_info(spec, WORKSPACE_BASE, lda=trace.lda, pid=options.pid)
-    idgen = IDGenerator(
-        spec=spec,
-        workspace_base=info.workspace_base,
-        lda=info.lda,
-        element_bytes=gpu.element_bytes,
-        mode=options.id_mode,
-        merge_padding=options.merge_padding,
-        row_align=gpu.tile_m,
-    )
+    idgen = _workspace_idgen(spec, options, trace.lda, gpu)
     ok, batch, element = idgen.generate_for_addresses(trace.address[bases])
     keys = batch[ok] * (1 << 44) + element[ok]
     uniques = int(np.unique(keys).size) + int((~ok).sum())
@@ -234,8 +224,8 @@ def replay_trace(
     is_load = trace.kind != STORE_D
     load_kind = trace.kind[is_load]
     load_addr = trace.address[is_load]
-    consults, batch, element = _load_ids(
-        trace, spec, options, mode, load_kind, load_addr, gpu
+    consults, batch, element = load_ids_for(
+        spec, options, mode, load_kind, load_addr, trace.lda, gpu
     )
 
     # Hot loop inputs as plain Python lists (fastest CPython iteration).

@@ -21,8 +21,6 @@ import numpy as np
 
 from repro import obs
 from repro.conv.layer import ConvLayerSpec
-from repro.core.idgen import IDGenerator
-from repro.core.compiler import build_convolution_info
 from repro.core.lhb import LoadHistoryBuffer
 from repro.gpu.config import (
     BASELINE_KERNEL,
@@ -31,9 +29,10 @@ from repro.gpu.config import (
     SimulationOptions,
     TITAN_V,
 )
-from repro.gpu.fastpath import simulate_lhb_stream
-from repro.gpu.isa import LOAD_A, LOAD_A_SHARED, WORKSPACE_BASE
+from repro.gpu.fastpath import fed_streams, simulate_lhb_stream
 from repro.gpu.kernel import generate_sm_trace
+from repro.gpu.ldst import EliminationMode
+from repro.gpu.simulator import make_lhb
 
 
 @dataclass(frozen=True)
@@ -56,19 +55,11 @@ def _workspace_stream(
     kernel: KernelConfig,
     options: SimulationOptions,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """(batch_id, element_id) arrays of one kernel's workspace loads."""
+    """(batch_id, element_id) arrays of one kernel's LHB lookups: the
+    lookups a DUPLO replay of its trace makes, in issue order."""
     trace = generate_sm_trace(spec, gpu, kernel, options)
-    is_a = (trace.kind == LOAD_A) | (trace.kind == LOAD_A_SHARED)
-    info = build_convolution_info(spec, WORKSPACE_BASE, lda=trace.lda)
-    idgen = IDGenerator(
-        spec,
-        workspace_base=info.workspace_base,
-        lda=info.lda,
-        mode=options.id_mode,
-        merge_padding=options.merge_padding,
-    )
-    ok, batch, element = idgen.generate_for_addresses(trace.address[is_a])
-    return batch[ok], element[ok]
+    streams = fed_streams(trace, spec, gpu, options, EliminationMode.DUPLO)
+    return streams.batch, streams.element
 
 
 def _interleave(
@@ -128,11 +119,9 @@ def simulate_shared_lhb(
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     if lhb is None:
-        lhb = LoadHistoryBuffer(
-            num_entries=lhb_entries,
-            assoc=lhb_assoc,
-            lifetime=options.lhb_lifetime,
-            hashed_index=options.lhb_hashed_index,
+        lhb = make_lhb(
+            lhb_entries, lhb_assoc, options.lhb_lifetime,
+            options.lhb_hashed_index,
         )
 
     streams = [

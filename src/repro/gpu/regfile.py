@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.gpu.config import GPUConfig, KernelConfig, TITAN_V, BASELINE_KERNEL
+from repro.gpu.kernel import OCTET_DUPLICATION
 
 #: One warp-wide register: 32 threads x 32 bits.
 WARP_REGISTER_BYTES = 128
@@ -50,14 +51,13 @@ class RegisterFileModel:
         tile edge, at ``frag_bytes`` each.
         """
         rows = self.kernel.warp_tile_m + self.kernel.warp_tile_n
-        frags = rows * self.kernel.octet_duplication
+        frags = rows * OCTET_DUPLICATION
         bytes_per_step = frags * self.gpu.frag_bytes
         return runahead_steps * bytes_per_step // WARP_REGISTER_BYTES
 
     def duplication_overhead(self) -> float:
         """Fraction of operand registers holding octet dual copies."""
-        dup = self.kernel.octet_duplication
-        return (dup - 1) / dup
+        return (OCTET_DUPLICATION - 1) / OCTET_DUPLICATION
 
     def fragment_write_energy_pj(self) -> float:
         """Energy to write one loaded fragment into the register file."""

@@ -31,11 +31,6 @@ from typing import Dict, Tuple
 from repro.gpu.config import GPUConfig, TITAN_V
 from repro.gpu.stats import LayerStats
 
-#: MACs in one 16x16x16 wmma MMA operation (the Volta default;
-#: :class:`TimingModel` uses ``gpu.mma_macs`` so narrower Turing /
-#: Ampere / Hopper fragment shapes price their own MMA size).
-MACS_PER_MMA = 4096
-
 #: Fraction of non-dominant resource time not hidden under the
 #: dominant resource (0 = perfect overlap / pure roofline, 1 = fully
 #: serialised).  Calibrated against the paper's baseline-vs-Duplo

@@ -1,14 +1,12 @@
-"""Tensor-core, DRAM, register-file, and configuration models."""
+"""Tensor-core, register-file, and configuration models."""
 
 import pytest
 
 from repro.gpu.config import (
     BASELINE_KERNEL,
-    GPUConfig,
     KernelConfig,
     TITAN_V,
 )
-from repro.gpu.dram import DRAMModel
 from repro.gpu.regfile import RegisterFileModel, WARP_REGISTER_BYTES
 from repro.gpu.tensor_core import TensorCoreModel
 
@@ -53,8 +51,6 @@ class TestKernelConfig:
 
     def test_warp_grid(self):
         assert BASELINE_KERNEL.warps_per_cta == 8
-        assert BASELINE_KERNEL.warp_tiles_m == 2
-        assert BASELINE_KERNEL.warp_tiles_n == 2
 
     def test_tiling_validation(self):
         with pytest.raises(ValueError):
@@ -86,36 +82,6 @@ class TestTensorCore:
     def test_peak_tflops_order_of_magnitude(self):
         # 512 MACs x 80 SMs x 1.2 GHz x 2 = ~98 TFLOPs (V100-class).
         assert self.MODEL.peak_tflops() == pytest.approx(98.3, rel=0.01)
-
-
-class TestDRAM:
-    MODEL = DRAMModel()
-
-    def test_transfer_cycles(self):
-        cycles = self.MODEL.transfer_cycles(5440, sharers=1)
-        assert cycles == pytest.approx(10.0)
-
-    def test_sharers_split_bandwidth(self):
-        assert self.MODEL.transfer_cycles(1000, 10) == pytest.approx(
-            10 * self.MODEL.transfer_cycles(1000, 1)
-        )
-
-    def test_energy(self):
-        assert self.MODEL.energy_pj(100) == pytest.approx(3200.0)
-
-    def test_utilisation(self):
-        cycles = self.MODEL.transfer_cycles(54400)
-        assert self.MODEL.bandwidth_utilisation(54400, cycles) == pytest.approx(1.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            self.MODEL.transfer_cycles(-1)
-        with pytest.raises(ValueError):
-            self.MODEL.transfer_cycles(1, 0)
-        with pytest.raises(ValueError):
-            self.MODEL.energy_pj(-1)
-        with pytest.raises(ValueError):
-            self.MODEL.bandwidth_utilisation(1, 0)
 
 
 class TestRegisterFile:

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from repro.gpu.config import (
+    ARCHS,
     BASELINE_KERNEL,
     GPUConfig,
     IMPLICIT_KERNEL,
     KernelConfig,
     SimulationOptions,
     TITAN_V,
+    validate_arch,
 )
 from repro.gpu.isa import (
     INPUT_BASE,
@@ -53,8 +55,12 @@ class TestConfig:
             KernelConfig(shared_operands="c", implicit=True)
 
     def test_stage_k_tile_multiple(self):
+        """The stage depth must be whole k-steps of the GPU's tile_k:
+        24 is not on Volta (tile_k=16) but is on Turing (tile_k=8)."""
+        kernel = KernelConfig(shared_operands="abc", implicit=True, stage_k=24)
         with pytest.raises(ValueError, match="stage_k"):
-            KernelConfig(shared_operands="abc", implicit=True, stage_k=24)
+            validate_arch(TITAN_V, kernel)
+        validate_arch(ARCHS["turing"].gpu, kernel)
 
     def test_one_cta_per_sm(self):
         """Section II-C: the 64 KB implicit CTA fits once in 96 KB."""

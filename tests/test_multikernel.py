@@ -1,10 +1,16 @@
 """Shared-LHB multi-kernel runs: PID isolation and contention."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.lhb import LoadHistoryBuffer
-from repro.gpu.config import GPUConfig, KernelConfig, SimulationOptions
+from repro.gpu.config import ARCHS, GPUConfig, KernelConfig, SimulationOptions
+from repro.gpu.fastpath import replay_trace_fast
+from repro.gpu.kernel import generate_sm_trace
+from repro.gpu.ldst import EliminationMode
 from repro.gpu.multikernel import contention_report, simulate_shared_lhb
+from repro.gpu.simulator import make_lhb
 
 from tests.conftest import make_spec
 
@@ -66,6 +72,28 @@ class TestContention:
         shares = run([spec_a(), spec_b()])
         solo = run([spec_a()])[0]
         assert all(s.lookups == solo.lookups for s in shares)
+
+
+@pytest.mark.parametrize("arch", sorted(ARCHS))
+def test_one_kernel_matches_the_duplo_replay(arch):
+    """Alone on the SM, a kernel's shared-LHB run is its DUPLO replay:
+    the same lookups (one workspace translation, at the GPU's element
+    width and row alignment) and the same hits from an equal buffer."""
+    preset = ARCHS[arch]
+    gpu = replace(preset.gpu, num_sms=1)
+    spec = make_spec(name="solo", batch=1, h=10, w=10, c=16, filters=16)
+    options = SimulationOptions(max_ctas=2)
+    replayed = make_lhb(256, 2, options.lhb_lifetime, options.lhb_hashed_index)
+    trace = generate_sm_trace(spec, gpu, preset.kernel, options)
+    stats = replay_trace_fast(
+        trace, spec, gpu, options, EliminationMode.DUPLO, replayed
+    )
+    (share,) = simulate_shared_lhb(
+        [spec], 256, gpu=gpu, kernel=preset.kernel, options=options,
+        lhb_assoc=2,
+    )
+    assert stats.lhb_lookups > 0
+    assert (share.lookups, share.hits) == (stats.lhb_lookups, stats.lhb_hits)
 
 
 class TestValidation:

@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.gpu.config import GPUConfig, TITAN_V
+from repro.gpu.config import TITAN_V
 from repro.gpu.stats import LayerStats
 from repro.gpu.timing import (
     KERNEL_OVERHEAD_CYCLES,
-    MACS_PER_MMA,
     TimingModel,
 )
 
@@ -35,7 +34,7 @@ MODEL = TimingModel()
 class TestComponents:
     def test_compute_cycles(self):
         comps = MODEL.components(stats(), concurrent_warps=24, busy_sms=80)
-        expected = 300 * MACS_PER_MMA / TITAN_V.macs_per_sm_cycle
+        expected = 300 * TITAN_V.mma_macs / TITAN_V.macs_per_sm_cycle
         assert comps["compute"] == pytest.approx(expected)
 
     def test_ldst_charges_issued_fragments(self):
