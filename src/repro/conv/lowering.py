@@ -186,9 +186,8 @@ def entries_to_padded_flat(
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
 
-    # The divide chain dominates the vectorised replay's translation
-    # cost; int32 division is measurably faster and row/col indices of
-    # any realistic workspace fit comfortably.
+    # int32 division is measurably faster than int64, and the row/col
+    # indices of any realistic workspace fit comfortably.
     if (
         rows.size
         and int(rows.min()) >= 0

@@ -30,6 +30,13 @@ identification mechanism in three flavours:
 All three are exposed both entry-wise and vectorised over NumPy
 arrays; :class:`IDGenerator` adds the address arithmetic (workspace
 region check, address -> (row, col)) from Section IV-A.
+
+Like the hardware unit, :class:`IDGenerator` is programmed once per
+kernel.  Every formula above is separable: its element ID is one term
+of the output pixel ``row % pixels`` plus one term of the workspace
+column.  The generator evaluates the closed form once on each axis
+(``(pix, 0)`` and ``(0, col)``) into a per-row and a per-column table,
+and then translates each entry with two lookups and an add.
 """
 
 from __future__ import annotations
@@ -41,7 +48,11 @@ from typing import Tuple
 import numpy as np
 
 from repro.conv.layer import ConvLayerSpec
-from repro.conv.lowering import entries_to_padded_flat, workspace_shape
+from repro.conv.lowering import (
+    MERGED_PADDING_ID,
+    entries_to_padded_flat,
+    workspace_shape,
+)
 
 
 class IDMode(enum.Enum):
@@ -161,11 +172,14 @@ class IDGenerator:
     outside the workspace region report ``in_workspace=False`` and
     bypass the LHB, exactly as instruction #2 does in Table II.
 
-    The hardware unit restricts data dimensions to powers of two so
-    the divide/modulo chain reduces to shifts and masks; this model
-    computes the same arithmetic exactly and therefore accepts any
-    dimensions (the restriction is a circuit simplification, not a
-    semantic one).
+    Programming builds two tables from the mode's closed form: the
+    element-ID term of each output pixel and that of each workspace
+    column.  An entry's element ID is their sum; merged padding then
+    looks the padded input pixel up in a padding mask.  The hardware
+    unit restricts data dimensions to powers of two so its
+    divide/modulo chain reduces to shifts and masks; the tables give
+    the same IDs for any dimensions (the restriction is a circuit
+    simplification, not a semantic one).
     """
 
     def __init__(
@@ -195,6 +209,44 @@ class IDGenerator:
         # pads M to the architecture's ``tile_m`` (``row_align``).
         rows_padded = -(-rows // row_align) * row_align
         self.workspace_end = workspace_base + rows_padded * lda * element_bytes
+        self._build_tables()
+
+    def _build_tables(self) -> None:
+        """Program the per-row and per-column element-ID tables."""
+        eff = self.effective
+        out = eff.output_shape
+        self._pixels = out.pixels
+        pix = np.arange(out.pixels, dtype=np.int64)
+        col = np.arange(self.logical_cols, dtype=np.int64)
+        merged = self.merge_padding and self.mode is not IDMode.PAPER
+        if self.mode is IDMode.PAPER:
+            formula = paper_ids
+        elif self.mode is IDMode.STRICT and not merged:
+            formula = strict_ids
+        else:
+            # Merged padding masks the canonical ID before STRICT's
+            # phase is appended, so its tables stay canonical.
+            formula = canonical_ids
+        self._row_table = formula(self.spec, pix, np.zeros_like(pix))[1]
+        self._col_table = formula(self.spec, np.zeros_like(col), col)[1]
+        self._pad_mask = None
+        self._phase = None
+        if merged:
+            padded_h = eff.in_height + 2 * eff.pad
+            padded_w = eff.in_width + 2 * eff.pad
+            py, px = np.divmod(np.arange(padded_h * padded_w), padded_w)
+            iy = py - eff.pad
+            ix = px - eff.pad
+            self._pad_mask = (
+                (iy < 0) | (iy >= eff.in_height) | (ix < 0) | (ix >= eff.in_width)
+            )
+            if self.mode is IDMode.STRICT:
+                self._phase = pix % out.width
+        # A programmed generator is shared (the replay memoises one per
+        # kernel), so its tables are read-only.
+        for table in (self._row_table, self._col_table, self._pad_mask, self._phase):
+            if table is not None:
+                table.setflags(write=False)
 
     def contains(self, address: int) -> bool:
         """True if ``address`` lies in the workspace region."""
@@ -232,12 +284,51 @@ class IDGenerator:
     def generate_many(
         self, rows: np.ndarray, cols: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorised ID generation for workspace entries."""
-        if self.mode is IDMode.PAPER:
-            return paper_ids(self.spec, rows, cols)
-        if self.mode is IDMode.STRICT:
-            return strict_ids(self.spec, rows, cols, self.merge_padding)
-        return canonical_ids(self.spec, rows, cols, self.merge_padding)
+        """Vectorised ID generation for entries of the logical workspace.
+
+        ``rows`` and ``cols`` must lie in ``[0, logical_rows)`` and
+        ``[0, logical_cols)``: the tables cover the workspace only.
+        """
+        rows = np.array(rows, dtype=np.int64)
+        cols = np.array(cols, dtype=np.int64)
+        if rows.size and (
+            rows.min() < 0
+            or rows.max() >= self.logical_rows
+            or cols.min() < 0
+            or cols.max() >= self.logical_cols
+        ):
+            raise IndexError("entries outside the logical workspace")
+        return self._lookup(rows, cols)
+
+    def _lookup(
+        self, rows: np.ndarray, cols: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(batch_id, element_id)`` of in-range int64 ``rows`` and
+        ``cols``, which it overwrites.
+
+        Each pass writes into a buffer it owns: on large blocks the
+        cost of translation is the temporaries, not the arithmetic.
+        """
+        pixels = self._pixels
+        if self.effective.batch > 1:
+            batch = rows // pixels
+            element = np.multiply(batch, pixels)
+            rows -= element  # now the output pixel
+        else:
+            batch = np.zeros_like(rows)
+            element = np.empty_like(rows)
+        pix = rows
+        # The indices are in range, so "clip" only skips the bounds
+        # check (and the copy of ``out`` that checking makes).
+        np.take(self._row_table, pix, out=element, mode="clip")
+        element += np.take(self._col_table, cols, mode="clip")
+        if self._pad_mask is not None:
+            np.floor_divide(element, self.effective.in_channels, out=cols)
+            element[self._pad_mask[cols]] = MERGED_PADDING_ID
+            if self._phase is not None:
+                element *= self.effective.output_shape.width
+                element += self._phase[pix]
+        return batch, element
 
     def generate_for_addresses(
         self, addresses: np.ndarray
@@ -247,30 +338,34 @@ class IDGenerator:
         Returns ``(in_workspace, batch_id, element_id)`` arrays; the ID
         entries of out-of-workspace addresses are undefined (-1).
         """
-        addresses = np.asarray(addresses, dtype=np.int64)
-        offset = addresses - self.workspace_base
-        eb = self.element_bytes
-        if eb & (eb - 1) == 0:
-            # Power-of-two element size: shift/mask beat the int64
-            # divider (and match the hardware unit's circuit).
-            array_idx = offset >> (eb.bit_length() - 1)
-            aligned = (offset & (eb - 1)) == 0
-        else:
-            array_idx = offset // eb
-            aligned = offset % eb == 0
-        rows = array_idx // self.lda
-        cols = array_idx - rows * self.lda
-        ok = (
-            (addresses >= self.workspace_base)
-            & (addresses < self.workspace_end)
-            & aligned
-            & (rows < self.logical_rows)
-            & (cols < self.logical_cols)
+        offset = np.subtract(addresses, self.workspace_base, dtype=np.int64)
+        # One unsigned compare checks both ends of the logical rows
+        # (the region's alignment-padding rows translate to nothing).
+        ok = offset.view(np.uint64) < np.uint64(
+            self.logical_rows * self.lda * self.element_bytes
         )
-        batch = np.full(addresses.shape, -1, dtype=np.int64)
-        element = np.full(addresses.shape, -1, dtype=np.int64)
-        if ok.any():
-            b, e = self.generate_many(rows[ok], cols[ok])
-            batch[ok] = b
-            element[ok] = e
+        eb = self.element_bytes
+        if eb > 1:
+            if eb & (eb - 1) == 0:
+                # Power-of-two element size: shift/mask beat the int64
+                # divider (and match the hardware unit's circuit).
+                ok &= (offset & (eb - 1)) == 0
+                offset >>= eb.bit_length() - 1
+            else:
+                ok &= offset % eb == 0
+                offset //= eb
+        rows = offset // self.lda
+        cols = offset
+        cols -= np.multiply(rows, self.lda)
+        if self.lda > self.logical_cols:
+            ok &= cols < self.logical_cols
+        if ok.all():
+            batch, element = self._lookup(rows, cols)
+        else:
+            bad = ~ok
+            rows[bad] = 0
+            cols[bad] = 0
+            batch, element = self._lookup(rows, cols)
+            batch[bad] = -1
+            element[bad] = -1
         return ok, batch, element

@@ -185,6 +185,10 @@ class KernelConfig:
     warp_tile_m: int = 32
     warp_tile_n: int = 32
     #: Which operands are staged in shared memory: subset of "abc".
+    #: Without ``implicit``, "a" and "b" only grow
+    #: ``shared_mem_per_cta`` (and so cut occupancy): Section II-C's
+    #: all-in-shared variant is modelled by occupancy alone, and its
+    #: tensor-core loads stay global ``LOAD_A``/``LOAD_B`` events.
     shared_operands: str = "c"
     #: cuDNN-style implicit GEMM (Section II-C): the workspace is
     #: expanded lazily into shared memory from the *unexpanded* input,

@@ -21,12 +21,13 @@ accounted as DRAM write traffic directly.
 from __future__ import annotations
 
 import enum
+import functools
 from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.conv.layer import ConvLayerSpec
-from repro.core.idgen import IDGenerator
+from repro.core.idgen import IDGenerator, IDMode
 from repro.core.lhb import LoadHistoryBuffer
 from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.config import GPUConfig, SimulationOptions, TITAN_V
@@ -71,16 +72,34 @@ def _workspace_idgen(
     workspace sits at ``WORKSPACE_BASE`` with row pitch ``lda``, its
     elements are ``gpu.element_bytes`` wide and its rows pad to the
     fragment tile ``gpu.tile_m``; ``options`` picks the ID formula and
-    padding merge.
+    padding merge.  Like the hardware unit it is programmed once per
+    kernel: the generator (and its tables) is memoised on exactly
+    these inputs, so a blockwise fold and every mode's replay of one
+    trace share it.
     """
+    return _programmed_idgen(
+        spec, lda, gpu.element_bytes, gpu.tile_m,
+        options.id_mode, options.merge_padding,
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _programmed_idgen(
+    spec: ConvLayerSpec,
+    lda: int,
+    element_bytes: int,
+    row_align: int,
+    id_mode: IDMode,
+    merge_padding: bool,
+) -> IDGenerator:
     return IDGenerator(
         spec=spec,
         workspace_base=WORKSPACE_BASE,
         lda=lda,
-        element_bytes=gpu.element_bytes,
-        mode=options.id_mode,
-        merge_padding=options.merge_padding,
-        row_align=gpu.tile_m,
+        element_bytes=element_bytes,
+        mode=id_mode,
+        merge_padding=merge_padding,
+        row_align=row_align,
     )
 
 

@@ -7,6 +7,10 @@ canonical generator must agree entry-for-entry, and two workspace
 addresses must share a ``(batch_id, element_id)`` pair iff they read
 the same input element.
 
+The generator's per-row and per-column tables must reproduce each
+closed form (``paper_ids``, ``canonical_ids``, ``strict_ids``) on any
+workspace entry, in every mode and with padding merged or not.
+
 The published closed-form ``paper_ids`` are characterised rather than
 asserted equal: they coincide with the canonical ground truth exactly
 on zero-padding layers whose output is square (which covers the
@@ -19,7 +23,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.conv.layer import ConvLayerSpec
 from repro.conv.lowering import workspace_shape
-from repro.core.idgen import IDGenerator, IDMode, canonical_ids, paper_ids
+from repro.core.idgen import (
+    IDGenerator,
+    IDMode,
+    canonical_ids,
+    paper_ids,
+    strict_ids,
+)
 from repro.gpu.isa import WORKSPACE_BASE
 
 
@@ -174,37 +184,93 @@ def test_ids_equal_iff_same_input_element(spec):
     assert len(set(ids.values())) == len(ids)
 
 
+#: Every ID formula with padding merged or not (PAPER ignores merging).
+ID_CONFIGS = [
+    (mode, merge) for mode in IDMode for merge in (False, True)
+]
+
+
+def closed_form(spec, mode, merge_padding, rows, cols):
+    """The closed form ``mode`` names, evaluated directly."""
+    if mode is IDMode.PAPER:
+        return paper_ids(spec, rows, cols)
+    if mode is IDMode.STRICT:
+        return strict_ids(spec, rows, cols, merge_padding)
+    return canonical_ids(spec, rows, cols, merge_padding)
+
+
 @settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(small_specs(), translation_specs()),
+    st.sampled_from(ID_CONFIGS),
+    st.integers(0, 2**32 - 1),
+)
+def test_tables_match_closed_forms(spec, config, seed):
+    """``generate_many``'s two-table lookup equals the closed form of
+    its mode on random entries (and the workspace corners) of strided,
+    transposed and multi-batch layers."""
+    mode, merge = config
+    n_rows, n_cols = workspace_shape(spec)
+    gen = IDGenerator(
+        spec, WORKSPACE_BASE, n_cols, mode=mode, merge_padding=merge
+    )
+    rng = np.random.RandomState(seed)
+    rows = np.concatenate([
+        [0, 0, n_rows - 1, n_rows - 1], rng.randint(0, n_rows, size=256)
+    ])
+    cols = np.concatenate([
+        [0, n_cols - 1, 0, n_cols - 1], rng.randint(0, n_cols, size=256)
+    ])
+    batch, element = gen.generate_many(rows, cols)
+    expected_batch, expected_element = closed_form(
+        spec, mode, merge, rows, cols
+    )
+    np.testing.assert_array_equal(batch, expected_batch)
+    np.testing.assert_array_equal(element, expected_element)
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     translation_specs(),
     st.integers(0, 3),
-    st.sampled_from([2, 4, 3]),
+    st.sampled_from([1, 2, 4, 3]),
+    st.sampled_from(ID_CONFIGS),
     st.integers(0, 2**32 - 1),
 )
 def test_vectorized_translation_matches_scalar(
-    spec, extra_pitch, element_bytes, seed
+    spec, extra_pitch, element_bytes, config, seed
 ):
     """``generate_for_addresses`` must agree with the scalar
-    ``generate`` on every address — in-workspace, alignment-padding,
-    out-of-range and misaligned alike.  The vectorised path uses
-    shift/mask arithmetic for power-of-two element sizes (and plain
-    division otherwise, hence ``element_bytes=3``); the scalar path is
-    the straightforward divmod model, so agreement pins the rewrite.
-    Specs include padded and transposed (zero-insertion) layers.
+    ``generate`` on every address — in-workspace, alignment-padding
+    rows and columns, out-of-range and misaligned alike — in every ID
+    mode, with padding merged or not.  The vectorised path shifts and
+    masks for power-of-two element sizes, divides otherwise (hence
+    ``element_bytes=3``) and skips the alignment test for bytes; the
+    scalar path is the straightforward divmod model, so agreement pins
+    the rewrite.  Specs include padded and transposed (zero-insertion)
+    layers.
     """
+    mode, merge = config
     n_rows, n_cols = workspace_shape(spec)
     lda = n_cols + extra_pitch
     gen = IDGenerator(
         spec, WORKSPACE_BASE, lda,
-        element_bytes=element_bytes, mode=IDMode.CANONICAL,
+        element_bytes=element_bytes, mode=mode, merge_padding=merge,
     )
     span = gen.workspace_end - WORKSPACE_BASE
     rng = np.random.RandomState(seed)
+
+    def entry(row, col):
+        return WORKSPACE_BASE + (row * lda + col) * element_bytes
+
     addresses = np.concatenate([
         # Region edges, one element in/out on each side.
         WORKSPACE_BASE + np.array([
             -element_bytes, -1, 0, span - 1, span, span + element_bytes,
         ]),
+        # The first alignment-padding row and, with a wider pitch, the
+        # first padding column of the first and last logical rows.
+        [entry(n_rows, 0), entry(0, n_cols), entry(n_rows - 1, n_cols)],
         # Random sample across the region, aligned or not.
         WORKSPACE_BASE + rng.randint(
             -2 * element_bytes, span + 2 * element_bytes, size=200
@@ -226,6 +292,8 @@ def test_vectorized_translation_matches_scalar(
         if g.in_workspace:
             assert int(batch[i]) == g.batch_id
             assert int(element[i]) == g.element_id
+        else:
+            assert int(batch[i]) == int(element[i]) == -1
 
 
 @settings(max_examples=30, deadline=None)

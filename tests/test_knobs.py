@@ -22,6 +22,7 @@ from repro.gpu.config import (
     KernelConfig,
     SimulationOptions,
 )
+from repro.gpu.isa import LOAD_A, LOAD_B, STORE_D
 from repro.gpu.kernel import generate_sm_trace
 from repro.gpu.simulator import EliminationMode, clear_trace_cache, simulate_layer
 
@@ -112,3 +113,15 @@ def test_knob_changes_trace_or_result(owner, name):
 
 def test_every_flip_names_a_knob():
     assert set(FLIPS) == {name for _, name in KNOBS}
+
+
+def test_explicit_shared_operands_change_occupancy_only():
+    """Without ``implicit``, staging "a" and "b" in shared memory only
+    grows ``shared_mem_per_cta`` (and so cuts occupancy): the all-in-
+    shared variant of Section II-C is modelled by occupancy alone, and
+    its tensor-core loads still reach global memory as plain A and B
+    fragment loads."""
+    kernel = replace(BASELINE_KERNEL, shared_operands="abc")
+    assert kernel.shared_mem_per_cta(GPU) > BASELINE_KERNEL.shared_mem_per_cta(GPU)
+    trace = generate_sm_trace(SPEC, GPU, kernel, BASE_OPTIONS)
+    assert set(np.unique(trace.kind).tolist()) == {LOAD_A, LOAD_B, STORE_D}

@@ -27,7 +27,7 @@ from repro.analytic import clear_profile_cache
 from repro.conv.gradients import data_gradient_spec
 from repro.conv.workloads import TABLE_I
 from repro.core.idgen import IDGenerator
-from repro.gpu import fastpath, simulator
+from repro.gpu import fastpath, ldst, simulator
 from repro.gpu.config import BASELINE_KERNEL, SimulationOptions, TITAN_V
 from repro.gpu.fastpath import (
     clear_fed_memo,
@@ -319,6 +319,30 @@ def test_one_fold_for_every_mode(monkeypatch, order, granularity):
     assert {mode: replay(mode) for mode in order} == expected
     assert len(translations) == 1
     assert _counters()["fastpath.fed_reuses"] == len(order) - 1
+
+
+def test_one_translator_per_fold(monkeypatch):
+    """The workspace translator is programmed once per kernel: a fold
+    of a trace many ``_FOLD_BLOCK`` blocks long builds one
+    ``IDGenerator`` (and its tables), and so do BASELINE, DUPLO and WIR
+    replays of that trace, each folding it afresh."""
+    spec = make_spec(name="once-translator")
+    trace = generate_sm_trace(spec, TITAN_V, BASELINE_KERNEL, OPTIONS)
+    monkeypatch.setattr(fastpath, "_FOLD_BLOCK", 97)
+    assert len(trace) > 4 * fastpath._FOLD_BLOCK
+    built = []
+
+    class Counting(IDGenerator):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(ldst, "IDGenerator", Counting)
+    for mode in MODES:
+        replay_trace_fast(
+            trace, spec, TITAN_V, OPTIONS, mode, _lhb(mode, OPTIONS)
+        )
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("granularity", ["fragment", "instruction"])
