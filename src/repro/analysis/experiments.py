@@ -59,11 +59,10 @@ def _pairs_via_executor(
     lhb_entries: Optional[int],
     options: SimulationOptions,
     kernel: KernelConfig,
-    jobs: int,
     executor: Optional[SweepExecutor],
 ):
     """(baseline, duplo) result pairs per layer, one chunk per layer."""
-    executor = executor if executor is not None else SweepExecutor(jobs=jobs)
+    executor = executor or SweepExecutor()
     chunks = [
         [
             SimPoint(
@@ -165,12 +164,11 @@ def figure9(
     layers: Optional[Sequence[ConvLayerSpec]] = None,
     options: SimulationOptions = SimulationOptions(),
     kernel: KernelConfig = BASELINE_KERNEL,
-    jobs: int = 1,
     executor: Optional[SweepExecutor] = None,
 ) -> Experiment:
     """Performance improvement vs. LHB size."""
     sweep = lhb_size_sweep(
-        _default_layers(layers), LHB_SIZES, options, kernel, jobs, executor
+        _default_layers(layers), LHB_SIZES, options, kernel, executor
     )
     rows = [
         {
@@ -195,12 +193,11 @@ def figure10(
     layers: Optional[Sequence[ConvLayerSpec]] = None,
     options: SimulationOptions = SimulationOptions(),
     kernel: KernelConfig = BASELINE_KERNEL,
-    jobs: int = 1,
     executor: Optional[SweepExecutor] = None,
 ) -> Experiment:
     """LHB hit rate vs. size, plus the theoretical limit."""
     layers = _default_layers(layers)
-    sweep = lhb_size_sweep(layers, LHB_SIZES, options, kernel, jobs, executor)
+    sweep = lhb_size_sweep(layers, LHB_SIZES, options, kernel, executor)
     rows = [
         {"layer": r.layer, "lhb": r.parameter, "hit_rate": r.hit_rate}
         for r in sweep.rows
@@ -231,7 +228,6 @@ def figure11(
     lhb_entries: int = 1024,
     options: SimulationOptions = SimulationOptions(),
     kernel: KernelConfig = BASELINE_KERNEL,
-    jobs: int = 1,
     executor: Optional[SweepExecutor] = None,
 ) -> Experiment:
     """Which component serves each load, baseline vs. Duplo."""
@@ -241,7 +237,7 @@ def figure11(
     l1_deltas = []
     l2_deltas = []
     pairs = _pairs_via_executor(
-        layers, lhb_entries, options, kernel, jobs, executor
+        layers, lhb_entries, options, kernel, executor
     )
     for spec, (base, duplo) in zip(layers, pairs):
         rows.append(
@@ -281,13 +277,11 @@ def figure12(
     layers: Optional[Sequence[ConvLayerSpec]] = None,
     options: SimulationOptions = SimulationOptions(),
     kernel: KernelConfig = BASELINE_KERNEL,
-    jobs: int = 1,
     executor: Optional[SweepExecutor] = None,
 ) -> Experiment:
     """Set-associative LHBs vs. the direct-mapped default."""
     sweep = associativity_sweep(
-        _default_layers(layers), LHB_ASSOCS, 1024, options, kernel, jobs,
-        executor,
+        _default_layers(layers), LHB_ASSOCS, 1024, options, kernel, executor
     )
     rows = [
         {"layer": r.layer, "assoc": r.parameter, "improvement": r.improvement}
@@ -315,13 +309,11 @@ def figure13(
     layers: Optional[Sequence[ConvLayerSpec]] = None,
     options: SimulationOptions = SimulationOptions(),
     kernel: KernelConfig = BASELINE_KERNEL,
-    jobs: int = 1,
     executor: Optional[SweepExecutor] = None,
 ) -> Experiment:
     """Performance improvement across batch sizes 8/16/32."""
     sweep = batch_size_sweep(
-        _default_layers(layers), BATCH_SIZES, 1024, options, kernel, jobs,
-        executor,
+        _default_layers(layers), BATCH_SIZES, 1024, options, kernel, executor
     )
     rows = [
         {
@@ -359,7 +351,6 @@ def figure14(
     lhb_entries: int = 1024,
     options: SimulationOptions = SimulationOptions(),
     kernel: KernelConfig = BASELINE_KERNEL,
-    jobs: int = 1,
     executor: Optional[SweepExecutor] = None,
 ) -> Experiment:
     """Inference/training execution time, baseline vs. Duplo.
@@ -374,7 +365,6 @@ def figure14(
         ],
         options=options,
         kernel=kernel,
-        jobs=jobs,
         executor=executor,
     )
     rows = []
@@ -497,7 +487,6 @@ def energy_area(
     lhb_entries: int = 1024,
     options: SimulationOptions = SimulationOptions(),
     kernel: KernelConfig = BASELINE_KERNEL,
-    jobs: int = 1,
     executor: Optional[SweepExecutor] = None,
 ) -> Experiment:
     """On-chip energy reduction and detection-unit area overhead."""
@@ -506,7 +495,7 @@ def energy_area(
     base_total: Optional[EnergyBreakdown] = None
     duplo_total: Optional[EnergyBreakdown] = None
     pairs = _pairs_via_executor(
-        layers, lhb_entries, options, kernel, jobs, executor
+        layers, lhb_entries, options, kernel, executor
     )
     for spec, (base, duplo) in zip(layers, pairs):
         eb = DEFAULT_ENERGY.breakdown(base.stats)
@@ -543,7 +532,6 @@ def arch_zoo(
     layers: Optional[Sequence[ConvLayerSpec]] = None,
     lhb_entries: int = 1024,
     options: SimulationOptions = SimulationOptions(),
-    jobs: int = 1,
     executor: Optional[SweepExecutor] = None,
 ) -> Experiment:
     """Duplo and WIR across every :data:`ARCHS` preset.
@@ -564,7 +552,7 @@ def arch_zoo(
         ]
     else:
         layers = list(layers)
-    executor = executor if executor is not None else SweepExecutor(jobs=jobs)
+    executor = executor or SweepExecutor()
     rows: List[Dict] = []
     summary: Dict[str, float] = {}
     for name, preset in ARCHS.items():

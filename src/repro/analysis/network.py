@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.sweeps import _resolve_executor
 from repro.conv.gradients import data_gradient_spec
 from repro.conv.layer import ConvLayerSpec
 from repro.conv.workloads import TABLE_I
@@ -89,7 +88,6 @@ def network_times(
     options: SimulationOptions = SimulationOptions(),
     kernel: KernelConfig = BASELINE_KERNEL,
     accelerate_backward: bool = False,
-    jobs: int = 1,
     executor: Optional[SweepExecutor] = None,
 ) -> List[Dict[str, NetworkTime]]:
     """Network times of several configurations, as one sweep.
@@ -99,7 +97,7 @@ def network_times(
     gradient, then every configuration's forward GEMM — and one
     single-point data-gradient chunk per configuration.
     """
-    executor = _resolve_executor(jobs, executor)
+    executor = executor or SweepExecutor()
     chunks: List[List[SimPoint]] = []
     for layers in networks.values():
         for spec in layers:

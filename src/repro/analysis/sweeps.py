@@ -7,10 +7,10 @@ the per-parameter geometric means the paper's "Gmean" bars show.
 Execution routes through :class:`repro.runtime.SweepExecutor`: all
 configuration points of one layer form one chunk, so whichever worker
 owns the layer generates its trace once and replays it per point —
-the same trace-reuse the serial loop had, now valid under ``jobs>1``
+the same trace-reuse the serial loop had, now valid on worker threads
 and backed by the persistent result cache when one is attached.
-``jobs=1`` (the default) runs inline and is the bit-identical serial
-reference path.
+Without an ``executor`` a sweep runs inline, on a fresh serial
+``SweepExecutor``: the bit-identical serial reference path.
 """
 
 from __future__ import annotations
@@ -81,21 +81,12 @@ class SweepResult:
         }
 
 
-def _resolve_executor(
-    jobs: int, executor: Optional[SweepExecutor]
-) -> SweepExecutor:
-    if executor is not None:
-        return executor
-    return SweepExecutor(jobs=jobs)
-
-
 def _improvement_rows(
     layers: Sequence[ConvLayerSpec],
     configurations: Sequence[Tuple[object, Optional[int], int]],
     parameter_name: str,
     options: SimulationOptions,
     kernel: KernelConfig,
-    jobs: int = 1,
     executor: Optional[SweepExecutor] = None,
 ) -> SweepResult:
     """Shared sweep driver: (label, lhb_entries, assoc) points.
@@ -104,7 +95,7 @@ def _improvement_rows(
     configuration point, so per-worker trace reuse matches the serial
     loop exactly.
     """
-    executor = _resolve_executor(jobs, executor)
+    executor = executor or SweepExecutor()
     chunks = []
     for spec in layers:
         points = [
@@ -149,7 +140,6 @@ def lhb_size_sweep(
     sizes: Sequence[Optional[int]] = LHB_SIZES,
     options: SimulationOptions = SimulationOptions(),
     kernel: KernelConfig = BASELINE_KERNEL,
-    jobs: int = 1,
     executor: Optional[SweepExecutor] = None,
 ) -> SweepResult:
     """Figures 9 and 10: vary the LHB size (direct-mapped)."""
@@ -159,7 +149,6 @@ def lhb_size_sweep(
         "lhb_size",
         options,
         kernel,
-        jobs,
         executor,
     )
 
@@ -170,7 +159,6 @@ def associativity_sweep(
     entries: int = 1024,
     options: SimulationOptions = SimulationOptions(),
     kernel: KernelConfig = BASELINE_KERNEL,
-    jobs: int = 1,
     executor: Optional[SweepExecutor] = None,
 ) -> SweepResult:
     """Figure 12: 1024 entries reorganised as set-associative buffers.
@@ -185,7 +173,6 @@ def associativity_sweep(
         "associativity",
         options,
         kernel,
-        jobs,
         executor,
     )
 
@@ -196,7 +183,6 @@ def batch_size_sweep(
     entries: int = 1024,
     options: SimulationOptions = SimulationOptions(),
     kernel: KernelConfig = BASELINE_KERNEL,
-    jobs: int = 1,
     executor: Optional[SweepExecutor] = None,
 ) -> SweepResult:
     """Figure 13: vary the batch size with a fixed 1024-entry LHB.
@@ -206,7 +192,7 @@ def batch_size_sweep(
     LHB's coverage still exceeds the workspace (the paper's three
     regimes).
     """
-    executor = _resolve_executor(jobs, executor)
+    executor = executor or SweepExecutor()
     chunks = []
     for spec in layers:
         points: List[SimPoint] = []

@@ -74,7 +74,12 @@ from repro.gpu.isa import (
     LOAD_INPUT,
     STORE_D,
 )
-from repro.gpu.ldst import EliminationMode, default_lhb, load_ids_for
+from repro.gpu.ldst import (
+    EliminationMode,
+    default_lhb,
+    fragment_ids,
+    load_ids_for,
+)
 from repro.gpu.stats import LayerStats, MemoryBreakdown
 
 
@@ -710,9 +715,9 @@ class _FedStreams:
 
         BASELINE looks nothing up and DUPLO is the fold itself.  WIR
         looks up every load by its fragment index, ``fragment``
-        (:func:`_fragments`), which the fold does not hold: it is
-        derived on demand, so a fold that never serves WIR never
-        holds it.
+        (:func:`~repro.gpu.ldst.fragment_ids`), which the fold does not
+        hold: it is derived on demand, so a fold that never serves WIR
+        never holds it.
         """
         if mode is EliminationMode.DUPLO:
             return self
@@ -768,38 +773,30 @@ class _FedStreams:
         )
 
 
-def _fragments(kind: np.ndarray, address: np.ndarray, gpu: GPUConfig):
-    """WIR's lookup IDs: every load's fragment index, as
-    :func:`~repro.gpu.ldst.load_ids_for` derives them."""
-    return address[kind != STORE_D] >> gpu.frag_shift
-
-
 class _StreamAccumulator:
-    """Folds a trace, block by block, into the streams every mode replays.
+    """Folds a trace into the streams every mode replays.
 
     The closed-form replay needs only a few *derived* per-load streams
     — consult flags, (element, batch) lookup IDs, L1 line IDs,
     instruction starts — each a fraction of the full four trace
-    columns.  Feeding the trace block by block keeps peak memory at
-    (derived streams + one block) instead of (full columns + derived
-    streams): blocks are dropped as soon as their slice is folded.
+    columns.  :func:`fed_streams` feeds the trace in slices of
+    ``_FOLD_BLOCK`` events, so the translation's temporaries scale with
+    the slice instead of the trace.
 
     The fold is mode-free.  The ID generator maps a workspace address
     to the same ID whatever unit sits in front of memory, so one
-    DUPLO translation of the A loads (:func:`load_ids_for`) gives
-    DUPLO's lookups and, at the options' granularity, the workspace
-    instruction count and unique workspace IDs of every mode.
+    translation of the A loads (:func:`~repro.gpu.ldst.load_ids_for`)
+    gives DUPLO's lookups and, at the options' granularity, the
+    workspace instruction count and unique workspace IDs of every mode.
     :meth:`fold` returns DUPLO's view; :meth:`_FedStreams.for_mode`
     derives the BASELINE and WIR views from it.
 
-    Bit-identity with :func:`replay_trace_fast` on a materialised
-    trace is by construction: every per-block pass is elementwise (or
-    carries its one-value boundary state — the previous instruction ID
-    — across blocks), so concatenating per-block outputs equals the
-    whole-column computation, and :meth:`_FedStreams.finish` then runs
-    the very same global recurrences (LHB, LRU stack distances) on the
-    assembled streams.  ``replay_trace_fast`` itself feeds its trace
-    through this class in blocks of ``_FOLD_BLOCK`` events.
+    Slice boundaries are invisible: every per-slice pass is elementwise
+    (or carries its one-value boundary state — the previous instruction
+    ID — across slices), so the concatenated per-slice outputs equal
+    the whole-column computation, and :meth:`_FedStreams.finish` runs
+    the global recurrences (LHB, LRU stack distances) on the assembled
+    streams.
     """
 
     def __init__(
@@ -849,21 +846,22 @@ class _StreamAccumulator:
         self._stores += len(kind) - n
         self._loads += n
         is_a = (load_kind == LOAD_A) | (load_kind == LOAD_A_SHARED)
-        self._loads_a += int(is_a.sum())
         self._loads_input += int((load_kind == LOAD_INPUT).sum())
 
         is_shared = (load_kind == LOAD_A_SHARED) | (load_kind == LOAD_B_SHARED)
         self._shared.append(is_shared)
         self._lines.append(load_addr[~is_shared] >> self.l1.line_shift)
 
-        consults, batch, element = load_ids_for(
-            self.spec, self.options, EliminationMode.DUPLO, load_kind,
-            load_addr, self.lda, self._gpu,
+        translated, batch, element = load_ids_for(
+            self.spec, self.options, load_addr[is_a], self.lda, self._gpu
         )
-        self._consult.append(consults)
+        self._loads_a += len(translated)
+        consult = np.zeros(n, dtype=bool)
+        consult[is_a] = translated
+        self._consult.append(consult)
         # The workspace instructions are the A loads at the options'
         # granularity; the translated ones are DUPLO's lookups.
-        looked_up, bases = consults, is_a
+        looked_up, bases = translated, len(translated)
         if self._instruction:
             # One lookup per warp-level instruction, at its first load.
             load_instr = instr[is_load]
@@ -874,10 +872,11 @@ class _StreamAccumulator:
                     first[0] = load_instr[0] != self._prev_instr
                 self._prev_instr = int(load_instr[-1])
             self._first.append(first)
-            looked_up, bases = consults & first, is_a & first
+            starts = first[is_a]
+            looked_up, bases = translated & starts, int(starts.sum())
         self._element.append(element[looked_up])
         self._batch.append(batch[looked_up])
-        self._ws_instrs += int(bases.sum())
+        self._ws_instrs += bases
 
     def fold(self) -> _FedStreams:
         """The fed blocks as DUPLO's read-only streams.
@@ -1020,7 +1019,7 @@ def fed_streams(
         folded = entry[3]
     fragment = None
     if mode is EliminationMode.WIR:
-        fragment = _fragments(trace.kind, trace.address, gpu)
+        fragment = fragment_ids(trace.address[trace.kind != STORE_D], gpu)
     return folded.for_mode(mode, fragment)
 
 
@@ -1033,27 +1032,23 @@ def replay_blocks_fast(
     mode: EliminationMode = EliminationMode.DUPLO,
     lhb: Optional[LoadHistoryBuffer] = None,
 ) -> LayerStats:
-    """Blockwise twin of :func:`replay_trace_fast`.
+    """:func:`replay_trace_fast` of a trace given as blocks.
 
-    ``blocks`` is any iterable of :class:`~repro.gpu.isa.TraceBlock`
-    (:meth:`repro.gpu.kernel.TracePlan.iter_blocks` generates them).
-    ``meta`` carries the scalar trace fields (a dict from
-    ``TracePlan.meta()``).  Results are bit-identical to the
-    in-memory replay whatever the block size.
+    ``blocks`` is an iterable of :class:`~repro.gpu.isa.TraceBlock` in
+    trace order (:meth:`repro.gpu.kernel.TracePlan.iter_blocks`
+    yields them); ``meta`` carries the scalar trace fields (a dict from
+    ``TracePlan.meta()``).  The blocks are joined into one trace, so
+    the result is the in-memory replay's whatever the block size.
     """
-    if mode is not EliminationMode.BASELINE and lhb is None:
-        lhb = default_lhb(options)
-    acc = _StreamAccumulator(spec, int(meta["lda"]), gpu, options)
-    fragments = []  # WIR's lookup IDs, per block
-    for block in blocks:
-        kind, address = np.asarray(block.kind), np.asarray(block.address)
-        acc.feed(kind, address, np.asarray(block.instr))
-        if mode is EliminationMode.WIR:
-            fragments.append(_fragments(kind, address, gpu))
-    obs.add("fastpath.replays")
-    obs.add("fastpath.events", acc.events)
-    streams = acc.fold().for_mode(mode, _cat(fragments, np.int64))
-    return streams.finish(lhb, int(meta["mma_ops"]))
+    blocks = list(blocks)
+    trace = KernelTrace(
+        **{
+            name: np.concatenate([getattr(b, name) for b in blocks])
+            for name in ("kind", "address", "warp", "instr")
+        },
+        **meta,
+    )
+    return replay_trace_fast(trace, spec, gpu, options, mode, lhb)
 
 
 def replay_trace_fast(
@@ -1067,8 +1062,11 @@ def replay_trace_fast(
 ) -> LayerStats:
     """Vectorised, bit-identical drop-in for ``replay_trace``.
 
-    Covers every configuration the event path does.  A caller-supplied
-    ``lhb`` must be fresh: a used buffer raises ``ValueError``.
+    The one fast replay: :func:`fed_streams` folds the trace, or takes
+    its fold from the slot, and :meth:`_FedStreams.finish` runs the
+    recurrences.  Covers every configuration the event path does.  A
+    caller-supplied ``lhb`` must be fresh: a used buffer raises
+    ``ValueError``.
 
     ``trace_key`` keys the calling thread's slot (:func:`fed_streams`),
     so consecutive replays of one trace — an LHB size or associativity

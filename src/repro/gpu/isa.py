@@ -82,12 +82,11 @@ _META_FIELDS = (
 class TraceBlock:
     """One bounded slice of a trace's parallel event columns.
 
-    The unit of blockwise generation and replay: block boundaries are
-    an implementation detail — concatenating a trace's blocks in order
-    reproduces the full columns bit-identically, whatever the block
-    size (:meth:`repro.gpu.kernel.TracePlan.iter_blocks` guarantees
-    this by construction).  :func:`repro.gpu.fastpath.replay_blocks_fast`
-    folds each block into compact accumulators.
+    :meth:`repro.gpu.kernel.TracePlan.iter_blocks` yields a trace as
+    consecutive blocks, views of its one synthesis, so concatenating
+    them in order reproduces the full columns whatever the block size;
+    :func:`repro.gpu.fastpath.replay_blocks_fast` joins them back into
+    one trace and replays it.
     """
 
     kind: np.ndarray

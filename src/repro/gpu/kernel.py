@@ -421,23 +421,9 @@ def _store_templates(wave: List[List[_WarpPlan]]) -> _WaveTemplates:
 _Columns = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _span_views(
-    out: Optional[_Columns], pos: int, total: int
-) -> _Columns:
-    """Destination columns for one span: views into ``out`` or fresh."""
-    if out is None:
-        return (
-            np.empty(total, dtype=np.uint8),
-            np.empty(total, dtype=np.int64),
-            np.empty(total, dtype=np.int32),
-            np.empty(total, dtype=np.int64),
-        )
-    return (
-        out[0][pos:pos + total],
-        out[1][pos:pos + total],
-        out[2][pos:pos + total],
-        out[3][pos:pos + total],
-    )
+def _span_views(out: _Columns, pos: int, total: int) -> _Columns:
+    """One span's destination: views of ``out`` at ``[pos, pos + total)``."""
+    return tuple(column[pos:pos + total] for column in out)
 
 
 def _uniform_span(
@@ -450,18 +436,17 @@ def _uniform_span(
     next_instr: int,
     pool_len: int,
     advance: int,
-    out: Optional[_Columns],
+    out: _Columns,
     pos: int,
-) -> _Columns:
+) -> None:
     """Broadcast synthesis for spans whose pairs share one burst shape.
 
     When every pair in ``[q0, q1)`` has the same pool length and
     instruction advance (the common case: interior CTAs of one layer
     are congruent), the span is a dense ``(pairs, k-steps, fragments)``
     broadcast — each column is one output-sized write with no gather,
-    which is what buys the bulk of the vectorised generator's speedup.
-    With ``out`` the writes land directly in the caller's preallocated
-    columns (no per-span allocation, no concatenation pass).
+    which is what buys the bulk of the vectorised synthesis' speedup.
+    The writes land directly in the caller's preallocated columns.
     """
     nq = q1 - q0
     nt = k1 - k0
@@ -489,7 +474,6 @@ def _uniform_span(
     warp.reshape(nq, nt * pool_len)[:] = (
         wave_base + np.arange(q0, q1, dtype=np.int32)
     )[:, None]
-    return kind, addr, warp, instr
 
 
 def _span_columns(
@@ -500,17 +484,17 @@ def _span_columns(
     k1: int,
     wave_base: int,
     next_instr: int,
-    out: Optional[_Columns] = None,
-    pos: int = 0,
-) -> Tuple[Optional[_Columns], int]:
+    out: _Columns,
+    pos: int,
+) -> Tuple[int, int]:
     """Synthesize the events of pairs ``[q0, q1)`` over k-steps ``[k0, k1)``.
 
     Emission order is pair-major, k-step-minor — exactly the GTO turn
     order (CTAs oldest-first, warps in index order, each issuing its
     whole ``runahead`` burst before yielding).  Every column comes from
-    arange/repeat/broadcast arithmetic; no per-event Python runs.
-    ``out``/``pos`` select fill mode: the span's events are written at
-    offset ``pos`` of the preallocated full columns.
+    arange/repeat/broadcast arithmetic; no per-event Python runs.  The
+    span's events are written at offset ``pos`` of the preallocated
+    full columns ``out``; returns ``(events written, next instruction)``.
     """
     nq = q1 - q0
     nt = k1 - k0
@@ -523,16 +507,13 @@ def _span_columns(
         np.all(span_len == pool_len) and np.all(span_adv == advance)
     )
     if uniform:
-        end_instr = next_instr + advance * nb
-        if nb * pool_len == 0:
-            return None, end_instr
-        return (
+        total = nb * pool_len
+        if total:
             _uniform_span(
                 tpl, q0, q1, k0, k1, wave_base, next_instr,
                 pool_len, advance, out, pos,
-            ),
-            end_instr,
-        )
+            )
+        return total, next_instr + advance * nb
     # Ragged fallback: per-burst gather arithmetic.  Indexing each
     # per-burst table through ``boe`` exactly once keeps every
     # event-sized operation a single gather-plus-add.
@@ -545,7 +526,7 @@ def _span_columns(
     total = int(starts[-1])
     end_instr = next_instr + int(ibase[-1])
     if total == 0:
-        return None, end_instr
+        return 0, end_instr
     src_base = tpl.start[burst_q] - starts[:-1]
     step = tpl.step_bytes * np.tile(np.arange(k0, k1, dtype=np.int64), nq)
     wid = (wave_base + burst_q).astype(np.int32)
@@ -560,16 +541,17 @@ def _span_columns(
     np.take(wid, boe, out=warp)
     np.take(tpl.group, src, out=instr)
     instr += instr_base[boe]
-    return (kind, addr, warp, instr), end_instr
+    return total, end_instr
 
 
 @dataclass
 class TracePlan:
     """Closed-form description of one SM's trace, ready to synthesize.
 
-    Built once by :func:`plan_sm_trace`; every downstream consumer —
-    the vectorised generator and :meth:`iter_blocks` — derives from
-    this object, so the schedule is defined in exactly one place.
+    Built once by :func:`plan_sm_trace`; :meth:`synthesize` is the one
+    synthesis, and both :func:`generate_sm_trace` and
+    :meth:`iter_blocks` take its result, so the schedule is defined in
+    exactly one place.
     """
 
     spec: ConvLayerSpec
@@ -620,7 +602,7 @@ class TracePlan:
         """The two staging bursts (input fetch, B chunk) of one stage step.
 
         Returned as ``[input_addresses, b_addresses]``; memoised so
-        :meth:`event_count` and the generator compute each chunk once.
+        :meth:`event_count` and :meth:`synthesize` compute each chunk once.
         """
         key = (cta_index, s0)
         cached = self._stage_memo.get(key)
@@ -654,7 +636,7 @@ class TracePlan:
 
         The k-loop contribution is ``pool_length * k_steps`` per warp;
         stores and (implicit-mode) staging chunks add their literal
-        burst lengths.  The generator sizes its columns from this
+        burst lengths.  :meth:`synthesize` sizes its columns from this
         before any event is synthesized.
         """
         k_steps = self.geom.k_steps
@@ -672,16 +654,20 @@ class TracePlan:
                     )
         return total
 
-    def _iter_columns(
-        self, out: Optional[_Columns] = None
-    ) -> Iterator[_Columns]:
-        """Yield column chunks in exact legacy emission order.
+    def synthesize(self) -> KernelTrace:
+        """The whole trace, in exact legacy emission order.
 
-        With ``out`` (four preallocated full-length columns) every
-        chunk is written in place at its running offset and the yielded
-        tuples are views — the single-shot generator path, which skips
-        all per-chunk allocation and the final concatenation.
+        The columns are sized by :meth:`event_count` before any event
+        is synthesized, and every span is written in place at its
+        running offset: no per-span allocation, no concatenation pass.
         """
+        total = self.event_count()
+        out = (
+            np.empty(total, dtype=np.uint8),
+            np.empty(total, dtype=np.int64),
+            np.empty(total, dtype=np.int32),
+            np.empty(total, dtype=np.int64),
+        )
         k_steps = self.geom.k_steps
         warps = self.kernel.warps_per_cta
         next_instr = 0
@@ -698,13 +684,11 @@ class TracePlan:
             for k0 in range(0, k_steps, self.runahead):
                 k1 = min(k0 + self.runahead, k_steps)
                 if not self.kernel.implicit:
-                    cols, next_instr = _span_columns(
+                    n, next_instr = _span_columns(
                         tpl, 0, nw * warps, k0, k1, wave_base,
                         next_instr, out, pos,
                     )
-                    if cols is not None:
-                        pos += len(cols[0])
-                        yield cols
+                    pos += n
                     continue
                 for slot in range(nw):
                     cta_index = wave_start + slot
@@ -722,59 +706,52 @@ class TracePlan:
                             self.stage_bursts(cta_index, s0, s1),
                         ):
                             n = len(addrs)
-                            if n:
-                                kind, addr, warp, instr = _span_views(
-                                    out, pos, n
-                                )
-                                kind[:] = kind_const
-                                addr[:] = addrs
-                                warp[:] = wid
-                                instr[:] = np.arange(n, dtype=np.int64)
-                                instr += next_instr
-                                pos += n
-                                next_instr += n
-                                yield kind, addr, warp, instr
+                            kind, addr, warp, instr = _span_views(out, pos, n)
+                            kind[:] = kind_const
+                            addr[:] = addrs
+                            warp[:] = wid
+                            instr[:] = np.arange(
+                                next_instr, next_instr + n, dtype=np.int64
+                            )
+                            pos += n
+                            next_instr += n
                         s0 = s1
-                    cols, next_instr = _span_columns(
+                    n, next_instr = _span_columns(
                         tpl, slot * warps, (slot + 1) * warps,
                         k0, k1, wave_base, next_instr, out, pos,
                     )
-                    if cols is not None:
-                        pos += len(cols[0])
-                        yield cols
+                    pos += n
             store_tpl = _store_templates(wave)
-            cols, next_instr = _span_columns(
+            n, next_instr = _span_columns(
                 store_tpl, 0, nw * warps, 0, 1, wave_base,
                 next_instr, out, pos,
             )
-            if cols is not None:
-                pos += len(cols[0])
-                yield cols
+            pos += n
+        return self.make_trace(*out)
 
     def iter_blocks(
         self, max_events: Optional[int] = None
     ) -> Iterator[TraceBlock]:
-        """Yield the trace as bounded-size :class:`TraceBlock` chunks.
+        """Yield the trace as consecutive :class:`TraceBlock` slices.
 
-        ``max_events`` caps the events accumulated per block (the last
-        chunk may overshoot by one synthesis span); ``None`` yields
-        everything as a single block.  Concatenating the blocks
-        reproduces :func:`generate_sm_trace` bit-identically for any
-        block size, by construction.
+        Every block holds ``max_events`` events, the last one at most
+        that many; ``None`` yields everything as a single block.  The
+        blocks are views of one :meth:`synthesize`, so concatenating
+        them reproduces :func:`generate_sm_trace` bit-identically for
+        any block size.
         """
         if max_events is not None and max_events < 1:
             raise ValueError(f"max_events must be >= 1, got {max_events}")
-        pending: List[_Columns] = []
-        count = 0
-        for cols in self._iter_columns():
-            pending.append(cols)
-            count += len(cols[0])
-            if max_events is not None and count >= max_events:
-                yield _concat_block(pending)
-                pending = []
-                count = 0
-        if pending:
-            yield _concat_block(pending)
+        trace = self.synthesize()
+        step = max_events or max(len(trace), 1)
+        for lo in range(0, len(trace), step):
+            hi = lo + step
+            yield TraceBlock(
+                kind=trace.kind[lo:hi],
+                address=trace.address[lo:hi],
+                warp=trace.warp[lo:hi],
+                instr=trace.instr[lo:hi],
+            )
 
     def make_trace(
         self,
@@ -787,17 +764,6 @@ class TracePlan:
         return KernelTrace(
             kind=kind, address=address, warp=warp, instr=instr, **self.meta()
         )
-
-
-def _concat_block(chunks: List[_Columns]) -> TraceBlock:
-    if len(chunks) == 1:
-        kind, address, warp, instr = chunks[0]
-    else:
-        kind = np.concatenate([c[0] for c in chunks])
-        address = np.concatenate([c[1] for c in chunks])
-        warp = np.concatenate([c[2] for c in chunks])
-        instr = np.concatenate([c[3] for c in chunks])
-    return TraceBlock(kind=kind, address=address, warp=warp, instr=instr)
 
 
 def plan_sm_trace(
@@ -879,15 +845,7 @@ def generate_sm_trace(
     The columns are synthesized in closed form (see :class:`TracePlan`)
     rather than emitted turn by turn.
     """
-    plan = plan_sm_trace(spec, gpu, kernel, options)
-    # Synthesize straight into the final columns.
-    total = plan.event_count()
-    kind = np.empty(total, dtype=np.uint8)
-    address = np.empty(total, dtype=np.int64)
-    warp = np.empty(total, dtype=np.int32)
-    instr = np.empty(total, dtype=np.int64)
-    for _ in plan._iter_columns(out=(kind, address, warp, instr)):
-        pass
+    trace = plan_sm_trace(spec, gpu, kernel, options).synthesize()
     obs.add("gen.traces")
-    obs.add("gen.events", int(kind.size))
-    return plan.make_trace(kind, address, warp, instr)
+    obs.add("gen.events", len(trace))
+    return trace

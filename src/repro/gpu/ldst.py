@@ -74,7 +74,7 @@ def _workspace_idgen(
     fragment tile ``gpu.tile_m``; ``options`` picks the ID formula and
     padding merge.  Like the hardware unit it is programmed once per
     kernel: the generator (and its tables) is memoised on exactly
-    these inputs, so a blockwise fold and every mode's replay of one
+    these inputs, so every block of a fold and every replay of one
     trace share it.
     """
     return _programmed_idgen(
@@ -106,42 +106,33 @@ def _programmed_idgen(
 def load_ids_for(
     spec: ConvLayerSpec,
     options: SimulationOptions,
-    mode: EliminationMode,
-    load_kind: np.ndarray,
-    load_addr: np.ndarray,
+    a_addr: np.ndarray,
     lda: int,
     gpu: GPUConfig = TITAN_V,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-load ``(consults_lhb, batch_id, element_id)`` arrays.
+    """DUPLO's lookup key: ``(translated, batch_id, element_id)`` of the
+    workspace (A) load addresses ``a_addr``, one entry per address.
 
-    Takes the load stream as plain arrays plus the workspace pitch, so
-    the event replay and the fast replay's blockwise fold share one
-    consult semantics (which ID generator, which loads consult, which
-    fall through untranslated).  ``gpu`` supplies the fragment
-    geometry: the WIR element shift and the workspace element width.
+    The detection unit translates only workspace loads (Section IV-A),
+    so this is given only their addresses plus the workspace pitch;
+    ``gpu`` supplies the workspace element width.  An address the
+    translator does not map (``translated`` false) falls through to
+    memory untranslated, and its IDs are undefined.
     """
-    is_a = (load_kind == LOAD_A) | (load_kind == LOAD_A_SHARED)
-    if mode is EliminationMode.WIR:
-        # Same-address reuse: the "ID" is just the fragment address,
-        # for both A and B loads (WIR is oblivious to workspaces).
-        consults = np.ones(len(load_addr), dtype=bool)
-        element = load_addr >> gpu.frag_shift  # fragment index
-        batch = np.zeros(len(load_addr), dtype=np.int64)
-        return consults, batch, element
-    if mode is EliminationMode.BASELINE:
-        zeros = np.zeros(len(load_addr), dtype=np.int64)
-        return np.zeros(len(load_addr), dtype=bool), zeros, zeros
+    return _workspace_idgen(spec, options, lda, gpu).generate_for_addresses(
+        a_addr
+    )
 
-    idgen = _workspace_idgen(spec, options, lda, gpu)
-    consults = np.zeros(len(load_addr), dtype=bool)
-    batch = np.zeros(len(load_addr), dtype=np.int64)
-    element = np.zeros(len(load_addr), dtype=np.int64)
-    if is_a.any():
-        ok, b, e = idgen.generate_for_addresses(load_addr[is_a])
-        consults[is_a] = ok
-        batch[is_a] = b
-        element[is_a] = e
-    return consults, batch, element
+
+def fragment_ids(
+    load_addr: np.ndarray, gpu: GPUConfig = TITAN_V
+) -> np.ndarray:
+    """WIR's lookup key: each load's fragment index.
+
+    Same-address reuse looks up every load, A and B alike (WIR is
+    oblivious to workspaces), by its raw fragment address, in batch 0.
+    """
+    return load_addr >> gpu.frag_shift
 
 
 def instruction_bases(trace: KernelTrace) -> np.ndarray:
@@ -179,8 +170,9 @@ def workspace_unique_ids(
         bases = instruction_bases(trace)
     if bases.size == 0:
         return 0, 0
-    idgen = _workspace_idgen(spec, options, trace.lda, gpu)
-    ok, batch, element = idgen.generate_for_addresses(trace.address[bases])
+    ok, batch, element = load_ids_for(
+        spec, options, trace.address[bases], trace.lda, gpu
+    )
     keys = batch[ok] * (1 << 44) + element[ok]
     uniques = int(np.unique(keys).size) + int((~ok).sum())
     return int(bases.size), uniques
@@ -243,9 +235,19 @@ def replay_trace(
     is_load = trace.kind != STORE_D
     load_kind = trace.kind[is_load]
     load_addr = trace.address[is_load]
-    consults, batch, element = load_ids_for(
-        spec, options, mode, load_kind, load_addr, trace.lda, gpu
-    )
+    n = len(load_kind)
+    # Per-load lookup keys: WIR looks up every load, DUPLO its
+    # translated workspace loads, BASELINE nothing.
+    consults = np.full(n, mode is EliminationMode.WIR)
+    batch = np.zeros(n, dtype=np.int64)
+    element = np.zeros(n, dtype=np.int64)
+    if mode is EliminationMode.WIR:
+        element = fragment_ids(load_addr, gpu)
+    elif mode is EliminationMode.DUPLO:
+        is_a = (load_kind == LOAD_A) | (load_kind == LOAD_A_SHARED)
+        consults[is_a], batch[is_a], element[is_a] = load_ids_for(
+            spec, options, load_addr[is_a], trace.lda, gpu
+        )
 
     # Hot loop inputs as plain Python lists (fastest CPython iteration).
     consults_l = consults.tolist()
@@ -272,7 +274,7 @@ def replay_trace(
     if options.lhb_granularity == "fragment":
         # One LHB lookup per 16-half tensor-core load (the paper's
         # load accounting and the element-level IDs of Section III).
-        for i in range(len(load_kind)):
+        for i in range(n):
             if consults_l[i] and lhb_access(element_l[i], batch_l[i], i).hit:
                 served_lhb += 1
                 continue
@@ -292,7 +294,7 @@ def replay_trace(
         # fragment); the outcome applies to all fragments it covers.
         prev_instr = -1
         eliminated = False
-        for i in range(len(load_kind)):
+        for i in range(n):
             ins = instr_l[i]
             if ins != prev_instr:
                 prev_instr = ins
@@ -320,7 +322,7 @@ def replay_trace(
     )
 
     stats = LayerStats(
-        loads_total=len(load_kind),
+        loads_total=n,
         loads_workspace=loads_a,
         loads_filter=loads_b,
         loads_input=loads_input,

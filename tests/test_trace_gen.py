@@ -3,12 +3,14 @@
 The closed-form columnar synthesizer (:mod:`repro.gpu.kernel`'s
 ``TracePlan``) claims *bit-identical* traces to the per-turn event
 loop of :mod:`tests.trace_loop_oracle` for every configuration — and
-its blockwise form (:meth:`~repro.gpu.kernel.TracePlan.iter_blocks`)
-claims block boundaries are invisible: any block size concatenates to
-the same columns and replays to the same LayerStats.  Hypothesis hunts
-the corners a fixed matrix misses: degenerate geometries, guard-clipped
-warp tiles, ``max_ctas`` truncation, run-ahead values coprime to the
-k-depth, and implicit-mode staging chunks straddling turn boundaries.
+block boundaries are invisible: any block size of
+:meth:`~repro.gpu.kernel.TracePlan.iter_blocks` concatenates to the
+same columns, and any slice size of the fast replay's fold
+(``fastpath._FOLD_BLOCK``) replays to the same LayerStats.
+Hypothesis hunts the corners a fixed matrix misses: degenerate
+geometries, guard-clipped warp tiles, ``max_ctas`` truncation,
+run-ahead values coprime to the k-depth, and implicit-mode staging
+chunks straddling turn boundaries.
 
 Tier-1 runs a small number of examples per property (override with
 ``REPRO_FUZZ_EXAMPLES``); the ``slow``-marked variant goes deep in
@@ -17,6 +19,7 @@ the CI fuzz lanes.
 
 import dataclasses
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +34,8 @@ from repro.gpu.config import (
     SimulationOptions,
     TITAN_V,
 )
-from repro.gpu.fastpath import replay_blocks_fast, replay_trace_fast
+from repro.gpu import fastpath
+from repro.gpu.fastpath import replay_trace_fast
 from repro.gpu.kernel import (
     gemm_geometry,
     generate_sm_trace,
@@ -142,14 +146,14 @@ def test_vectorized_matches_legacy_loop(case):
 @given(case=gen_cases(), block=st.sampled_from([1, 17, 256, 1 << 20]))
 def test_block_streaming_is_boundary_invariant(case, block):
     """Concatenating ``TracePlan.iter_blocks`` output reproduces the
-    single-shot trace for any block budget, and the closed-form
-    ``event_count`` prices it exactly."""
+    single-shot trace for any block budget, no block exceeds the
+    budget, and the closed-form ``event_count`` prices it exactly."""
     spec, gpu, kernel, options = case
     full = generate_sm_trace(spec, gpu, kernel, options)
     plan = plan_sm_trace(spec, gpu, kernel, options)
     assert plan.event_count() == len(full)
     blocks = list(plan.iter_blocks(block))
-    assert all(len(b) for b in blocks)
+    assert all(0 < len(b) <= block for b in blocks)
     blocked = plan.make_trace(
         np.concatenate([b.kind for b in blocks]),
         np.concatenate([b.address for b in blocks]),
@@ -164,25 +168,25 @@ def test_block_streaming_is_boundary_invariant(case, block):
     case=gen_cases(),
     block=st.sampled_from([1, 64, 4096]),
     mode=st.sampled_from(list(EliminationMode)),
+    granularity=st.sampled_from(["fragment", "instruction"]),
 )
-def test_streaming_replay_matches_in_memory(case, block, mode):
-    """``replay_blocks_fast`` over streamed blocks equals the
-    in-memory replay on every LayerStats counter."""
+def test_streaming_replay_matches_in_memory(case, block, mode, granularity):
+    """Folding the trace in ``block``-event slices, carrying the
+    previous instruction across their boundaries, equals the one-slice
+    fold on every LayerStats counter."""
     spec, gpu, kernel, options = case
+    options = dataclasses.replace(options, lhb_granularity=granularity)
     trace = generate_sm_trace(spec, gpu, kernel, options)
-    plan = plan_sm_trace(spec, gpu, kernel, options)
 
-    def lhb():
-        if mode is EliminationMode.BASELINE:
-            return None
-        return LoadHistoryBuffer(num_entries=64, assoc=4, lifetime=128)
+    def replay(fold_block):
+        lhb = None
+        if mode is not EliminationMode.BASELINE:
+            lhb = LoadHistoryBuffer(num_entries=64, assoc=4, lifetime=128)
+        with mock.patch.object(fastpath, "_FOLD_BLOCK", fold_block):
+            stats = replay_trace_fast(trace, spec, gpu, options, mode, lhb)
+        return dataclasses.asdict(stats)
 
-    ref = replay_trace_fast(trace, spec, gpu, options, mode, lhb())
-    got = replay_blocks_fast(
-        plan.iter_blocks(block), plan.meta(), spec, gpu, options,
-        mode, lhb(),
-    )
-    assert dataclasses.asdict(got) == dataclasses.asdict(ref), (
+    assert replay(block) == replay(len(trace)), (
         spec.name, gpu, kernel, options, block, mode
     )
 
