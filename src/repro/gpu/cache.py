@@ -9,30 +9,41 @@ the striped, homogeneous CTA streams of GEMM kernels.
 
 The implementation favours replay speed: one ``OrderedDict`` per set
 gives O(1) LRU updates, and the line index is computed by the caller
-so the hot loop stays allocation-free.
+so the hot loop stays allocation-free.  :func:`cache_geometry` is the
+one rule mapping a capacity to sets; the vectorised fast path
+(:mod:`repro.gpu.fastpath`) reads it without building a cache.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
+
+
+def cache_geometry(
+    capacity_bytes: int, assoc: int, line_bytes: int = 128
+) -> Tuple[int, int]:
+    """``(line_shift, set_mask)`` of an LRU set-associative cache.
+
+    The set count is rounded down to a power of two so the set index
+    is a mask; ``line_bytes`` must be a power of two so the line index
+    is a shift.
+    """
+    if capacity_bytes <= 0 or assoc <= 0:
+        raise ValueError("capacity and associativity must be positive")
+    if line_bytes & (line_bytes - 1):
+        raise ValueError(f"line_bytes must be a power of two, got {line_bytes}")
+    num_sets = max(assoc, capacity_bytes // line_bytes) // assoc
+    return line_bytes.bit_length() - 1, (1 << (num_sets.bit_length() - 1)) - 1
 
 
 @dataclass
 class CacheStats:
-    """Hit/miss counters for one cache level.
-
-    ``mshr_merges`` counts hits that landed while the line's fill was
-    still in flight — requests a real MSHR (Figure 8) would merge onto
-    the outstanding miss rather than serve from the data array.
-    Traffic-wise the two are identical (one fill either way); the
-    split matters for latency attribution and MSHR sizing.
-    """
+    """Hit/miss counters for one cache level."""
 
     accesses: int = 0
     hits: int = 0
-    mshr_merges: int = 0
 
     @property
     def misses(self) -> int:
@@ -41,11 +52,6 @@ class CacheStats:
     @property
     def hit_rate(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
-
-    @property
-    def demand_hits(self) -> int:
-        """Hits served from an actually filled line."""
-        return self.hits - self.mshr_merges
 
 
 class SetAssociativeCache:
@@ -56,34 +62,14 @@ class SetAssociativeCache:
     index is a mask.
     """
 
-    def __init__(
-        self,
-        capacity_bytes: int,
-        assoc: int,
-        line_bytes: int = 128,
-        mshr_window: int = 0,
-    ):
-        if capacity_bytes <= 0 or assoc <= 0:
-            raise ValueError("capacity and associativity must be positive")
-        if line_bytes & (line_bytes - 1):
-            raise ValueError(f"line_bytes must be a power of two, got {line_bytes}")
-        if mshr_window < 0:
-            raise ValueError(f"mshr_window must be >= 0, got {mshr_window}")
-        lines = max(assoc, capacity_bytes // line_bytes)
-        self.num_sets = max(1, lines // assoc)
-        # Round down to a power of two so indexing is a mask.
-        while self.num_sets & (self.num_sets - 1):
-            self.num_sets &= self.num_sets - 1
+    def __init__(self, capacity_bytes: int, assoc: int, line_bytes: int = 128):
+        self.line_shift, self.set_mask = cache_geometry(
+            capacity_bytes, assoc, line_bytes
+        )
+        self.num_sets = self.set_mask + 1
         self.assoc = assoc
         self.line_bytes = line_bytes
-        self.line_shift = line_bytes.bit_length() - 1
-        self.set_mask = self.num_sets - 1
         self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
-        #: Hits within this many accesses of a line's miss count as
-        #: MSHR merges (0 disables the accounting).
-        self.mshr_window = mshr_window
-        self._miss_seq: dict = {}
-        self._seq = 0
         self.stats = CacheStats()
 
     @property
@@ -96,23 +82,14 @@ class SetAssociativeCache:
     def access(self, line: int) -> bool:
         """Probe (and on miss, fill) the cache with one line."""
         self.stats.accesses += 1
-        self._seq += 1
         ways = self._sets[line & self.set_mask]
         if line in ways:
             ways.move_to_end(line)
             self.stats.hits += 1
-            if (
-                self.mshr_window
-                and self._seq - self._miss_seq.get(line, -(1 << 60))
-                <= self.mshr_window
-            ):
-                self.stats.mshr_merges += 1
             return True
         if len(ways) >= self.assoc:
             ways.popitem(last=False)
         ways[line] = True
-        if self.mshr_window:
-            self._miss_seq[line] = self._seq
         return False
 
     def contains(self, line: int) -> bool:
@@ -122,6 +99,4 @@ class SetAssociativeCache:
     def flush(self) -> None:
         for ways in self._sets:
             ways.clear()
-        self._miss_seq.clear()
-        self._seq = 0
         self.stats = CacheStats()

@@ -64,7 +64,7 @@ import numpy as np
 from repro import obs
 from repro.conv.layer import ConvLayerSpec
 from repro.core.lhb import LoadHistoryBuffer, vector_set_indices
-from repro.gpu.cache import SetAssociativeCache
+from repro.gpu.cache import cache_geometry
 from repro.gpu.config import GPUConfig, SimulationOptions, TITAN_V
 from repro.gpu.isa import (
     KernelTrace,
@@ -810,11 +810,10 @@ class _StreamAccumulator:
         self.lda = lda
         self.options = options
 
-        self.l1 = SetAssociativeCache(
-            gpu.l1_bytes, gpu.l1_assoc, gpu.l1_line_bytes,
-            mshr_window=gpu.l1_latency,
+        self._line_shift, self._l1_set_mask = cache_geometry(
+            gpu.l1_bytes, gpu.l1_assoc, gpu.l1_line_bytes
         )
-        self.l2 = SetAssociativeCache(
+        _, self._l2_set_mask = cache_geometry(
             gpu.l2_bytes, gpu.l2_assoc, gpu.l2_line_bytes
         )
         self._gpu = gpu
@@ -850,7 +849,7 @@ class _StreamAccumulator:
 
         is_shared = (load_kind == LOAD_A_SHARED) | (load_kind == LOAD_B_SHARED)
         self._shared.append(is_shared)
-        self._lines.append(load_addr[~is_shared] >> self.l1.line_shift)
+        self._lines.append(load_addr[~is_shared] >> self._line_shift)
 
         translated, batch, element = load_ids_for(
             self.spec, self.options, load_addr[is_a], self.lda, self._gpu
@@ -900,10 +899,10 @@ class _StreamAccumulator:
         )
         return _FedStreams(
             totals=totals,
-            l1_set_mask=self.l1.set_mask,
-            l1_assoc=self.l1.assoc,
-            l2_set_mask=self.l2.set_mask,
-            l2_assoc=self.l2.assoc,
+            l1_set_mask=self._l1_set_mask,
+            l1_assoc=self._gpu.l1_assoc,
+            l2_set_mask=self._l2_set_mask,
+            l2_assoc=self._gpu.l2_assoc,
             consult=_cat(self._consult, bool),
             shared=_cat(self._shared, bool),
             lines=_cat(self._lines, np.int64),

@@ -224,12 +224,7 @@ def replay_trace(
     """
     if mode is not EliminationMode.BASELINE and lhb is None:
         lhb = default_lhb(options)
-    # Hits within a fill latency of the line's miss are MSHR merges
-    # (Figure 8's MSHR; same traffic, different latency attribution).
-    l1 = SetAssociativeCache(
-        gpu.l1_bytes, gpu.l1_assoc, gpu.l1_line_bytes,
-        mshr_window=gpu.l1_latency,
-    )
+    l1 = SetAssociativeCache(gpu.l1_bytes, gpu.l1_assoc, gpu.l1_line_bytes)
     l2 = SetAssociativeCache(gpu.l2_bytes, gpu.l2_assoc, gpu.l2_line_bytes)
 
     is_load = trace.kind != STORE_D

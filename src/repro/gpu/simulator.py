@@ -131,7 +131,6 @@ def _record_layer_metrics(
     obs.add("sim.events_replayed", events)
     obs.add("sim.lhb.lookups", full_stats.lhb_lookups)
     obs.add("sim.lhb.hits", full_stats.lhb_hits)
-    obs.add("sim.lhb.renames", full_stats.lhb_hits)
     obs.add("sim.eliminated_fragments", full_stats.eliminated_fragments)
     obs.add("sim.l1.accesses", full_stats.l1_accesses)
     obs.add("sim.l1.hits", full_stats.l1_hits)
@@ -265,8 +264,7 @@ def _assemble_result(
     full_stats.cycles = cycles
     full_stats.cycle_components = comps
 
-    if obs.enabled():
-        _record_layer_metrics(spec, mode, events, full_stats, lhb)
+    _record_layer_metrics(spec, mode, events, full_stats, lhb)
 
     return LayerResult(
         spec=spec,

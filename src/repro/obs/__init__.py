@@ -11,10 +11,12 @@ runtime, and disk store report into.  Three pieces:
   document written next to every instrumented invocation
   (:mod:`repro.obs.manifest`).
 
-Everything is a no-op until :func:`enable` is called (or
-``REPRO_OBS=1`` is exported): the disabled fast path is a module-level
-flag test, which keeps the simulator's measured overhead below the 2%
-budget.  Sweep worker threads record straight onto the same registry.
+Counters and gauges always record: the registry is the one place a
+count lives, so the store's hit counts, the service's ``/metrics`` and
+the run manifest read the same numbers.  Spans are a no-op until
+:func:`enable` is called (or ``REPRO_OBS=1`` is exported): the
+disabled fast path is a module-level flag test.  Sweep worker threads
+record straight onto the same registry.
 
 See ``docs/OBSERVABILITY.md`` for naming conventions and schemas.
 """

@@ -9,18 +9,17 @@ Two metric kinds, both named with dotted lower-case paths (see
   speedups).  :func:`gauge` sets the value.
 
 The module-level registry is process-global and lock-protected, so
-concurrent threads can report safely.
-
-Every entry point early-outs on the :mod:`repro.obs.state` flag, so
-with instrumentation disabled a call costs one boolean test.
+concurrent threads can report safely.  It is the one place a count
+lives: :func:`add` and :func:`gauge` always record, whatever the
+:mod:`repro.obs.state` flag says (that flag gates spans and the files
+the CLI writes), and the service's ``/metrics`` and the store's
+:class:`~repro.runtime.store.CacheStats` read their counts from it.
 """
 
 from __future__ import annotations
 
 import threading
 from typing import Dict, Union
-
-from repro.obs import state
 
 Number = Union[int, float]
 
@@ -82,20 +81,18 @@ _REGISTRY = MetricsRegistry()
 
 
 def registry() -> MetricsRegistry:
-    """The process-global registry (always available, even disabled)."""
+    """The process-global registry."""
     return _REGISTRY
 
 
 def add(name: str, delta: int = 1) -> None:
-    """Accumulate into a global counter; no-op while disabled."""
-    if state.enabled():
-        _REGISTRY.add(name, delta)
+    """Accumulate into a global counter."""
+    _REGISTRY.add(name, delta)
 
 
 def gauge(name: str, value: Number) -> None:
-    """Set a global gauge; no-op while disabled."""
-    if state.enabled():
-        _REGISTRY.gauge(name, value)
+    """Set a global gauge."""
+    _REGISTRY.gauge(name, value)
 
 
 def snapshot() -> Dict[str, Dict[str, Number]]:

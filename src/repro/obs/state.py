@@ -1,10 +1,9 @@
 """Global enable flag for the observability layer.
 
-Everything in :mod:`repro.obs` is a no-op unless instrumentation has
-been switched on, so the simulator's hot paths pay only a module-level
-boolean test when tracing is off.  The flag lives in its own module so
-:mod:`repro.obs.trace` and :mod:`repro.obs.metrics` can share it
-without import cycles.
+The flag gates spans (:mod:`repro.obs.trace`), so the simulator's hot
+paths pay only a module-level boolean test when tracing is off, and
+the CLI writes its trace, metrics and manifest files only when it is
+on.  Counters and gauges (:mod:`repro.obs.metrics`) record either way.
 
 Enable programmatically via :func:`enable` (the CLI does this when any
 of ``--trace-out`` / ``--metrics-out`` / ``--manifest-out`` is given)
@@ -27,7 +26,7 @@ _enabled: bool = os.environ.get(OBS_ENV, "").strip().lower() in (
 
 
 def enabled() -> bool:
-    """True when spans and metrics are being recorded."""
+    """True when spans are being recorded."""
     return _enabled
 
 

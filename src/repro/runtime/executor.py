@@ -12,8 +12,9 @@ of the same submission, counted as ``executor.duplicate_points``),
 warm points (the result cache holds them) and analytic points (closed
 forms, cheaper than any dispatch) resolve inline first — the
 *prefilter*.  A repeat runs nothing: its position receives the first
-occurrence's result object.  Every chunk still pending then runs
-through one chunk runner, called inline, or mapped over a
+occurrence's result object.  The prefilter is a point's one store
+lookup: every chunk still pending then runs through one chunk runner,
+which simulates and persists its points, called inline, or mapped over a
 ``ThreadPoolExecutor`` when ``min(jobs, pending chunks,
 os.cpu_count()) >= 2``.  The fast tier is NumPy-vectorised and
 releases the GIL for the bulk of its time, so threads get real
@@ -126,11 +127,8 @@ def simulate_point(
     """Get-or-compute one point's :class:`LayerResult`.
 
     ``key`` is the precomputed result key when the caller already paid
-    for it (the executor's prefilter ships keys with the points so
-    chunks never recompute the digest).
+    for it.
     """
-    from repro.gpu.simulator import simulate_layer
-
     if cache is not None and _resolves_analytic(point):
         cache = None
     if cache is not None:
@@ -139,6 +137,17 @@ def simulate_point(
         hit = cache.get_result(key)
         if hit is not None:
             return hit
+    return _compute(point, cache, key)
+
+
+def _compute(point: SimPoint, cache: Optional[DiskCache], key: Optional[str]):
+    """Simulate one point and persist its result under ``key``.
+
+    The executor's chunks call this directly: their points already
+    missed the prefilter's lookup, so they are not looked up again.
+    """
+    from repro.gpu.simulator import simulate_layer
+
     result = simulate_layer(
         point.spec,
         point.mode,
@@ -320,7 +329,7 @@ class SweepExecutor:
         for (ci, missing), (out, _busy_s) in zip(pending, done):
             for (pi, _point, _key), result in zip(missing, out):
                 results[(ci, pi)] = result
-        if workers >= 2 and obs.enabled():
+        if workers >= 2:
             wall = time.perf_counter() - t0
             busy = sum(busy_s for _out, busy_s in done)
             obs.gauge(
@@ -345,7 +354,7 @@ class SweepExecutor:
                 points=len(missing),
             ):
                 out = [
-                    simulate_point(point, self.cache, key)
+                    _compute(point, self.cache, key)
                     for _pi, point, key in missing
                 ]
         finally:

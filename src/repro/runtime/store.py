@@ -55,17 +55,20 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 _PICKLE_PROTOCOL = 4
 
 
-def _atomic_write(path: Path, mode: str, write) -> None:
+def _atomic_write(path: Path, mode: str, write) -> int:
     """Write ``path`` through a temp file and ``os.replace``.
 
     Readers see the old file, the new one, or no file — never a torn
-    one.  ``write(fh)`` fills the temp file.
+    one.  ``write(fh)`` fills the temp file.  Returns the bytes
+    written.
     """
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, mode) as fh:
             write(fh)
+            size = fh.tell()
         os.replace(tmp, path)
+        return size
     except BaseException:
         try:
             os.unlink(tmp)
@@ -81,7 +84,12 @@ def default_cache_dir() -> Path:
 
 @dataclass
 class CacheStats:
-    """Hit/miss counters (this process) plus on-disk totals."""
+    """Hit/miss counters (this process) plus on-disk totals.
+
+    The counters are the registry's ``store.*`` counters (:mod:`repro.obs`),
+    so they count every store this process opened since the last
+    ``obs.reset()``; the totals are this store's inventory.
+    """
 
     result_hits: int = 0
     result_misses: int = 0
@@ -116,7 +124,6 @@ class DiskCache:
             raise ValueError(
                 f"max_bytes must be positive or None, got {self.max_bytes}"
             )
-        self._stats = CacheStats(root=str(self.root))
 
     # -- path arithmetic ------------------------------------------------
 
@@ -178,7 +185,6 @@ class DiskCache:
                 pass
             evicted += 1
         if evicted:
-            self._stats.evictions += evicted
             obs.add("store.evictions", evicted)
             _log.debug(
                 "evicted %d result(s); store now ~%d bytes (cap %d)",
@@ -196,6 +202,7 @@ class DiskCache:
         try:
             with open(path, "rb") as fh:
                 result = pickle.load(fh)
+                size = fh.tell()
         except FileNotFoundError:
             result = None
         except Exception:
@@ -206,41 +213,35 @@ class DiskCache:
                 pass
             result = None
         if result is None:
-            self._stats.result_misses += 1
             obs.add("store.result_misses")
         else:
-            self._stats.result_hits += 1
             self._touch(key)
             obs.add("store.result_hits")
-            if obs.enabled():
-                obs.add("store.result_bytes_read", self._size(key))
+            obs.add("store.result_bytes_read", size)
         return result
 
     def put_result(self, key: str, result) -> None:
         path = self._path("results", key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write(
+        size = _atomic_write(
             path, "wb",
             lambda fh: pickle.dump(result, fh, protocol=_PICKLE_PROTOCOL),
         )
         self._admit(key)
         obs.add("store.result_puts")
-        if obs.enabled():
-            obs.add("store.result_bytes_written", self._size(key))
-
-    def _size(self, key: str) -> int:
-        """On-disk size of one result (metrics only)."""
-        try:
-            return self._path("results", key).stat().st_size
-        except OSError:
-            return 0
+        obs.add("store.result_bytes_written", size)
 
     # -- maintenance ----------------------------------------------------
 
     def stats(self) -> CacheStats:
-        """Process-local hit/miss counters plus on-disk inventory."""
-        s = self._stats
-        s.result_files, s.disk_bytes = 0, 0
+        """The registry's hit/miss counters plus this store's inventory."""
+        counter = obs.registry().counter
+        s = CacheStats(
+            result_hits=counter("store.result_hits"),
+            result_misses=counter("store.result_misses"),
+            evictions=counter("store.evictions"),
+            root=str(self.root),
+        )
         for p in self._files():
             s.result_files += 1
             try:

@@ -21,10 +21,11 @@ received an exact one, so the two tiers never share a slot.
 
 Metrics
 -------
-The service keeps its own always-on counters and latency histogram
-(the :mod:`repro.obs` registry is a no-op unless explicitly enabled)
-and mirrors every bump into ``obs`` so manifests and ``--metrics-out``
-see the same numbers when observability is on.
+The ``serve.*`` counters live in the :mod:`repro.obs` registry, the
+one place a count lives, so ``/metrics``, manifests and
+``--metrics-out`` read the same numbers.  The registry is per process,
+as a server runs one service.  Only the latency histogram is the
+service's own.
 """
 
 from __future__ import annotations
@@ -50,6 +51,15 @@ from repro.serve.schema import (
     parse_query,
     query_point,
     result_payload,
+)
+
+#: The counters ``/metrics`` reports under ``serve``, 0 until bumped.
+SERVE_COUNTERS = (
+    "serve.requests",
+    "serve.coalesced",
+    "serve.simulations",
+    "serve.sweeps",
+    "serve.errors",
 )
 
 #: Latency histogram bucket upper bounds, seconds.  Spans the analytic
@@ -146,33 +156,18 @@ class QueryService:
         )
         self._inflight: Dict[str, _InFlight] = {}
         self._lock = threading.Lock()
-        self._counters: Dict[str, int] = {
-            "serve.requests": 0,
-            "serve.coalesced": 0,
-            "serve.simulations": 0,
-            "serve.sweeps": 0,
-            "serve.errors": 0,
-        }
         self.latency = _LatencyHistogram()
         self.jobs = JobQueue(self._run_sweep, workers=self.config.job_workers)
 
     # -- instrumentation ------------------------------------------------
 
-    def _bump(self, name: str, delta: int = 1) -> None:
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + delta
-        obs.add(name, delta)
-
-    def counters(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._counters)
-
     def metrics(self) -> Dict[str, Any]:
         """The ``/metrics`` payload: serve, store, and obs views."""
+        counter = obs.registry().counter
         payload: Dict[str, Any] = {
             "schema_version": SCHEMA_VERSION,
             "serve": dict(
-                self.counters(),
+                {name: counter(name) for name in SERVE_COUNTERS},
                 queue_depth=self.jobs.depth(),
                 latency=self.latency.as_dict(),
             ),
@@ -193,12 +188,12 @@ class QueryService:
     def query(self, payload: Any) -> Dict[str, Any]:
         """Answer one query (validates, coalesces, simulates)."""
         started = time.perf_counter()
-        self._bump("serve.requests")
+        obs.add("serve.requests")
         try:
             query = parse_query(payload)
             result = self._answer(query)
         except BaseException:
-            self._bump("serve.errors")
+            obs.add("serve.errors")
             raise
         finally:
             self.latency.observe(time.perf_counter() - started)
@@ -215,7 +210,7 @@ class QueryService:
                 self._inflight[key] = slot
         assert slot is not None
         if not leader:
-            self._bump("serve.coalesced")
+            obs.add("serve.coalesced")
             slot.event.wait()
             if slot.error is not None:
                 raise slot.error
@@ -224,7 +219,7 @@ class QueryService:
             # echo their own (equal) query object back.
             return dict(slot.payload, query=query.as_dict())
         try:
-            self._bump("serve.simulations")
+            obs.add("serve.simulations")
             result = simulate_point(point, self.cache)
             slot.payload = result_payload(query, result)
             return slot.payload
@@ -250,7 +245,7 @@ class QueryService:
         if not isinstance(raw, list) or not raw:
             raise SchemaError("'queries' must be a non-empty array")
         queries = [parse_query(item) for item in raw]
-        self._bump("serve.sweeps")
+        obs.add("serve.sweeps")
         return self.jobs.submit(queries)
 
     def _run_sweep(

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.gpu.cache import CacheStats, SetAssociativeCache
+from repro.gpu.cache import CacheStats, SetAssociativeCache, cache_geometry
+from repro.gpu.config import TITAN_V
 
 
 def cache(capacity=1024, assoc=2, line=128):
@@ -24,6 +25,16 @@ class TestGeometry:
         assert c.line_of(0) == 0
         assert c.line_of(127) == 0
         assert c.line_of(128) == 1
+
+    def test_table_iii_geometry(self):
+        """The fast path's fold reads this rule without building a cache:
+        a 128 KB 4-way L1 has 256 sets, and a 4.5 MB 24-way L2's 1536
+        sets round down to 1024."""
+        l1 = (TITAN_V.l1_bytes, TITAN_V.l1_assoc, TITAN_V.l1_line_bytes)
+        l2 = (TITAN_V.l2_bytes, TITAN_V.l2_assoc, TITAN_V.l2_line_bytes)
+        assert cache_geometry(*l1) == (7, 255)
+        assert cache_geometry(*l2) == (7, 1023)
+        assert SetAssociativeCache(*l2).num_sets == 1024
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -99,41 +110,3 @@ class TestStats:
             c.access(line)
         for line in range(8):
             assert c.access(line)
-
-
-class TestMshrAccounting:
-    def test_merge_within_window(self):
-        c = cache(capacity=1024, assoc=4, line=128)
-        c.mshr_window = 4
-        c.access(1)  # miss
-        assert c.access(1)  # hit 1 access after the miss -> merge
-        assert c.stats.mshr_merges == 1
-        assert c.stats.demand_hits == 0
-
-    def test_hit_after_window_is_demand_hit(self):
-        c = SetAssociativeCache(1024, 4, 128, mshr_window=2)
-        c.access(1)
-        c.access(2)
-        c.access(3)
-        assert c.access(1)  # 3 accesses later: fill completed
-        assert c.stats.mshr_merges == 0
-        assert c.stats.demand_hits == 1
-
-    def test_disabled_by_default(self):
-        c = cache()
-        c.access(1)
-        c.access(1)
-        assert c.stats.mshr_merges == 0
-        assert c.stats.hits == 1
-
-    def test_flush_clears_mshr_state(self):
-        c = SetAssociativeCache(1024, 4, 128, mshr_window=100)
-        c.access(1)
-        c.flush()
-        c.access(1)  # miss again
-        assert c.access(1)
-        assert c.stats.mshr_merges == 1  # merge with the *new* miss
-
-    def test_negative_window_rejected(self):
-        with pytest.raises(ValueError, match="mshr_window"):
-            SetAssociativeCache(1024, 4, 128, mshr_window=-1)

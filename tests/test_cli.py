@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -117,3 +119,41 @@ class TestRuntimeFlags:
         assert "removed 1" in capsys.readouterr().out
         assert main(["cache", "stats", "--dir", str(cache_dir)]) == 0
         assert "result files:  0" in capsys.readouterr().out
+
+
+class TestManifestCache:
+    def test_cache_section_is_the_registrys_store_counters(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A cold then a warm sweep: the manifest's ``cache`` counts are
+        the registry's ``store.*`` counters, and a cold sweep looks each
+        point up once, so its misses equal its puts."""
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        runs = {}
+        for run in ("cold", "warm"):
+            assert main(
+                ["experiment", "figure11", "--max-ctas", "1",
+                 "--cache-dir", str(tmp_path / "cache"),
+                 "--metrics-out", str(tmp_path / f"{run}.json")]
+            ) == 0
+            capsys.readouterr()
+            manifest = json.loads(
+                (tmp_path / f"{run}.manifest.json").read_text()
+            )
+            runs[run] = manifest["cache"], manifest["metrics"]["counters"]
+        for cache, counters in runs.values():
+            assert cache["result_hits"] == counters.get("store.result_hits", 0)
+            assert cache["result_misses"] == (
+                counters.get("store.result_misses", 0)
+            )
+        cold_cache, cold = runs["cold"]
+        puts = cold["store.result_puts"]
+        assert puts > 0
+        assert (cold_cache["result_hits"], cold_cache["result_misses"]) == (
+            0, puts
+        )
+        warm_cache, warm = runs["warm"]
+        assert (warm_cache["result_hits"], warm_cache["result_misses"]) == (
+            puts, 0
+        )
+        assert "store.result_puts" not in warm

@@ -11,6 +11,7 @@ read back from the persistent cache, for every elimination mode
 import pytest
 
 from tests.conftest import make_spec
+from repro import obs
 from repro.analysis.sweeps import lhb_size_sweep
 from repro.gpu import simulator
 from repro.gpu.config import SimulationOptions
@@ -149,6 +150,7 @@ def test_mode_equivalence_through_runtime(tmp_path, mode, entries):
 
     # Through the persistent cache: cold write, warm read.
     cache = DiskCache(tmp_path / "cache")
+    obs.reset()
     cold = simulate_point(point, cache)
     warm = simulate_point(point, cache)
     for result in (cold, warm):

@@ -155,12 +155,17 @@ def test_arch_echoed_verbatim_and_changes_the_answer(service):
     assert turing["stats"] != volta["stats"]
 
 
+def _counter(name):
+    return obs.registry().counter(name)
+
+
 def test_query_validation_errors_counted(service):
     with pytest.raises(SchemaError):
         service.query({"network": "yolo"})
-    counters = service.counters()
-    assert counters["serve.errors"] == 1
-    assert counters["serve.requests"] == 1
+    assert _counter("serve.errors") == 1
+    assert _counter("serve.requests") == 1
+    serve = service.metrics()["serve"]
+    assert serve["serve.errors"] == serve["serve.requests"] == 1
 
 
 def test_concurrent_identical_cold_queries_coalesce(service, monkeypatch):
@@ -196,18 +201,17 @@ def test_concurrent_identical_cold_queries_coalesce(service, monkeypatch):
     # leader's slot, so the count below is deterministic.
     deadline = time.monotonic() + 30
     while time.monotonic() < deadline:
-        if service.counters()["serve.coalesced"] == n - 1:
+        if _counter("serve.coalesced") == n - 1:
             break
         time.sleep(0.005)
     gate.set()
     for t in threads:
         t.join(30)
     assert not errors
-    counters = service.counters()
     assert len(calls) == 1
-    assert counters["serve.simulations"] == 1
-    assert counters["serve.coalesced"] == n - 1
-    assert counters["serve.requests"] == n
+    assert _counter("serve.simulations") == 1
+    assert _counter("serve.coalesced") == n - 1
+    assert _counter("serve.requests") == n
     assert all(p == payloads[0] for p in payloads)
 
 
@@ -269,7 +273,7 @@ def test_leader_failure_propagates_to_followers(service, monkeypatch):
         t.start()
     deadline = time.monotonic() + 30
     while time.monotonic() < deadline:
-        if service.counters()["serve.coalesced"] == 2:
+        if _counter("serve.coalesced") == 2:
             break
         time.sleep(0.005)
     gate.set()
@@ -277,7 +281,7 @@ def test_leader_failure_propagates_to_followers(service, monkeypatch):
         t.join(30)
     assert len(errors) == 3
     assert all("engine exploded" in str(e) for e in errors)
-    assert service.counters()["serve.errors"] == 3
+    assert _counter("serve.errors") == 3
 
 
 # ----------------------------------------------------------------------
@@ -497,6 +501,22 @@ def test_http_query_and_errors(server):
     assert "arch" in err["error"]
     assert _http(base + "/nope")[0] == 404
     assert _http(base + "/jobs/job-424242")[0] == 404
+
+
+def test_fresh_service_metrics_zero_fill_every_serve_counter(server):
+    """``/metrics`` reads its counters from the registry; before any
+    request each of the five reads 0 rather than going missing."""
+    base, _svc = server
+    status, metrics = _http(base + "/metrics")
+    assert status == 200
+    names = {
+        "serve.requests", "serve.coalesced", "serve.simulations",
+        "serve.sweeps", "serve.errors",
+    }
+    assert set(metrics["serve"]) == names | {"queue_depth", "latency"}
+    assert {name: metrics["serve"][name] for name in names} == (
+        dict.fromkeys(names, 0)
+    )
 
 
 def test_http_sweep_lifecycle_and_metrics(server):
