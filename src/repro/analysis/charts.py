@@ -15,7 +15,6 @@ from repro.analysis.experiments import Experiment
 
 #: Glyph per bar cell.
 FULL_BLOCK = "#"
-_EMPTY = " "
 
 
 def _fmt(value: float, percent: bool) -> str:

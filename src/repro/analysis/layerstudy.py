@@ -95,10 +95,11 @@ def study_layer(
     batch-invariant; see ``tests/test_duplication.py``) to keep the
     exact enumeration cheap.  ``gpu``/``kernel`` select the machine
     model (pass an :data:`repro.gpu.config.ARCHS` preset's pair for a
-    non-Volta dossier); the census and roofline stay geometry-level.
+    non-Volta dossier) for the simulations and the roofline; the
+    census stays geometry-level.
     """
     census = duplication_census(spec.with_batch(1))
-    point = roofline_point(spec)
+    point = roofline_point(spec, gpu)
     baseline = simulate_layer(
         spec, EliminationMode.BASELINE, gpu=gpu, kernel=kernel,
         options=options,

@@ -18,7 +18,6 @@ from typing import List, Sequence
 from repro.conv.gemm import explicit_gemm_footprint, implicit_gemm_footprint
 from repro.conv.layer import ConvLayerSpec
 from repro.gpu.config import GPUConfig, TITAN_V
-from repro.gpu.tensor_core import TensorCoreModel
 
 
 @dataclass(frozen=True)
@@ -51,9 +50,10 @@ def roofline_point(
     ``implicit=False`` charges the explicit workspace traffic (what
     the paper's baseline kernel streams); ``implicit=True`` charges
     only the unique data (the best any deduplication could reach).
+    The peak is the preset's tensor-core rate, ``macs_per_sm_cycle``
+    MACs (two FLOPs each) per SM per cycle across ``num_sms`` SMs.
     """
-    tc = TensorCoreModel(gpu)
-    peak = tc.peak_tflops()
+    peak = 2 * gpu.macs_per_sm_cycle * gpu.num_sms * gpu.clock_hz / 1e12
     bw_gbps = gpu.dram_bandwidth_gbps
     balance = peak * 1e12 / (bw_gbps * 1e9)
 

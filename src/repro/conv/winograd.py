@@ -132,10 +132,6 @@ F_4X4_3X3 = WinogradVariant(
 #: Default algorithm (what the figures' Winograd bars model).
 DEFAULT_VARIANT = F_2X2_3X3
 
-#: Kept for backwards compatibility with the cost model.
-TILE_OUT = DEFAULT_VARIANT.tile_out
-TILE_IN = DEFAULT_VARIANT.tile_in
-
 
 def winograd_applicable(spec: ConvLayerSpec) -> bool:
     """True if Winograd convolution can run this layer.

@@ -23,7 +23,9 @@ Organisations: direct-mapped (the paper's default), N-way
 set-associative with LRU (Figure 12), and unbounded oracle
 (``num_entries=None``).  The paper's 1024-entry direct-mapped default
 indexes with the low 10 bits of the element ID and tags with the rest
-plus the batch ID and PID; we keep exactly that split.
+plus the batch ID and PID; we keep exactly that split.  The buffer's
+bit widths (Section V-H) are accounted once, in
+:class:`repro.energy.model.AreaModel`.
 """
 
 from __future__ import annotations
@@ -34,9 +36,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 Tag = Tuple[int, int, int]  # (element_id, batch_id, pid)
-
-#: Lifetime value meaning "registers never retire" (theoretical bound).
-INFINITE_LIFETIME = None
 
 
 def vector_set_indices(
@@ -367,46 +366,6 @@ class LoadHistoryBuffer:
         if self._lazy_sets is None:
             return 0
         return sum(self._alive(e) for ways in self._lazy_sets for e in ways)
-
-    def tag_bits(
-        self,
-        element_bits: int = 32,
-        batch_bits: int = 10,
-        pid_bits: int = 10,
-    ) -> int:
-        """Stored tag width: each field is explicit, none baked in.
-
-        The element ID's low ``log2(num_sets)`` bits are implied by
-        the set index and not stored; the batch ID and PID widths are
-        parameters so the Section V-H area accounting in
-        :mod:`repro.energy` composes the *same* fields rather than
-        hiding the PID inside an opaque 42-bit constant.  Paper
-        default (1024 entries, direct-mapped): 22 upper element bits
-        + 10 batch + 10 PID = 42.
-        """
-        if self.is_oracle:
-            raise ValueError("oracle LHB has no physical storage")
-        index_bits = max(0, self.num_sets.bit_length() - 1)
-        return (element_bits - index_bits) + batch_bits + pid_bits
-
-    def storage_bits(
-        self,
-        element_bits: int = 32,
-        batch_bits: int = 10,
-        pid_bits: int = 10,
-        reg_bits: int = 10,
-    ) -> int:
-        """Raw storage of the buffer (Section V-H area accounting).
-
-        ``tag_bits`` per entry (see :meth:`tag_bits`) plus the 10-bit
-        physical register payload.  1024-entry direct-mapped default:
-        1024 x (42 + 10) bits.
-        """
-        if self.is_oracle:
-            raise ValueError("oracle LHB has no physical storage")
-        return self.num_entries * (
-            self.tag_bits(element_bits, batch_bits, pid_bits) + reg_bits
-        )
 
     def __repr__(self) -> str:
         size = "oracle" if self.is_oracle else str(self.num_entries)

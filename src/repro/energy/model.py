@@ -18,13 +18,15 @@ simulator measures:
 The area model compares the LHB's SRAM bits against the 256 KB
 register file, whose multi-ported cells are denser per bit of storage
 but larger per bit of area; the cell-area ratio is the one calibrated
-constant (EXPERIMENTS.md).
+constant (EXPERIMENTS.md).  :meth:`AreaModel.tag_bits` is the one
+derivation of the LHB's stored tag width, and :class:`EnergyModel`'s
+``rf_write_pj``/``rf_read_pj`` are the one register-file energy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.gpu.config import GPUConfig, TITAN_V
 from repro.gpu.stats import LayerStats
@@ -34,9 +36,11 @@ from repro.gpu.stats import LayerStats
 class EnergyModel:
     """Per-event energies in picojoules (McPAT/CACTI-class values)."""
 
-    #: Register-file write of one 32-byte fragment.
+    #: Register-file write of one 32-byte fragment: 29 pJ per
+    #: 128-byte warp register, scaled to the fragment (29 * 32 / 128).
     rf_write_pj: float = 7.25
-    #: Register-file read of one fragment (MMA operand fetch).
+    #: Register-file read of one fragment (MMA operand fetch):
+    #: 27 pJ per warp register (27 * 32 / 128).
     rf_read_pj: float = 6.75
     #: L1 tag/directory probe — spent for *every* lookup, including
     #: LHB hits, because Duplo probes L1 and LHB in parallel ("except
@@ -49,7 +53,7 @@ class EnergyModel:
     l2_access_pj: float = 240.0
     #: One shared-memory fragment access (implicit GEMM).
     shared_access_pj: float = 20.0
-    #: One LHB lookup (1024 x ~52-bit direct-mapped SRAM).
+    #: One LHB lookup (1024 x 53-bit direct-mapped SRAM).
     lhb_access_pj: float = 1.5
     #: ID generation (shift/mask network) per lookup.
     idgen_pj: float = 0.5
@@ -120,11 +124,8 @@ class AreaModel:
     """LHB area relative to the SM register file (Section V-H)."""
 
     gpu: GPUConfig = TITAN_V
-    #: Tag field widths, mirroring ``LoadHistoryBuffer.tag_bits``:
-    #: the stored tag is the element ID above the set-index bits, plus
-    #: explicit batch-ID and PID fields (the PID is no longer folded
-    #: into an opaque 42-bit constant, so the two accountings cannot
-    #: silently disagree — tests assert they compose identically).
+    #: Tag field widths: the stored tag is the element ID above the
+    #: set-index bits, plus explicit batch-ID and PID fields.
     element_id_bits: int = 32
     batch_bits: int = 10
     pid_bits: int = 10
@@ -150,15 +151,18 @@ class AreaModel:
         element_bits = 32 + max(0, 5 - gpu.frag_shift)
         return cls(gpu=gpu, element_id_bits=element_bits)
 
-    def tag_bits(self, entries: int = 1024, assoc: int = 1) -> int:
+    def tag_bits(self, entries: Optional[int] = 1024, assoc: int = 1) -> int:
         """Stored tag width for a given LHB organisation.
 
-        Same derivation as ``LoadHistoryBuffer.tag_bits``: set-index
-        bits come free, batch and PID fields are stored whole.  The
-        paper's 1024-entry direct-mapped default gives 42.
+        Set-index bits come free, batch and PID fields are stored
+        whole.  The paper's 1024-entry direct-mapped default gives 42.
+        The oracle (``entries=None``) has no physical storage.
         """
-        if entries < 1:
-            raise ValueError(f"entries must be >= 1, got {entries}")
+        if entries is None or entries < 1:
+            raise ValueError(
+                f"LHB storage needs entries >= 1 (an oracle LHB has no "
+                f"physical storage), got {entries}"
+            )
         num_sets = max(1, entries // assoc)
         index_bits = max(0, num_sets.bit_length() - 1)
         return (self.element_id_bits - index_bits) + self.batch_bits + self.pid_bits

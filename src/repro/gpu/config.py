@@ -56,7 +56,6 @@ class GPUConfig:
     l1_bytes: int = 128 * 1024
     l1_assoc: int = 4
     l1_line_bytes: int = 128
-    l1_latency: int = 28
     l2_bytes: int = 4608 * 1024
     l2_assoc: int = 24
     l2_line_bytes: int = 128

@@ -46,16 +46,6 @@ KIND_NAMES = {
     LOAD_INPUT: "load_input",
 }
 
-#: Bytes moved by one event kind (fp16 fragments; fp32 output rows).
-EVENT_BYTES = {
-    LOAD_A: 32,
-    LOAD_B: 32,
-    STORE_D: 64,
-    LOAD_A_SHARED: 32,
-    LOAD_B_SHARED: 32,
-    LOAD_INPUT: 32,
-}
-
 #: Disjoint base addresses for each memory region.  Workspace
 #: addresses double as shared-memory offsets in implicit mode (the
 #: detection unit's region check works identically either way).

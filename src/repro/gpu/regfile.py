@@ -1,13 +1,10 @@
-"""Register file occupancy and access accounting.
+"""Register file occupancy (Section II-B).
 
-Two roles:
-
-* quantify the *dual-copy pressure* of Section II-B (each octet keeps
-  its own copy of shared fragments, doubling the registers a warp
-  spends on A/B operands) — and how much of it Duplo's warp-register
-  sharing gives back;
-* supply the access counts (reads/writes per fragment) the energy
-  model charges.
+Quantifies the *dual-copy pressure* of Section II-B: each octet keeps
+its own copy of shared fragments, doubling the registers a warp spends
+on A/B operands, which is what Duplo's warp-register sharing gives
+back.  Register-file access energy lives in
+:class:`repro.energy.model.EnergyModel`.
 """
 
 from __future__ import annotations
@@ -20,21 +17,13 @@ from repro.gpu.kernel import OCTET_DUPLICATION
 #: One warp-wide register: 32 threads x 32 bits.
 WARP_REGISTER_BYTES = 128
 
-#: Registers one tensor-core load fills per thread (16 halfs in eight
-#: 32-bit registers across the octet pair — Section II-B).
-REGS_PER_FRAGMENT = 8
-
 
 @dataclass(frozen=True)
 class RegisterFileModel:
-    """Occupancy/access arithmetic for the SM register file."""
+    """Occupancy arithmetic for the SM register file."""
 
     gpu: GPUConfig = TITAN_V
     kernel: KernelConfig = BASELINE_KERNEL
-    #: Access energies (pJ) per warp-register read/write — McPAT-class
-    #: numbers for a large banked SRAM register file.
-    read_energy_pj: float = 27.0
-    write_energy_pj: float = 29.0
 
     @property
     def warp_registers_per_sm(self) -> int:
@@ -58,11 +47,3 @@ class RegisterFileModel:
     def duplication_overhead(self) -> float:
         """Fraction of operand registers holding octet dual copies."""
         return (OCTET_DUPLICATION - 1) / OCTET_DUPLICATION
-
-    def fragment_write_energy_pj(self) -> float:
-        """Energy to write one loaded fragment into the register file."""
-        return self.write_energy_pj * (self.gpu.frag_bytes / WARP_REGISTER_BYTES)
-
-    def fragment_read_energy_pj(self) -> float:
-        """Energy for the MMA to read one fragment back."""
-        return self.read_energy_pj * (self.gpu.frag_bytes / WARP_REGISTER_BYTES)

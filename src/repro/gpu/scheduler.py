@@ -8,8 +8,11 @@ is the *burst order*: each scheduling turn a warp issues
 ``warp_runahead`` k-steps of loads, and turns rotate oldest-CTA-first
 across the CTAs co-resident on the SM.
 
-:func:`gto_turns` yields that order; ``repro.gpu.kernel`` consumes it
-so the interleaving the LHB observes is defined in exactly one place.
+:func:`gto_turns` yields that order turn by turn.  Trace synthesis in
+``repro.gpu.kernel`` takes only :func:`waves` from here: its
+``_span_columns`` writes the same GTO order in closed form, and
+``gto_turns`` is the reference that ``tests/trace_loop_oracle.py``
+replays to check it.
 """
 
 from __future__ import annotations

@@ -28,7 +28,6 @@ import numpy as np
 #: Geometry constants from Section II-B.
 WMMA = 16
 OCTETS_PER_WARP = 4
-THREADS_PER_OCTET = 8
 THREADGROUPS_PER_OCTET = 2
 THREADS_PER_THREADGROUP = 4
 FEDP_WIDTH = 4  # four-element dot product

@@ -30,8 +30,6 @@ from repro.serve.schema import Query
 #: order and calls ``progress(n)`` as batches of ``n`` points finish.
 Runner = Callable[[List[Query], Callable[[int], None]], List[Dict[str, Any]]]
 
-_STATES = ("queued", "running", "done", "error")
-
 
 @dataclass
 class Job:

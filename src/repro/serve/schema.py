@@ -130,13 +130,18 @@ def parse_query(payload: Any) -> Query:
     entries = _require_int(payload, "lhb_entries", 1024, 0, none_ok=True)
     if entries == 0:
         entries = None
+    assoc = _require_int(payload, "lhb_assoc", 1, 1, none_ok=False)
+    if entries is not None and entries % assoc:
+        raise SchemaError(
+            f"'lhb_assoc' {assoc} must divide 'lhb_entries' {entries}"
+        )
     return Query(
         network=network,
         layer=layer,
         arch=_require_choice(payload, "arch", DEFAULT_ARCH, ARCH_NAMES),
         mode=_require_choice(payload, "mode", "duplo", MODES),
         lhb_entries=entries,
-        lhb_assoc=_require_int(payload, "lhb_assoc", 1, 1, none_ok=False),
+        lhb_assoc=assoc,
         max_ctas=_require_int(payload, "max_ctas", None, 1, none_ok=True),
         engine=_require_choice(payload, "engine", "auto", ENGINES),
     )

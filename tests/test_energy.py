@@ -7,7 +7,6 @@ from repro.energy.model import (
     DEFAULT_AREA,
     DEFAULT_ENERGY,
     EnergyBreakdown,
-    EnergyModel,
     on_chip_energy_reduction,
 )
 from repro.gpu.stats import LayerStats
@@ -102,29 +101,32 @@ class TestAreaModel:
     def test_entries_validation(self):
         with pytest.raises(ValueError):
             DEFAULT_AREA.lhb_bits(0)
+        for entries in (0, -1):
+            with pytest.raises(ValueError, match="entries >= 1"):
+                DEFAULT_AREA.tag_bits(entries)
 
-    def test_tag_bits_agree_with_lhb_model(self):
-        """The area accounting and the behavioural LHB must derive the
-        stored tag from the same explicit field widths — for every
-        organisation, not just the paper default."""
-        from repro.core.lhb import LoadHistoryBuffer
+    def test_tag_bits_fields_are_explicit(self):
+        """22 upper element bits + 10 batch + 10 PID for the paper
+        default; no width is baked into an opaque constant."""
+        assert DEFAULT_AREA.tag_bits(1024) == 42
+        # Widening the PID field must widen the tag by the same amount.
+        assert AreaModel(pid_bits=16).tag_bits(1024) == 48
+        assert AreaModel(batch_bits=0, pid_bits=0).tag_bits(1024) == 22
 
-        for entries, assoc in [
-            (1024, 1), (1024, 4), (256, 1), (256, 2), (16, 16), (1, 1),
-        ]:
-            buf = LoadHistoryBuffer(num_entries=entries, assoc=assoc)
-            assert DEFAULT_AREA.tag_bits(entries, assoc) == buf.tag_bits(
-                element_bits=DEFAULT_AREA.element_id_bits,
-                batch_bits=DEFAULT_AREA.batch_bits,
-                pid_bits=DEFAULT_AREA.pid_bits,
-            ), (entries, assoc)
+    def test_tag_bits_tracks_set_count(self):
+        """More sets imply more index bits and a narrower stored tag."""
+        small = DEFAULT_AREA.tag_bits(16)
+        large = DEFAULT_AREA.tag_bits(1024)
+        assert small - large == 6  # 2^10 vs 2^4 sets
+        # Associativity reduces the set count, restoring tag bits.
+        assert DEFAULT_AREA.tag_bits(1024, assoc=4) == large + 2
+        # A fully associative buffer has one set and stores the whole ID.
+        assert DEFAULT_AREA.tag_bits(16, assoc=16) == 52
 
-    def test_paper_default_composition(self):
-        """1024 x (42-bit tag + 11-bit payload); the behavioural model
-        stores 10 payload bits (no valid bit — liveness is the
-        lifetime window), hence the one-bit-per-entry difference."""
-        from repro.core.lhb import LoadHistoryBuffer
+    def test_tag_bits_oracle_rejected(self):
+        with pytest.raises(ValueError, match="no physical storage"):
+            DEFAULT_AREA.tag_bits(None)
 
-        buf = LoadHistoryBuffer(num_entries=1024)
-        assert DEFAULT_AREA.tag_bits(1024) == buf.tag_bits() == 42
-        assert DEFAULT_AREA.lhb_bits(1024) - buf.storage_bits() == 1024
+    def test_oracle_has_no_storage(self):
+        with pytest.raises(ValueError, match="no physical storage"):
+            DEFAULT_AREA.lhb_bits(None)

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.analysis.layerstudy import study_layer
+from repro.analysis.roofline import roofline_point
 from repro.cli import main
 from repro.conv.workloads import get_layer
-from repro.gpu.config import SimulationOptions
+from repro.gpu.config import ARCHS, SimulationOptions
 
 from tests.conftest import make_spec
 
@@ -54,6 +55,20 @@ class TestDossier:
         assert dossier.duplo.stats.lhb_hit_rate <= (
             dossier.duplo.stats.theoretical_hit_limit + 1e-9
         )
+
+    def test_dossier_uses_the_archs_roofline(self):
+        """resnet C8 (about 194 FLOPs/byte) is compute-bound against
+        Volta's balance and memory-bound against hopper-fp8's."""
+        spec = get_layer("resnet", "C8")
+        hopper = ARCHS["hopper-fp8"]
+        dossier = study_layer(
+            spec, options=OPTIONS, gpu=hopper.gpu, kernel=hopper.kernel
+        )
+        assert dossier.roofline == roofline_point(spec, hopper.gpu)
+        assert dossier.roofline.machine_balance == pytest.approx(256.6, rel=1e-3)
+        assert dossier.roofline.memory_bound
+        assert not roofline_point(spec).memory_bound
+        assert "compute-bound" not in dossier.verdict
 
 
 class TestInspectCli:

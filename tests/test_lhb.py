@@ -85,10 +85,6 @@ class TestOracle:
             assert buf.access(e, 0, 0).hit
         assert buf.is_oracle
 
-    def test_oracle_has_no_storage(self):
-        with pytest.raises(ValueError, match="no physical storage"):
-            lhb(num_entries=None).storage_bits()
-
 
 class TestLifetime:
     def test_entry_expires_after_window(self):
@@ -211,32 +207,13 @@ class TestStatsAndMisc:
         assert buf.live_entries() == 2
 
     def test_storage_bits_paper_default(self):
+        """The storage of the paper-default buffer is costed from its own
+        geometry by the area model."""
+        from repro.energy.model import DEFAULT_AREA
+
         buf = LoadHistoryBuffer(num_entries=1024)
-        # 42-bit tag + 10-bit register ID per entry.
-        assert buf.storage_bits() == 1024 * 52
-
-    def test_tag_bits_fields_are_explicit(self):
-        """22 upper element bits + 10 batch + 10 PID for the paper
-        default; no width is baked into an opaque constant."""
-        buf = LoadHistoryBuffer(num_entries=1024)
-        assert buf.tag_bits() == 42
-        assert buf.tag_bits(element_bits=32, batch_bits=10, pid_bits=10) == 42
-        # Widening the PID field must widen the tag by the same amount.
-        assert buf.tag_bits(pid_bits=16) == 48
-        assert buf.tag_bits(batch_bits=0, pid_bits=0) == 22
-
-    def test_tag_bits_tracks_set_count(self):
-        """More sets imply more index bits and a narrower stored tag."""
-        small = LoadHistoryBuffer(num_entries=16)
-        large = LoadHistoryBuffer(num_entries=1024)
-        assert small.tag_bits() - large.tag_bits() == 6  # 2^10 vs 2^4 sets
-        # Associativity reduces the set count, restoring tag bits.
-        assoc4 = LoadHistoryBuffer(num_entries=1024, assoc=4)
-        assert assoc4.tag_bits() == large.tag_bits() + 2
-
-    def test_tag_bits_oracle_rejected(self):
-        with pytest.raises(ValueError, match="no physical storage"):
-            LoadHistoryBuffer(num_entries=None).tag_bits()
+        # 42-bit tag + 10-bit register ID + valid bit per entry.
+        assert DEFAULT_AREA.lhb_bits(buf.num_entries, buf.assoc) == 1024 * 53
 
     def test_repr_mentions_geometry(self):
         assert "1024" in repr(LoadHistoryBuffer(num_entries=1024))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis.roofline import roofline_point, roofline_table
 from repro.conv.workloads import ALL_LAYERS, get_layer
+from repro.gpu.config import ARCHS
 
 
 class TestRooflinePoint:
@@ -33,6 +34,19 @@ class TestRooflinePoint:
         # ~98 TFLOPs over 652.8 GB/s -> ~150 FLOPs/byte.
         point = roofline_point(get_layer("resnet", "C2"))
         assert point.machine_balance == pytest.approx(150.6, rel=0.02)
+
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
+    def test_peak_is_the_presets_tensor_core_rate(self, arch):
+        """Each preset's peak is its own MAC rate: 2 FLOPs per MAC,
+        ``macs_per_sm_cycle`` per SM per cycle, over every SM."""
+        gpu = ARCHS[arch].gpu
+        point = roofline_point(get_layer("yolo", "C2"), gpu)
+        assert point.peak_tflops == pytest.approx(
+            2 * gpu.macs_per_sm_cycle * gpu.num_sms * gpu.clock_hz / 1e12
+        )
+        assert point.machine_balance == pytest.approx(
+            point.peak_tflops * 1e3 / gpu.dram_bandwidth_gbps
+        )
 
     def test_utilisation_bound_in_unit_interval(self):
         for spec in ALL_LAYERS:

@@ -93,6 +93,9 @@ def _reference(body):
     # The event-level oracle is no runtime tier; "fast" aliased "auto".
     (dict(BODY, engine="fast"), "'engine'"),
     (dict(BODY, engine="event"), "'engine'"),
+    # The buffer would raise mid-simulation; the schema says 400 first.
+    (dict(BODY, lhb_entries=1024, lhb_assoc=3), "'lhb_assoc' 3 must divide"),
+    (dict(BODY, lhb_entries=8, lhb_assoc=16), "'lhb_assoc' 16 must divide"),
 ])
 def test_schema_rejects(body, fragment):
     with pytest.raises(SchemaError, match=fragment):
@@ -105,6 +108,9 @@ def test_schema_defaults_and_oracle_normalisation():
     # 0 and null both mean the paper's oracle (unbounded) buffer.
     assert parse_query(dict(BODY, lhb_entries=0)).lhb_entries is None
     assert parse_query(dict(BODY, lhb_entries=None)).lhb_entries is None
+    # The oracle has no sets, so any associativity stands with it.
+    assert parse_query(dict(BODY, lhb_entries=None, lhb_assoc=3)).lhb_assoc == 3
+    assert parse_query(dict(BODY, lhb_entries=1024, lhb_assoc=8)).lhb_assoc == 8
 
 
 def test_query_point_round_trip():
@@ -413,6 +419,12 @@ def test_sweep_validation():
             svc.submit_sweep({"queries": []})
         with pytest.raises(SchemaError, match="unknown field"):
             svc.submit_sweep({"queries": [dict(BODY, nope=1)]})
+        # A geometry the LHB rejects is refused before anything queues.
+        with pytest.raises(SchemaError, match="must divide"):
+            svc.submit_sweep(
+                {"queries": [BODY, dict(BODY, lhb_entries=1024, lhb_assoc=3)]}
+            )
+        assert svc.jobs.depth() == 0
     finally:
         svc.close()
 
@@ -499,6 +511,13 @@ def test_http_query_and_errors(server):
     status, err = _http(base + "/query", dict(BODY, arch="kepler"))
     assert status == 400
     assert "arch" in err["error"]
+    # An LHB geometry the buffer rejects is a 400, not a 500.
+    bad_geometry = dict(BODY, lhb_entries=1024, lhb_assoc=3)
+    for path, body in (("/query", bad_geometry),
+                       ("/sweep", {"queries": [bad_geometry]})):
+        status, err = _http(base + path, body)
+        assert status == 400, path
+        assert "lhb_assoc" in err["error"]
     assert _http(base + "/nope")[0] == 404
     assert _http(base + "/jobs/job-424242")[0] == 404
 
