@@ -60,8 +60,6 @@ from repro.gpu.config import (
 )
 from repro.gpu.fastpath import (
     fed_streams,
-    lhb_tags,
-    prev_in_group,
     windowed_distinct_counts,
 )
 from repro.gpu.isa import KernelTrace
@@ -125,8 +123,9 @@ class LayerProfile:
 
         self._consult_idx = np.nonzero(streams.consult)[0]
         self._element = streams.element
-        self._tag = lhb_tags(streams.element, streams.batch)
-        prev = prev_in_group(self._tag)
+        # The fold's tag links, which its replays share.
+        self._tag = streams.links.tag
+        prev = streams.links.prev
         self._has_prev = prev >= 0
         self._gap = np.where(
             self._has_prev,

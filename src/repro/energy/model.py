@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.core.lhb import LoadHistoryBuffer
 from repro.gpu.config import GPUConfig, TITAN_V
 from repro.gpu.stats import LayerStats
 
@@ -156,14 +157,16 @@ class AreaModel:
 
         Set-index bits come free, batch and PID fields are stored
         whole.  The paper's 1024-entry direct-mapped default gives 42.
-        The oracle (``entries=None``) has no physical storage.
+        The oracle (``entries=None``) has no physical storage, and a
+        geometry :class:`~repro.core.lhb.LoadHistoryBuffer` rejects
+        raises its ``ValueError``.
         """
         if entries is None or entries < 1:
             raise ValueError(
                 f"LHB storage needs entries >= 1 (an oracle LHB has no "
                 f"physical storage), got {entries}"
             )
-        num_sets = max(1, entries // assoc)
+        num_sets = LoadHistoryBuffer(num_entries=entries, assoc=assoc).num_sets
         index_bits = max(0, num_sets.bit_length() - 1)
         return (self.element_id_bits - index_bits) + self.batch_bits + self.pid_bits
 

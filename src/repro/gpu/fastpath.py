@@ -11,15 +11,21 @@ exact closed forms:
   access hits iff the *previous access to the same set* carried the
   same tag within the retirement window.  One stable sort by set index
   resolves every lookup; the same recurrence with "set = tag" is the
-  oracle buffer.  Set-associative LHBs (Figure 12's 2/4/8-way sweep)
-  resolve offline too: the buffer's dead-entry-preferring eviction
-  *is* plain LRU (an expired entry's ``last_use`` is always older than
-  any live entry's, so ``min(alive, last_use)`` equals
+  oracle buffer, which reads its hits straight off the stream's
+  previous-same-tag link.  Set-associative LHBs (Figure 12's 2/4/8-way
+  sweep) resolve offline too: the buffer's dead-entry-preferring
+  eviction *is* plain LRU (an expired entry's ``last_use`` is always
+  older than any live entry's, so ``min(alive, last_use)`` equals
   ``min(last_use)``), which restores the stack-distance
   characterisation — an entry is still resident iff fewer than
   ``assoc`` distinct tags touched its set since its previous access,
-  and a resident entry hits iff its retirement window also holds.
-  PID-tagged multi-kernel interleavings
+  and a resident entry hits iff its retirement window also holds.  In
+  set order a lookup that repeats its predecessor's tag is at stack
+  distance 0, so only the head of each run of one tag takes one capped
+  walk, which returns its LRU victim as well.  The geometry-independent
+  tag facts — the link and the count of first occurrences — are built
+  once per fold (:class:`TagLinks`) and shared by every geometry's
+  replay.  PID-tagged multi-kernel interleavings
   (:mod:`repro.gpu.multikernel`) fold the PID into the tag key and
   resolve in the same recurrences.  All of them assume the buffer
   starts empty, so the replay takes fresh buffers only.
@@ -35,10 +41,11 @@ exact closed forms:
   links (:func:`stack_depths`) until ``assoc`` distinct lines are
   seen — the walk descends the set's LRU stack, so a stream's walks
   read O(assoc) slots per access in all, in doubling vectorised
-  strides with no per-event state machine.  Associativities above ``WALK_MAX_CAP`` take the
-  exact windowed count of a merge-sort tree (:func:`window_counts`)
-  instead, which also serves the analytic tier's raw distances
-  (:func:`windowed_distinct_counts`).
+  strides with no per-event state machine.  Cache associativities
+  above ``WALK_MAX_CAP`` take the exact windowed count of a merge-sort
+  tree (:func:`window_counts`) instead, which also serves the analytic
+  tier's raw distances (:func:`windowed_distinct_counts`); the LHB
+  walks at every associativity.
 
 * **Serve-order identity** — a load is served by exactly one of
   LHB / shared memory / L1 / L2 / DRAM, so the hierarchy's streams are
@@ -143,13 +150,13 @@ def prev_in_group(group: np.ndarray) -> np.ndarray:
     links each position to its predecessor in the group.
     """
     n = len(group)
-    prev = np.full(n, -1, dtype=np.int64)
     if n < 2:
-        return prev
+        return np.full(n, -1, dtype=np.int64)
     order = stable_order(group)
     grouped = group[order]
-    same = grouped[1:] == grouped[:-1]
-    prev[order[1:][same]] = order[:-1][same]
+    prev = np.empty(n, dtype=np.int64)
+    prev[order[0]] = -1
+    prev[order[1:]] = np.where(grouped[1:] == grouped[:-1], order[:-1], -1)
     return prev
 
 
@@ -229,11 +236,13 @@ def window_counts(
         vals.reshape(size >> shift, 1 << shift).sort(axis=1, kind="stable")
 
 
-#: Caps above this resolve on the merge-sort tree (:func:`window_counts`)
-#: instead of :func:`stack_depths`: the walk reads O(m * cap) slots and
-#: the tree O(m log w).  Over L1 line streams and Zipf streams in 64
-#: sets, the walk won at every cap up to 32 and lost from 48 or 64 on,
-#: so the L2's 24-way stays on the walk.
+#: Cache caps above this resolve on the merge-sort tree
+#: (:func:`window_counts`) instead of :func:`stack_depths`: the walk
+#: reads O(m * cap) slots and the tree O(m log w).  Over L1 line streams
+#: and Zipf streams in 64 sets, the walk won at every cap up to 32 and
+#: lost from 48 or 64 on, so the L2's 24-way stays on the walk.  The
+#: LHB walks at every associativity, because the walk also names the
+#: victim (:func:`stack_slots`), which the tree cannot.
 WALK_MAX_CAP = 32
 #: Slots one vectorised walk step gathers at most (windows x stride),
 #: so a step's temporaries stay a few MB whatever the query count.
@@ -250,10 +259,13 @@ def next_in_group(prev: np.ndarray) -> np.ndarray:
     return nxt
 
 
-def stack_depths(
-    nxt: np.ndarray, lo: np.ndarray, hi: np.ndarray, cap: int
-) -> np.ndarray:
-    """``min(#distinct values in slots [lo[k], hi[k]], cap)`` per window.
+def _stack_walk(
+    nxt: np.ndarray, lo: np.ndarray, hi: np.ndarray, cap: int, slots: bool
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The capped walk down the LRU stack behind :func:`stack_depths`
+    and :func:`stack_slots`: per window, its distinct-value count (at
+    least ``cap`` once it stops early) and, if ``slots``, the slot where
+    the ``cap``-th distinct value was met (``-1`` if fewer).
 
     ``nxt[j]`` is the next slot holding slot ``j``'s value
     (``len(nxt)`` if none), so slot ``j`` is its value's last
@@ -268,17 +280,19 @@ def stack_depths(
     ``fastpath.walk_slots`` counter.
 
     On the windows the replay asks about, the walks stay linear in
-    the stream.  Each window ends just before a query access, and
-    either opens after the query value's previous occurrence
-    (residency) or belongs to a query that is not resident (conflict).
-    Either way the walks that read one slot belong to queries with
-    distinct values, all inside the span the last of them walked, so
-    at most ``cap`` walks read a slot: ``Q`` windows over ``m`` slots
-    gather at most ``2 * cap * m + 8 * Q`` slots.
+    the stream.  Each window ends just before a query access and opens
+    after the query value's previous occurrence (residency), at its
+    set's start for a first occurrence (the LHB's compulsory miss into
+    a full set), or belongs to a query that is not resident.  Either
+    way the walks that read one slot belong to queries with distinct
+    values, all inside the span the last of them walked, so at most
+    ``cap`` walks read a slot: ``Q`` windows over ``m`` slots gather at
+    most ``2 * cap * m + 8 * Q`` slots.
     """
     lo = np.asarray(lo, dtype=np.int64)
     hi = np.asarray(hi, dtype=np.int64)
     depth = np.zeros(len(lo), dtype=np.int64)
+    slot = np.full(len(lo), -1, dtype=np.int64) if slots else None
     active = np.nonzero(lo <= hi)[0]
     end = hi + 1  # exclusive: the walk reads down from end - 1
     stride = 8
@@ -291,21 +305,52 @@ def stack_depths(
             idx = end[w, None] - back
             seen = np.take(nxt, idx, mode="clip") > hi[w, None]
             seen &= idx >= lo[w, None]
-            depth[w] += np.count_nonzero(seen, axis=1)
+            count = np.count_nonzero(seen, axis=1)
             read += idx.size
+            if slots:
+                # A window reaches the cap in one step only, at its row's
+                # (cap - depth)-th seen slot: rows list their seen slots
+                # in order, each row's after the rows before it.
+                up = np.flatnonzero(depth[w] + count >= cap)
+                if len(up):
+                    at = np.cumsum(count) - count + (cap - 1 - depth[w])
+                    flat = np.flatnonzero(seen)[at[up]]
+                    slot[w[up]] = idx.ravel()[flat]
+            depth[w] += count
         end[active] -= stride
         active = active[(depth[active] < cap) & (end[active] > lo[active])]
         stride = min(2 * stride, _WALK_STEP_SLOTS)
     obs.add("fastpath.walk_slots", read)
-    return np.minimum(depth, cap)
+    return depth, slot
+
+
+def stack_depths(
+    nxt: np.ndarray, lo: np.ndarray, hi: np.ndarray, cap: int
+) -> np.ndarray:
+    """``min(#distinct values in slots [lo[k], hi[k]], cap)`` per window,
+    by the capped walk down the LRU stack (:func:`_stack_walk`)."""
+    return np.minimum(_stack_walk(nxt, lo, hi, cap, False)[0], cap)
+
+
+def stack_slots(
+    nxt: np.ndarray, lo: np.ndarray, hi: np.ndarray, cap: int
+) -> np.ndarray:
+    """Per window ``[lo[k], hi[k]]``, the slot of the ``cap``-th distinct
+    value met walking down from ``hi`` — the last use of the LRU entry
+    an ``assoc = cap`` set evicts next — or ``-1`` if the window holds
+    fewer than ``cap`` distinct values.  Same walk and bound as
+    :func:`stack_depths`."""
+    return _stack_walk(nxt, lo, hi, cap, True)[1]
 
 
 def _holds_at_least(
     nxt: np.ndarray, lo: np.ndarray, hi: np.ndarray, cap: int
 ) -> np.ndarray:
     """Whether each window ``[lo, hi]`` holds at least ``cap`` distinct
-    values: :func:`stack_depths` up to ``WALK_MAX_CAP``, the exact
-    count of the merge-sort tree above it (windows non-empty)."""
+    values, for :func:`lru_hit_mask`: :func:`stack_depths` up to
+    ``WALK_MAX_CAP``, the exact count of the merge-sort tree above it
+    (windows non-empty).  The LHB walks at every associativity
+    (:func:`stack_slots`)."""
     if cap <= WALK_MAX_CAP:
         return stack_depths(nxt, lo, hi, cap) >= cap
     reappearing = window_counts(nxt, lo, hi, hi + 1)
@@ -413,11 +458,64 @@ def lhb_tags(
     return tag
 
 
+class TagLinks:
+    """The geometry-independent tag facts of one lookup stream.
+
+    The link and the count are built on first use and then kept, so
+    the replays of every LHB geometry on one fold share them, and a
+    fold that no replay links never pays for the link:
+
+    * ``tag`` — :func:`lhb_tags` of the stream, rebuilt per call (one
+      multiply-add), so a fold holds no tag column between replays;
+    * ``prev`` — per lookup, the stream position of the previous lookup
+      of its tag (``-1`` for the first), from one stable grouping;
+    * ``firsts`` — the number of first occurrences, i.e. distinct tags:
+      the fold's unique workspace IDs and every geometry's compulsory
+      misses.  It is counted off ``prev`` once that exists, and by
+      :func:`distinct_count` otherwise.
+
+    Concurrent first uses may both build a fact; they build equal
+    arrays, so an instance is safe to share between threads.
+    """
+
+    def __init__(
+        self,
+        element: np.ndarray,
+        batch: np.ndarray,
+        pid: Optional[np.ndarray] = None,
+    ):
+        self.element = element
+        self.batch = batch
+        self._pid = pid
+        self._prev: Optional[np.ndarray] = None
+        self._firsts: Optional[int] = None
+
+    @property
+    def tag(self) -> np.ndarray:
+        return lhb_tags(self.element, self.batch, self._pid)
+
+    @property
+    def prev(self) -> np.ndarray:
+        if self._prev is None:
+            self._prev = prev_in_group(self.tag)
+        return self._prev
+
+    @property
+    def firsts(self) -> int:
+        if self._firsts is None:
+            if self._prev is None:
+                self._firsts = distinct_count(self.tag)
+            else:
+                self._firsts = int(np.count_nonzero(self._prev < 0))
+        return self._firsts
+
+
 def simulate_lhb_stream(
     element: np.ndarray,
     batch: np.ndarray,
     lhb: LoadHistoryBuffer,
     pid: Optional[np.ndarray] = None,
+    links: Optional[TagLinks] = None,
 ) -> np.ndarray:
     """Replay a lookup stream through a fresh ``lhb`` in closed form.
 
@@ -433,6 +531,10 @@ def simulate_lhb_stream(
     reduces to ``(element_id, batch_id)``.  The PID folds into the
     tag key only — set indexing stays a function of the element ID,
     exactly as :meth:`~repro.core.lhb.LoadHistoryBuffer._index`.
+
+    ``links`` are the stream's :class:`TagLinks` when the caller keeps
+    them across replays (a trace's fold does); omitted, the call
+    builds its own from the raw stream.
     """
     lhb.begin_closed_form()
     n = len(element)
@@ -441,26 +543,40 @@ def simulate_lhb_stream(
     if n == 0:
         return np.zeros(0, dtype=bool)
     element = np.asarray(element, dtype=np.int64)
-    tag = lhb_tags(element, batch, pid)
+    if links is None:
+        links = TagLinks(element, batch, pid)
 
-    if not lhb.is_oracle and lhb.assoc > 1:
-        return _set_associative_lhb_stream(element, tag, lhb)
+    if lhb.is_oracle:
+        # Every tag keeps its entry: a lookup hits iff its tag was
+        # looked up before, within the retirement window.
+        prev = links.prev
+        seen = prev >= 0
+        within = seen
+        if lhb.lifetime is not None:
+            within = seen & (np.arange(n, dtype=np.int64) - prev < lhb.lifetime)
+        n_hits = int(np.count_nonzero(within))
+        stats.hits += n_hits
+        stats.misses += n - n_hits
+        stats.expired_misses += int(np.count_nonzero(seen)) - n_hits
+        # Each distinct tag misses compulsorily on its first lookup
+        # (counted off the link, once it exists).
+        stats.compulsory_misses += links.firsts
+        return within
 
-    # One stable sort groups the lookups by set (tag, for the oracle);
-    # every lookup's predecessor-in-set is then simply the previous
-    # sorted neighbour, so the whole recurrence reduces to adjacent
-    # pair comparisons in sorted space.
-    group = (
-        tag if lhb.is_oracle
-        else vector_set_indices(element, lhb.num_sets, lhb.hashed_index)
-    )
+    if lhb.assoc > 1:
+        hit = _set_associative_lhb_stream(element, links, lhb)
+        stats.compulsory_misses += links.firsts
+        return hit
+
+    # One stable sort groups the lookups by set; every lookup's
+    # predecessor-in-set is then simply the previous sorted neighbour,
+    # so the whole recurrence reduces to adjacent pair comparisons in
+    # sorted space.
+    group = vector_set_indices(element, lhb.num_sets, lhb.hashed_index)
     order = stable_order(group)
     adjacent = group[order[1:]] == group[order[:-1]]  # has a predecessor
-    if lhb.is_oracle:
-        same_tag = adjacent
-    else:
-        s_tag = tag[order]
-        same_tag = adjacent & (s_tag[1:] == s_tag[:-1])
+    s_tag = links.tag[order]
+    same_tag = adjacent & (s_tag[1:] == s_tag[:-1])
     if lhb.lifetime is None:
         within = adjacent
     else:
@@ -473,22 +589,14 @@ def simulate_lhb_stream(
     stats.hits += n_hits
     stats.misses += n - n_hits
     stats.expired_misses += int((same_tag & ~within).sum())
-    if lhb.is_oracle:
-        # Adjacency already chains same-tag accesses: the group leaders
-        # are exactly the first-of-tag (compulsory) lookups.
-        stats.compulsory_misses += n - int(adjacent.sum())
-    else:
-        stats.conflict_replacements += int(
-            (adjacent & ~same_tag & within).sum()
-        )
-        # Each distinct tag misses compulsorily on its first lookup.
-        stats.compulsory_misses += distinct_count(tag)
+    stats.conflict_replacements += int((adjacent & ~same_tag & within).sum())
+    stats.compulsory_misses += links.firsts
     return hit
 
 
 def _set_associative_lhb_stream(
     element: np.ndarray,
-    tag: np.ndarray,
+    links: TagLinks,
     lhb: LoadHistoryBuffer,
 ) -> np.ndarray:
     """Offline per-set LRU resolution of a 2+-way LHB stream.
@@ -500,109 +608,107 @@ def _set_associative_lhb_stream(
     ``min(last_use)``.  The expired-tag path (remove + reallocate)
     likewise just refreshes the tag's recency.  Set membership is
     therefore the classic "``assoc`` most recently used distinct tags
-    per set", and each counter has a closed form over stack distances:
+    per set", decided over the set-grouped stream:
 
-    * **resident** — previous access to the tag exists and fewer than
-      ``assoc`` distinct tags touched the set in between (LRU
-      inclusion; decided by the same capped walk as
-      :func:`lru_hit_mask`);
-    * **hit** — resident and the previous access is within the
-      retirement window (stream positions — the LHB sequence number
-      spans all sets);
-    * **expired miss** — resident but outside the window (the entry is
-      still in the set, so the event path finds-and-removes it);
-    * **conflict replacement** — a miss of a non-resident tag in a
-      full set (``assoc``-th distinct tag already seen) whose LRU
-      victim is still live.  The victim is the ``assoc``-th most
-      recently used distinct tag, so it is live iff at least ``assoc``
-      distinct tags had their latest access inside the window — a
-      windowed last-occurrence count, which is exactly what
-      :func:`stack_depths` walks.
+    * **run members** — a lookup whose set-order predecessor carries
+      the same tag is at stack distance 0: resident at any
+      associativity, it never evicts, and it hits iff its stream gap
+      to that predecessor is under the lifetime (else an expired
+      miss).  Octet dual-loads make about half of a large layer's
+      lookups such members.
+    * **run heads** — the first lookup of each run of one tag.  A head
+      whose previous run of its tag is fewer than ``assoc`` runs back
+      is resident.  Every other head takes one capped walk over the
+      run stream (:func:`stack_slots`), from the previous run of its
+      tag + 1, or from its set's start for a compulsory miss into a
+      full set (``assoc`` distinct tags already seen), returning the
+      run of the ``assoc``-th distinct tag below it.  No such run
+      means resident: a hit iff the gap from the previous run's last
+      lookup is under the lifetime, else an expired miss.  Otherwise
+      the head misses and evicts that run's tag, the LRU entry, which
+      is a **conflict replacement** iff still live: head position −
+      the run's last position < lifetime.  With no lifetime every
+      eviction counts, so the walk's slot goes unread.
 
-    Both passes read one next-occurrence array.
-
-    Compulsory misses are the distinct tags: the buffer starts empty.
+    The previous-same-tag link comes from ``links`` (stream order) and
+    maps into set order by gathers: equal tags share a set, and the
+    stable sort keeps stream order within each set.  Compulsory misses
+    are the distinct tags, which the caller counts.
     """
-    n = len(tag)
+    n = len(element)
     stats = lhb.stats
     assoc = lhb.assoc
+    lifetime = lhb.lifetime
     sets = vector_set_indices(element, lhb.num_sets, lhb.hashed_index)
-
     order = stable_order(sets)  # set-grouped, stream order within
-    s_tag = tag[order]
-    pos = np.arange(n, dtype=np.int64)
-    prev_s = prev_in_group(s_tag)  # same tag => same set => same block
-    has_prev = prev_s >= 0
-    nxt = next_in_group(prev_s)
+    prev_pos = links.prev[order]  # stream position of the tag's previous lookup
 
-    first = ~has_prev  # first-ever occurrence of the tag (== in-set)
-    csum = np.cumsum(first)
-    stats.compulsory_misses += int(csum[-1])
+    member = np.zeros(n, dtype=bool)
+    member[1:] = prev_pos[1:] == order[:-1]
+    heads = np.flatnonzero(~member)  # set slot of each run's head
+    runs = len(heads)
+    first_pos = order[heads]  # stream position of each run's head
+    last_pos = np.empty(runs, dtype=np.int64)  # ... and of its last lookup
+    last_pos[:-1] = order[heads[1:] - 1]
+    last_pos[-1] = order[-1]
 
-    # Residency: windows shorter than assoc short-circuit; the rest
-    # walk the window for assoc distinct tags, as lru_hit_mask does.
-    window = pos - prev_s - 1  # same-set accesses strictly in between
-    resident = has_prev & (window < assoc)
-    residual = has_prev & ~resident
-    if residual.any():
-        qi = pos[residual]
-        full = _holds_at_least(nxt, prev_s[residual] + 1, qi - 1, assoc)
-        resident[qi[~full]] = True
+    # Members: stack distance 0, so the lifetime alone decides.
+    hit_s = member.copy()
+    if lifetime is not None:
+        mi = np.flatnonzero(member)
+        hit_s[mi] = order[mi] - order[mi - 1] < lifetime
+    member_hits = int(np.count_nonzero(hit_s))
 
-    # Retirement window: gaps are stream positions (the LHB sequence
-    # number counts every lookup, whichever set it lands in).
-    within = np.zeros(n, dtype=bool)
-    ip = np.nonzero(has_prev)[0]
-    if lhb.lifetime is None:
-        within[ip] = True
+    # Heads: the previous run of each head's tag, by its last position.
+    run_of_last = np.empty(n, dtype=np.int64)
+    run_of_last[last_pos] = np.arange(runs, dtype=np.int64)
+    head_prev = prev_pos[heads]
+    prev_run = np.where(head_prev >= 0, run_of_last[head_prev], -1)
+    seen = np.flatnonzero(prev_run >= 0)
+    wide = seen[seen - prev_run[seen] > assoc]  # >= assoc runs between
+
+    # Compulsory heads: the set is full once assoc distinct tags, each
+    # first seen at a compulsory head, precede the head in its set.
+    compulsory = np.flatnonzero(prev_run < 0)
+    c_set = sets[first_pos[compulsory]]
+    new_set = np.ones(len(compulsory), dtype=bool)
+    new_set[1:] = c_set[1:] != c_set[:-1]
+    rank = np.arange(len(compulsory), dtype=np.int64)
+    set_first = np.maximum.accumulate(np.where(new_set, rank, 0))
+    full = rank - set_first >= assoc
+
+    evictions = 0
+    queries, lo = wide, prev_run[wide] + 1
+    if lifetime is None:
+        # Every eviction counts, so a compulsory miss needs no victim.
+        evictions += int(np.count_nonzero(full))
     else:
-        within[ip] = (order[ip] - order[prev_s[ip]]) < lhb.lifetime
+        queries = np.concatenate([queries, compulsory[full]])
+        lo = np.concatenate([lo, compulsory[set_first[full]]])
+    resident = np.ones(runs, dtype=bool)
+    if len(queries):
+        victim = stack_slots(next_in_group(prev_run), lo, queries - 1, assoc)
+        evicts = victim >= 0
+        resident[queries[evicts]] = False
+        if lifetime is None:
+            evictions += int(np.count_nonzero(evicts))
+        else:
+            age = first_pos[queries[evicts]] - last_pos[victim[evicts]]
+            evictions += int(np.count_nonzero(age < lifetime))
+    stats.conflict_replacements += evictions
 
-    hit_s = resident & within
-    hit = np.zeros(n, dtype=bool)
-    hit[order] = hit_s
-    n_hits = int(hit_s.sum())
+    stay = seen[resident[seen]]
+    head_hit = stay
+    if lifetime is not None:
+        head_hit = stay[first_pos[stay] - last_pos[prev_run[stay]] < lifetime]
+    hit_s[heads[head_hit]] = True
+    n_hits = member_hits + len(head_hit)
     stats.hits += n_hits
     stats.misses += n - n_hits
-    stats.expired_misses += int((resident & ~within).sum())
+    stats.expired_misses += (n - runs - member_hits) + len(stay) - len(head_hit)
 
-    # Conflict replacements: misses of non-resident tags in full sets.
-    s_sets = sets[order]
-    new_block = np.ones(n, dtype=bool)
-    new_block[1:] = s_sets[1:] != s_sets[:-1]
-    block_id = np.cumsum(new_block) - 1
-    bstart = pos[new_block][block_id]  # block start per sorted slot
-    distinct_before = (csum - first) - (csum[bstart] - first[bstart])
-    evict = ~resident & (distinct_before >= assoc)
-    if evict.any():
-        if lhb.lifetime is None:
-            stats.conflict_replacements += int(evict.sum())
-        else:
-            ei = pos[evict]
-            # First in-window slot of each evicting miss's set block:
-            # per-block offsets keep the (block, stream position) key
-            # monotone for one global searchsorted.  Positions ascend
-            # within each block and stay below n.
-            big = np.int64(n + 1)
-            aug = block_id * big + order
-            first_in_window = np.searchsorted(
-                aug, block_id[ei] * big + (order[ei] - lhb.lifetime),
-                side="right",
-            )
-            # A window opening before the stream start underflows into
-            # the previous set's block; the block start is the floor.
-            first_in_window = np.maximum(first_in_window, bstart[ei])
-            # Windows with fewer than assoc slots cannot hold assoc
-            # live members — drop them before the counting pass.
-            wide = (ei - first_in_window) >= assoc
-            ei, first_in_window = ei[wide], first_in_window[wide]
-            if len(ei):
-                # Live members = distinct tags whose *latest* access
-                # before the miss sits inside the window: slots j in
-                # [first_in_window, ei) with no later same-tag slot
-                # < ei.
-                live = _holds_at_least(nxt, first_in_window, ei - 1, assoc)
-                stats.conflict_replacements += int(live.sum())
+    hit = np.empty(n, dtype=bool)
+    hit[order] = hit_s
     return hit
 
 
@@ -704,9 +810,18 @@ class _FedStreams:
     consult: np.ndarray  # bool, per load (empty without lookups)
     shared: np.ndarray  # bool, per load
     lines: np.ndarray  # int64 L1 line IDs, per non-shared load
-    element: np.ndarray  # int64, per LHB lookup
-    batch: np.ndarray
+    links: TagLinks  # the LHB lookups (element, batch) and their tag facts
     first: Optional[np.ndarray]  # bool, per load (instruction granularity)
+
+    @property
+    def element(self) -> np.ndarray:
+        """int64 element ID per LHB lookup."""
+        return self.links.element
+
+    @property
+    def batch(self) -> np.ndarray:
+        """int64 batch ID per LHB lookup."""
+        return self.links.batch
 
     def for_mode(
         self, mode: EliminationMode, fragment: Optional[np.ndarray] = None
@@ -724,18 +839,20 @@ class _FedStreams:
         if mode is EliminationMode.BASELINE:
             none = _cat([], np.int64)
             return replace(
-                self, consult=_cat([], bool), element=none, batch=none,
+                self, consult=_cat([], bool), links=TagLinks(none, none),
                 first=None,
             )
         element = fragment if self.first is None else fragment[self.first]
         element.flags.writeable = False
         # Every load consults, all in batch 0: read-only broadcasts, so
-        # the view adds only ``element`` to the fold's memory.
+        # the view adds only ``element`` (and its links, once a replay
+        # builds them) to the fold's memory.
         return replace(
             self,
             consult=np.broadcast_to(True, self.totals.loads),
-            element=element,
-            batch=np.broadcast_to(np.int64(0), len(element)),
+            links=TagLinks(
+                element, np.broadcast_to(np.int64(0), len(element))
+            ),
         )
 
     def hierarchy(self, eliminated: np.ndarray) -> Tuple[int, int, int]:
@@ -752,7 +869,9 @@ class _FedStreams:
         """Run the global recurrences (LHB, LRU stack distances)."""
         eliminated = np.zeros(self.totals.loads, dtype=bool)
         if lhb is not None:
-            hit = simulate_lhb_stream(self.element, self.batch, lhb)
+            hit = simulate_lhb_stream(
+                self.element, self.batch, lhb, links=self.links
+            )
             if self.first is not None:
                 # A looked-up instruction start decides its instruction.
                 group_hit = np.zeros(np.count_nonzero(self.first), dtype=bool)
@@ -880,11 +999,14 @@ class _StreamAccumulator:
     def fold(self) -> _FedStreams:
         """The fed blocks as DUPLO's read-only streams.
 
-        Every untranslated workspace instruction counts as its own
-        unique ID.
+        DUPLO's distinct lookup tags are the translated unique IDs
+        (:attr:`TagLinks.firsts`, which every LHB replay of the fold
+        reuses as its compulsory misses), and every untranslated
+        workspace instruction counts as its own unique ID.
         """
-        element = _cat(self._element, np.int64)
-        batch = _cat(self._batch, np.int64)
+        links = TagLinks(
+            _cat(self._element, np.int64), _cat(self._batch, np.int64)
+        )
         totals = StreamTotals(
             gpu=self._gpu,
             loads=self._loads,
@@ -893,8 +1015,7 @@ class _StreamAccumulator:
             stores=self._stores,
             workspace_instructions=self._ws_instrs,
             unique_workspace_ids=(
-                distinct_count(batch * (1 << 44) + element)
-                + self._ws_instrs - len(element)
+                links.firsts + self._ws_instrs - len(links.element)
             ),
         )
         return _FedStreams(
@@ -906,8 +1027,7 @@ class _StreamAccumulator:
             consult=_cat(self._consult, bool),
             shared=_cat(self._shared, bool),
             lines=_cat(self._lines, np.int64),
-            element=element,
-            batch=batch,
+            links=links,
             first=_cat(self._first, bool) if self._instruction else None,
         )
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.lhb import LoadHistoryBuffer
 from repro.energy.model import (
     AreaModel,
     DEFAULT_AREA,
@@ -122,6 +123,17 @@ class TestAreaModel:
         assert DEFAULT_AREA.tag_bits(1024, assoc=4) == large + 2
         # A fully associative buffer has one set and stores the whole ID.
         assert DEFAULT_AREA.tag_bits(16, assoc=16) == 52
+
+    @pytest.mark.parametrize("entries,assoc", [(1024, 3), (1024, 2048)])
+    def test_tag_bits_rejects_what_the_buffer_rejects(self, entries, assoc):
+        """3 ways do not divide 1024 entries, and 2048 ways leave no
+        set: the buffer refuses both, so their widths do not exist."""
+        with pytest.raises(ValueError, match="must divide num_entries"):
+            LoadHistoryBuffer(num_entries=entries, assoc=assoc)
+        with pytest.raises(ValueError, match="must divide num_entries"):
+            DEFAULT_AREA.tag_bits(entries, assoc)
+        with pytest.raises(ValueError, match="must divide num_entries"):
+            DEFAULT_AREA.lhb_bits(entries, assoc)
 
     def test_tag_bits_oracle_rejected(self):
         with pytest.raises(ValueError, match="no physical storage"):

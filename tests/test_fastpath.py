@@ -30,6 +30,7 @@ from repro.gpu.fastpath import (
     simulate_lhb_stream,
     stable_order,
     stack_depths,
+    stack_slots,
     window_counts,
 )
 from repro.gpu.kernel import generate_sm_trace
@@ -110,8 +111,8 @@ class TestPrevInGroup:
 def _brute_window_counts(values, lo, hi, thr):
     return np.array(
         [
-            np.count_nonzero(values[l : h + 1] < t) if l <= h else 0
-            for l, h, t in zip(lo.tolist(), hi.tolist(), thr.tolist())
+            np.count_nonzero(values[a : h + 1] < t) if a <= h else 0
+            for a, h, t in zip(lo.tolist(), hi.tolist(), thr.tolist())
         ],
         dtype=np.int64,
     )
@@ -221,13 +222,36 @@ class TestStackDepths:
         (small steps force chunked rows and a capped stride)."""
         values, lo, hi, cap = case
         expected = [
-            min(len(set(values[l:h + 1].tolist())), cap) if l <= h else 0
-            for l, h in zip(lo.tolist(), hi.tolist())
+            min(len(set(values[a:h + 1].tolist())), cap) if a <= h else 0
+            for a, h in zip(lo.tolist(), hi.tolist())
         ]
         saved = fastpath._WALK_STEP_SLOTS
         fastpath._WALK_STEP_SLOTS = step_slots
         try:
             got = stack_depths(_brute_next(values), lo, hi, cap)
+        finally:
+            fastpath._WALK_STEP_SLOTS = saved
+        np.testing.assert_array_equal(got, expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=walk_cases(), step_slots=st.sampled_from([8, 1 << 18]))
+    def test_slots_match_brute_force(self, case, step_slots):
+        """``stack_slots``: the slot where the walk down from ``hi``
+        meets its ``cap``-th distinct value, ``-1`` if it never does."""
+        values, lo, hi, cap = case
+        expected = []
+        for a, h in zip(lo.tolist(), hi.tolist()):
+            met, slot = set(), -1
+            for j in range(h, a - 1, -1):
+                met.add(int(values[j]))
+                if len(met) == cap:
+                    slot = j
+                    break
+            expected.append(slot)
+        saved = fastpath._WALK_STEP_SLOTS
+        fastpath._WALK_STEP_SLOTS = step_slots
+        try:
+            got = stack_slots(_brute_next(values), lo, hi, cap)
         finally:
             fastpath._WALK_STEP_SLOTS = saved
         np.testing.assert_array_equal(got, expected)
@@ -264,6 +288,17 @@ def _anchored_hot_set(assoc, sets, n, gap=400):
     return hot * sets
 
 
+def _fresh_into_full_set(assoc, sets, n, every=50):
+    """Set 0 cycles through ``assoc - 1`` hot lines and takes a line
+    never seen before every ``every`` accesses: each new line is a
+    compulsory miss into a full set, whose walk from the set's start
+    reads back past the hot lines to the previous new one."""
+    lines = np.arange(n, dtype=np.int64) % (assoc - 1)
+    fresh = lines[::every]
+    lines[::every] = assoc + np.arange(len(fresh), dtype=np.int64)
+    return lines * sets
+
+
 class TestWalkSlots:
     """The walk's read bound, ``2 * (cap + 1) * m + 8 * Q`` slots for
     ``Q`` windows over ``m`` slots, on streams built against it."""
@@ -272,13 +307,13 @@ class TestWalkSlots:
     def walks(self, monkeypatch):
         """Every walk's ``(m, Q)``, with the counter recording."""
         seen = []
-        walk = fastpath.stack_depths
+        walk = fastpath._stack_walk
 
-        def spy(nxt, lo, hi, cap):
+        def spy(nxt, lo, hi, cap, slots):
             seen.append((len(nxt), int(np.count_nonzero(lo <= hi))))
-            return walk(nxt, lo, hi, cap)
+            return walk(nxt, lo, hi, cap, slots)
 
-        monkeypatch.setattr(fastpath, "stack_depths", spy)
+        monkeypatch.setattr(fastpath, "_stack_walk", spy)
         obs.reset()
         obs.enable()
         yield seen
@@ -303,10 +338,13 @@ class TestWalkSlots:
         lru_hit_mask(lines, cache.set_mask, assoc)
         self._assert_bound(walks, assoc)
 
-    @pytest.mark.parametrize("assoc", [2, 8, 32])
-    @pytest.mark.parametrize("stream", [_cyclic_one_set, _anchored_hot_set])
+    @pytest.mark.parametrize("assoc", [2, 8, 32, 64])
+    @pytest.mark.parametrize(
+        "stream", [_cyclic_one_set, _anchored_hot_set, _fresh_into_full_set]
+    )
     def test_lhb_streams(self, walks, assoc, stream):
-        """Residency and live-victim passes of a one-set LHB."""
+        """The one walk of a one-set LHB, victims included, at every
+        associativity: 64 ways exceed ``WALK_MAX_CAP`` and still walk."""
         element = stream(max(assoc, 3), 1, 6000)
         lhb = LoadHistoryBuffer(num_entries=assoc, assoc=assoc, lifetime=700)
         simulate_lhb_stream(element, np.zeros_like(element), lhb)
@@ -328,7 +366,7 @@ class TestLruHitMask:
         for trial in range(4):
             cache = SetAssociativeCache(capacity, assoc, 128)
             lines = rng.integers(0, n_lines, size=600, dtype=np.int64)
-            expected = np.array([cache.access(int(l)) for l in lines])
+            expected = np.array([cache.access(int(line)) for line in lines])
             got = lru_hit_mask(lines, cache.set_mask, cache.assoc)
             np.testing.assert_array_equal(got, expected, err_msg=str(trial))
 
@@ -344,7 +382,7 @@ class TestLruHitMask:
             * (cache.set_mask + 1)
             + rng.integers(0, 4, size=3000, dtype=np.int64)
         )
-        expected = np.array([cache.access(int(l)) for l in lines])
+        expected = np.array([cache.access(int(line)) for line in lines])
         got = lru_hit_mask(lines, cache.set_mask, cache.assoc)
         np.testing.assert_array_equal(got, expected)
 

@@ -207,8 +207,8 @@ def long_window_streams(draw):
 def set_associative_lhb_cases(draw):
     """A 2+-way LHB with a finite lifetime and a stream long enough to
     fill its sets, so evictions of live and dead victims both occur.
-    The 64-way draw exceeds WALK_MAX_CAP, so both passes take the
-    merge-sort tree instead of the capped walk."""
+    The 64-way draw exceeds WALK_MAX_CAP, which the LHB's walk ignores:
+    it walks at every associativity."""
     assoc = draw(st.sampled_from([2, 4, 8, 64]))
     entries = assoc * draw(st.sampled_from([1, 2, 4]))
     config = dict(
@@ -223,6 +223,41 @@ def set_associative_lhb_cases(draw):
     element = rng.integers(-2, hi, size=n, dtype=np.int64)
     batch = rng.integers(0, 2, size=n, dtype=np.int64)
     return config, element, batch
+
+
+@st.composite
+def run_heavy_lhb_cases(draw):
+    """A 2+-way LHB stream whose every lookup repeats once, ``chunk``
+    (1-3) lookups later, as an octet's dual-load repeats its fragment:
+    a tag with no set-mate in its chunk is looked up twice back to back
+    in its set, so about half the stream are run members.  Lifetimes of
+    1-3 put those members' gaps on both sides of the window, ``None``
+    drops the window, and tags drawn from up to 40x the entries make
+    most first lookups compulsory misses into full sets.  PIDs are
+    drawn per lookup or omitted."""
+    assoc = draw(st.sampled_from([2, 4, 8, 64]))
+    entries = assoc * draw(st.sampled_from([1, 2, 4]))
+    config = dict(
+        num_entries=entries,
+        assoc=assoc,
+        lifetime=draw(st.sampled_from([None, 1, 2, 3])),
+        hashed_index=draw(st.booleans()),
+    )
+    chunk = draw(st.integers(1, 3))
+    n = chunk * draw(st.integers(1, 400))
+    hi = entries * draw(st.sampled_from([1, 4, 40]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def twice(column):
+        # Each chunk of lookups, then the same chunk again.
+        return np.tile(column.reshape(-1, 1, chunk), (1, 2, 1)).ravel()
+
+    element = twice(rng.integers(-2, hi, size=n, dtype=np.int64))
+    batch = twice(rng.integers(0, 2, size=n, dtype=np.int64))
+    pid = None
+    if draw(st.booleans()):
+        pid = twice(rng.integers(0, 3, size=n, dtype=np.int64))
+    return config, element, batch, pid
 
 
 # ----------------------------------------------------------------------
@@ -406,6 +441,21 @@ def test_set_associative_finite_lifetime_matches_event_path(case):
     ref, expected = _event_stream(config, element, batch, pid)
     fast = LoadHistoryBuffer(**config)
     got = simulate_lhb_stream(element, batch, fast)
+    np.testing.assert_array_equal(got, expected, err_msg=str(config))
+    _assert_stats_equal(fast, ref, config)
+
+
+@settings(max_examples=MAX_EXAMPLES, deadline=None)
+@given(case=run_heavy_lhb_cases())
+def test_set_associative_runs_match_event_path(case):
+    """Run members at stack distance 0 and run heads with one walk:
+    the hit mask and every counter of a 2+-way buffer, on streams of
+    back-to-back repeats with lifetimes at the members' gaps."""
+    config, element, batch, pid = case
+    ref_pid = np.zeros(len(element), dtype=np.int64) if pid is None else pid
+    ref, expected = _event_stream(config, element, batch, ref_pid)
+    fast = LoadHistoryBuffer(**config)
+    got = simulate_lhb_stream(element, batch, fast, pid=pid)
     np.testing.assert_array_equal(got, expected, err_msg=str(config))
     _assert_stats_equal(fast, ref, config)
 

@@ -106,6 +106,29 @@ def test_headline_cells_match_the_committed_summaries(row):
         assert_prints(paper_cell, committed["paper"], scale, sign)
 
 
+def test_fig14_dilution_is_training_over_inference_reduction():
+    """Fig 14's dilution row, and the prose under "Figure 14", print
+    the training reduction over the inference reduction at two
+    decimals: 0.0304 / 0.1178 measured, 8.3 / 22.7 in the paper."""
+    paper_cell, measured_cell = headline_table()[
+        ("Fig 14", "training/inference dilution")
+    ]
+    fig14 = summary("figure14")
+    ratio = {
+        column: float(fig14["gmean_training_reduction"][column])
+        / float(fig14["gmean_inference_reduction"][column])
+        for column in ("measured", "paper")
+    }
+    assert measured_cell == f"{ratio['measured']:.2f}"
+    assert paper_cell == f"{ratio['paper']:.2f}" == "0.37"
+    text = (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
+    prose = " ".join(text.split("### Figure 14", 1)[1].split("###", 1)[0].split())
+    assert (
+        f"dilution ratio comes out {ratio['measured']:.2f} vs the paper's "
+        f"{ratio['paper']:.2f}"
+    ) in prose
+
+
 def test_every_measured_figure_claim_has_a_headline_row():
     mapped = {(exp, metric) for exp, metric, _, _ in HEADLINE.values()}
     claimed = {c.measured_by for c in measured_claims()}
